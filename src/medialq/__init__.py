@@ -5,8 +5,9 @@ The pipeline, bottom to top:
 
 * ``planar``   -- sphere-embedded multigraphs as rotation systems, face
   tracing, angles, and the directed medial quiver.
-* ``states``   -- weights, compatible angular functions, counterclockwise
-  moves, invisible cycles, nilpotency degree.
+* ``states``   -- weights, the ``Decoration`` of a map by a weight (each
+  invariant of the pair computed once), compatible angular functions,
+  counterclockwise moves, invisible cycles, nilpotency degree.
 * ``bms``      -- BMS states (f_plus, f_minus, d), their move graph and the
   graded distributive lattices they form.
 * ``lattice``  -- generic finite poset / lattice certification utilities.

@@ -19,23 +19,15 @@ from dataclasses import dataclass
 from itertools import product
 
 from .lattice import FiniteLattice, certified_lattice
-from .planar import MedialQuiver, PlanarMap, medial_quiver
+from .planar import MedialQuiver, PlanarMap
 from .states import (
     AngularFunction,
-    EmptyStateSet,
+    Decoration,
     NotMovable,
-    NotNilpotencyZero,
     anti_mov_e,
-    build_L_graph,
-    delta_chi,
-    enumerate_compatible,
-    invisible_edge_set,
-    invisible_subgraph,
     is_anti_e_movable,
     is_e_movable,
     mov_e,
-    nilpotency_degree,
-    validate_weight,
 )
 
 
@@ -82,19 +74,19 @@ def _d_tuple(d):
     return tuple(sorted(d.items()))
 
 
-def _check_compatible(pmap, omega, quiver, g, name):
+def _check_compatible(dec: Decoration, g, name):
+    quiver = dec.quiver
     for v, cycle in quiver.vertex_cycles.items():
-        if sum(g[a] for a in cycle) != omega[v]:
+        if sum(g[a] for a in cycle) != dec.omega[v]:
             raise ValueError(f"{name} is not compatible at {v}")
     for f, cycle in quiver.face_cycles.items():
-        if sum(g[a] for a in cycle) != omega[f]:
+        if sum(g[a] for a in cycle) != dec.omega[f]:
             raise ValueError(f"{name} is not compatible at {f}")
     if any(g[a] < 0 for a in quiver.arrow_ids):
         raise ValueError(f"{name} takes a negative value")
 
 
-def make_bms(pmap: PlanarMap, omega, f_plus, f_minus, d,
-             quiver: MedialQuiver | None = None) -> BMSState:
+def make_bms(pmap: PlanarMap, omega, f_plus, f_minus, d) -> BMSState:
     """Validated state triple.
 
     Raises:
@@ -102,11 +94,10 @@ def make_bms(pmap: PlanarMap, omega, f_plus, f_minus, d,
         InvisibleDimNonZero: d is nonzero on an invisible-cycle edge.
         ValueError: a function is not compatible, or d has negative entries.
     """
-    if quiver is None:
-        quiver = medial_quiver(pmap)
-    validate_weight(pmap, omega)
-    _check_compatible(pmap, omega, quiver, f_plus, "f_plus")
-    _check_compatible(pmap, omega, quiver, f_minus, "f_minus")
+    dec = Decoration.of(pmap, omega)
+    quiver = dec.quiver
+    _check_compatible(dec, f_plus, "f_plus")
+    _check_compatible(dec, f_minus, "f_minus")
     d = {e: d.get(e, 0) for e in quiver.vertices}
     if any(not isinstance(v, int) or v < 0 for v in d.values()):
         raise ValueError("dimension vector must be non-negative integers")
@@ -116,33 +107,11 @@ def make_bms(pmap: PlanarMap, omega, f_plus, f_minus, d,
             raise RelationViolated(
                 a, f"angle relation fails at {a}: "
                    f"d({t})-d({s}) != f_plus-f_minus")
-    zero = [a for a in quiver.arrow_ids if f_minus[a] == 0]
-    inv_edges = _invisible_edges_from_zero_set(quiver, zero)
-    for e in sorted(inv_edges):
+    for e in sorted(dec.invisible_edges):
         if d[e] != 0:
             raise InvisibleDimNonZero(
                 e, f"dimension {d[e]} on invisible-cycle edge {e}")
     return BMSState(f_plus, f_minus, _d_tuple(d))
-
-
-def _invisible_edges_from_zero_set(quiver, zero_arrows):
-    import networkx as nx
-
-    dg = nx.DiGraph()
-    dg.add_nodes_from(quiver.vertices)
-    dg.add_edges_from(
-        (quiver.source(a), quiver.target(a)) for a in zero_arrows)
-    comp = {}
-    for i, scc in enumerate(nx.strongly_connected_components(dg)):
-        for v in scc:
-            comp[v] = i
-    out = set()
-    for a in zero_arrows:
-        s, t = quiver.arrows[a]
-        if comp[s] == comp[t]:
-            out.add(s)
-            out.add(t)
-    return out
 
 
 def bms_mov_e(quiver: MedialQuiver, xi: BMSState, e) -> BMSState:
@@ -167,7 +136,6 @@ def bms_anti_mov_e(quiver: MedialQuiver, xi: BMSState, e) -> BMSState:
 
 
 def bms_plus_lattice(pmap: PlanarMap, omega, g: AngularFunction,
-                     quiver: MedialQuiver | None = None,
                      bound=500, seed=0) -> FiniteLattice:
     """All states reachable from (g, g, 0), certified as a lattice.
 
@@ -179,11 +147,10 @@ def bms_plus_lattice(pmap: PlanarMap, omega, g: AngularFunction,
     Raises:
         NotNilpotencyZero: the closure would be infinite.
     """
-    if quiver is None:
-        quiver = medial_quiver(pmap)
-    if nilpotency_degree(pmap, omega, quiver) != 0:
-        raise NotNilpotencyZero("lattice construction needs nilpotency degree 0")
-    root = make_bms(pmap, omega, g, g, {}, quiver)
+    dec = Decoration.of(pmap, omega)
+    dec.require_nilpotency_zero("lattice construction needs nilpotency degree 0")
+    quiver = dec.quiver
+    root = make_bms(pmap, omega, g, g, {})
     frontier = [root]
     seen = {root}
     covers = []
@@ -199,7 +166,7 @@ def bms_plus_lattice(pmap: PlanarMap, omega, g: AngularFunction,
                     seen.add(nxt)
                     frontier.append(nxt)
 
-    _check_pointwise_closure(quiver, g, seen)
+    _check_pointwise_closure(quiver, seen)
     grade = {xi: xi.d_tot for xi in seen}
     order = sorted(seen, key=lambda xi: (xi.d_tot, xi.d))
     return certified_lattice(
@@ -207,7 +174,7 @@ def bms_plus_lattice(pmap: PlanarMap, omega, g: AngularFunction,
         grade=grade, labels=labels, bound=bound, seed=seed)
 
 
-def _check_pointwise_closure(quiver, g, states):
+def _check_pointwise_closure(quiver, states):
     by_d = {xi.d: xi for xi in states}
     dicts = [dict(d) for d in by_d]
     for d1 in dicts:
@@ -228,7 +195,7 @@ def _reconstruct_plus(quiver, f_minus, d):
 
 
 def component_minimum(pmap: PlanarMap, omega, h: AngularFunction,
-                      quiver: MedialQuiver | None = None, choose=None):
+                      choose=None):
     """Greedy anti-moves from h until stuck: (terminal f_minus, accumulated d).
 
     The terminal function is the minimum of h's move-graph component and the
@@ -239,11 +206,10 @@ def component_minimum(pmap: PlanarMap, omega, h: AngularFunction,
     Raises:
         NotNilpotencyZero: descent is not guaranteed to terminate otherwise.
     """
-    if quiver is None:
-        quiver = medial_quiver(pmap)
-    if nilpotency_degree(pmap, omega, quiver) != 0:
-        raise NotNilpotencyZero("greedy descent needs nilpotency degree 0")
-    _check_compatible(pmap, omega, quiver, h, "h")
+    dec = Decoration.of(pmap, omega)
+    dec.require_nilpotency_zero("greedy descent needs nilpotency degree 0")
+    quiver = dec.quiver
+    _check_compatible(dec, h, "h")
     if choose is None:
         choose = lambda options: options[0]
     current = h
@@ -260,12 +226,11 @@ def component_minimum(pmap: PlanarMap, omega, h: AngularFunction,
         fuel -= 1
         if fuel == 0:  # pragma: no cover - guarded by the nilpotency gate
             raise RuntimeError("greedy descent did not terminate")
-    make_bms(pmap, omega, h, current, d, quiver)  # validity assertion
+    make_bms(pmap, omega, h, current, d)  # validity assertion
     return current, d
 
 
 def plus_subobjects(pmap: PlanarMap, omega, xi: BMSState,
-                    quiver: MedialQuiver | None = None,
                     bound=500, seed=0) -> FiniteLattice:
     """The lattice of states below xi: same f_minus, d' pointwise below d.
 
@@ -276,10 +241,9 @@ def plus_subobjects(pmap: PlanarMap, omega, xi: BMSState,
     Raises:
         NotNilpotencyZero.
     """
-    if quiver is None:
-        quiver = medial_quiver(pmap)
-    if nilpotency_degree(pmap, omega, quiver) != 0:
-        raise NotNilpotencyZero("subobject lattice needs nilpotency degree 0")
+    dec = Decoration.of(pmap, omega)
+    dec.require_nilpotency_zero("subobject lattice needs nilpotency degree 0")
+    quiver = dec.quiver
     edges = sorted(quiver.vertices)
     top = xi.dims()
     found = []
@@ -287,7 +251,7 @@ def plus_subobjects(pmap: PlanarMap, omega, xi: BMSState,
         d = dict(zip(edges, combo))
         f_plus = _reconstruct_plus(quiver, xi.f_minus, d)
         if all(v >= 0 for _, v in f_plus.items()):
-            found.append(make_bms(pmap, omega, f_plus, xi.f_minus, d, quiver))
+            found.append(make_bms(pmap, omega, f_plus, xi.f_minus, d))
     covers = []
     labels = {}
     by_d = {s.d: s for s in found}
@@ -325,14 +289,13 @@ class ProjectionReport:
         return self.is_morphism and self.out_degrees_match
 
 
-def forgetful_projection(pmap: PlanarMap, omega, states,
-                         quiver: MedialQuiver | None = None) -> ProjectionReport:
+def forgetful_projection(pmap: PlanarMap, omega, states) -> ProjectionReport:
     """Check that xi -> f_plus maps the move graph of `states` onto the move
     graph of plain angular functions: every move edge maps to a move edge and
     out-degrees agree (local bijectivity on outgoing edges)."""
-    if quiver is None:
-        quiver = medial_quiver(pmap)
-    graph = build_L_graph(pmap, omega, quiver)
+    dec = Decoration.of(pmap, omega)
+    quiver = dec.quiver
+    graph = dec.move_graph
     index = {g: i for i, g in enumerate(graph.nodes)}
     out_of = {i: set() for i in range(len(graph.nodes))}
     for s, t, lab in graph.edges:
@@ -365,8 +328,7 @@ def forgetful_projection(pmap: PlanarMap, omega, states,
         components_touched=len(touched), components_fully_covered=len(full))
 
 
-def solve_dimension(pmap: PlanarMap, omega, f_plus, f_minus,
-                    quiver: MedialQuiver | None = None):
+def solve_dimension(pmap: PlanarMap, omega, f_plus, f_minus):
     """Reconstruct the unique dimension vector joining f_minus to f_plus.
 
     Propagates d(target) - d(source) = f_plus - f_minus along a spanning
@@ -378,11 +340,10 @@ def solve_dimension(pmap: PlanarMap, omega, f_plus, f_minus,
         InvisibleDimNonZero: invisible edges cannot all be zero.
         ValueError: inputs incompatible, or the result would be negative.
     """
-    if quiver is None:
-        quiver = medial_quiver(pmap)
-    validate_weight(pmap, omega)
-    _check_compatible(pmap, omega, quiver, f_plus, "f_plus")
-    _check_compatible(pmap, omega, quiver, f_minus, "f_minus")
+    dec = Decoration.of(pmap, omega)
+    quiver = dec.quiver
+    _check_compatible(dec, f_plus, "f_plus")
+    _check_compatible(dec, f_minus, "f_minus")
 
     delta = {a: f_plus[a] - f_minus[a] for a in quiver.arrow_ids}
     start = quiver.vertices[0]
@@ -405,8 +366,7 @@ def solve_dimension(pmap: PlanarMap, omega, f_plus, f_minus,
             raise RelationViolated(
                 a, f"difference of the two functions is inconsistent at {a}")
 
-    zero = [a for a in quiver.arrow_ids if f_minus[a] == 0]
-    inv_edges = sorted(_invisible_edges_from_zero_set(quiver, zero))
+    inv_edges = sorted(dec.invisible_edges)
     if inv_edges:
         base = value[inv_edges[0]]
         for e in inv_edges[1:]:

@@ -3,8 +3,9 @@
 Reports are plain deterministic text: same input, same seed, same bytes.
 Every report starts with the sha256 of its inputs and the seed in use, so a
 report file identifies what it was computed from.  Exit status is 0 for
-success, 1 when a check found a counterexample or failed to certify, and 2
-for unusable input.
+success, 1 when a check found a counterexample or failed to certify (an
+internal disagreement between two methods included), and 2 for unusable
+input.
 """
 
 from __future__ import annotations
@@ -23,12 +24,11 @@ from .kauffman import (
     NotPrime,
     clock_lattice,
     enumerate_kauffman_states,
-    find_separating_pair,
     is_prime_diagram,
     kauffman_weight,
 )
 from .lattice import CertificationFailed, FiniteLattice
-from .planar import MapFormatError, medial_quiver, parse_map_text
+from .planar import MapFormatError, cell_key, parse_map_text
 from .reps import CandidateSpaceTooLarge, NotCharacteristicWeight
 from .states import EmptyStateSet, MissingValue, NotNilpotencyZero
 
@@ -54,17 +54,16 @@ def _load_map(path):
     return pmap, marked, raw
 
 
-def _resolve_weight(args, pmap, marked):
-    """Explicit --weight file, else the Kauffman weight of the marked edge."""
+def _decoration(args, pmap, marked):
+    """The map decorated by the explicit --weight file, else by the Kauffman
+    weight of the marked edge; with the weight file as an extra input."""
     if getattr(args, "weight", None):
         raw = _read_bytes(args.weight)
         omega = st.parse_weight_text(raw.decode("utf-8"))
-        if not st.validate_weight(pmap, omega):
-            raise InputError(
-                "weight is negative somewhere or vertex/face totals differ")
-        return omega, [(args.weight, raw)]
+        return st.Decoration.of(pmap, omega), [(args.weight, raw)]
     if marked is not None:
-        return kauffman_weight(LinkDiagram(pmap, marked)), []
+        omega = kauffman_weight(LinkDiagram(pmap, marked))
+        return st.Decoration.of(pmap, omega), []
     raise InputError("no --weight given and the map has no marked_edge")
 
 
@@ -139,22 +138,19 @@ def _lattice_lines(lat: FiniteLattice):
     return out
 
 
-def _component_lattice(pmap, omega, quiver, seed, bound):
-    functions = st.enumerate_compatible(pmap, omega, quiver)
-    if not functions:
-        return None, 0
-    g0, _ = bms.component_minimum(pmap, omega, functions[0], quiver)
-    return (bms.bms_plus_lattice(pmap, omega, g0, quiver,
-                                 bound=bound, seed=seed),
-            len(functions))
+def _component_lattice(dec, seed, bound):
+    """Lattice of the component of the first compatible function, or None."""
+    if dec.first is None:
+        return None
+    return dec.component_lattice(dec.first, bound=bound, seed=seed)
 
 
-def _top_module(pmap, omega, quiver, seed, bound):
-    lattice, _ = _component_lattice(pmap, omega, quiver, seed, bound)
+def _top_module(dec, seed, bound):
+    lattice = _component_lattice(dec, seed, bound)
     if lattice is None:
         raise InputError("no compatible angular function, nothing to build")
     top = max(lattice.elements, key=lambda s: s.d_tot)
-    return lattice, top, reps.state_module(pmap, top, quiver)
+    return top, reps.state_module(dec.pmap, top)
 
 
 # ----------------------------------------------------------------------
@@ -163,7 +159,7 @@ def _top_module(pmap, omega, quiver, seed, bound):
 
 def cmd_medial(args):
     pmap, marked, raw = _load_map(args.map)
-    quiver = medial_quiver(pmap)
+    quiver = pmap.quiver
     if args.format == "dot":
         lines = ["digraph medial {"]
         for e in quiver.vertices:
@@ -176,7 +172,7 @@ def cmd_medial(args):
     lines = _header("medial", [(args.map, raw)])
     lines.append(f"vertices: {len(pmap.vertices)} edges: {len(pmap.edges)} "
                  f"faces: {len(pmap.faces)}")
-    for f in sorted(pmap.faces, key=_cell_key):
+    for f in sorted(pmap.faces, key=cell_key):
         lines.append(f"face {f}: " + " ".join(pmap.faces[f]))
     lines.append(f"quiver vertices: {' '.join(quiver.vertices)}")
     for a in quiver.arrow_ids:
@@ -187,14 +183,10 @@ def cmd_medial(args):
     return 0, lines
 
 
-def _cell_key(cid):
-    return (cid[0], int(cid[1:]))
-
-
 def cmd_states(args):
     pmap, marked, raw = _load_map(args.map)
-    omega, extra = _resolve_weight(args, pmap, marked)
-    functions = st.enumerate_compatible(pmap, omega)
+    dec, extra = _decoration(args, pmap, marked)
+    functions = dec.states
     lines = _header("states", [(args.map, raw)] + extra)
     lines.append(f"compatible angular functions: {len(functions)}")
     for i, g in enumerate(functions):
@@ -204,8 +196,8 @@ def cmd_states(args):
 
 def cmd_move_graph(args):
     pmap, marked, raw = _load_map(args.map)
-    omega, extra = _resolve_weight(args, pmap, marked)
-    graph = st.build_L_graph(pmap, omega)
+    dec, extra = _decoration(args, pmap, marked)
+    graph = dec.move_graph
     if args.format == "dot":
         lines = ["digraph moves {"]
         for i, g in enumerate(graph.nodes):
@@ -227,18 +219,18 @@ def cmd_move_graph(args):
 
 def cmd_invisible(args):
     pmap, marked, raw = _load_map(args.map)
-    omega, extra = _resolve_weight(args, pmap, marked)
+    dec, extra = _decoration(args, pmap, marked)
     lines = _header("invisible", [(args.map, raw)] + extra)
     try:
-        arrows = st.invisible_subgraph(pmap, omega)
+        arrows = dec.invisible_arrows
     except EmptyStateSet:
         lines.append("no compatible angular functions; nothing is invisible")
         return 0, lines
     lines.append(f"invisible arrows: {' '.join(sorted(arrows)) or 'none'}")
-    edges = st.invisible_edge_set(medial_quiver(pmap), arrows)
+    edges = dec.invisible_edges
     lines.append(f"invisible edges: {' '.join(sorted(edges)) or 'none'}")
     try:
-        connected, ncomp = st.gamma_inv_connected(pmap, omega)
+        connected, ncomp = st.gamma_inv_connected(pmap, dec.omega)
         lines.append(f"invisible cycle graph components: {ncomp} "
                      f"(connected: {connected})")
     except NotNilpotencyZero:
@@ -248,10 +240,10 @@ def cmd_invisible(args):
 
 def cmd_nilpotency(args):
     pmap, marked, raw = _load_map(args.map)
-    omega, extra = _resolve_weight(args, pmap, marked)
+    dec, extra = _decoration(args, pmap, marked)
     lines = _header("nilpotency", [(args.map, raw)] + extra)
     try:
-        lines.append(f"nilpotency degree: {st.nilpotency_degree(pmap, omega)}")
+        lines.append(f"nilpotency degree: {dec.nilpotency}")
     except EmptyStateSet:
         lines.append("nilpotency degree undefined: no compatible functions")
     return 0, lines
@@ -259,10 +251,8 @@ def cmd_nilpotency(args):
 
 def cmd_bms_lattice(args):
     pmap, marked, raw = _load_map(args.map)
-    omega, extra = _resolve_weight(args, pmap, marked)
-    quiver = medial_quiver(pmap)
-    lattice, total = _component_lattice(
-        pmap, omega, quiver, args.seed, args.bound_lattice)
+    dec, extra = _decoration(args, pmap, marked)
+    lattice = _component_lattice(dec, args.seed, args.bound_lattice)
     lines = _header("bms-lattice", [(args.map, raw)] + extra, seed=args.seed)
     if lattice is None:
         lines.append("no compatible angular functions")
@@ -270,22 +260,20 @@ def cmd_bms_lattice(args):
     if args.format == "dot":
         return 0, lines + [lattice.poset.hasse_dot(
             label=lambda x: _dims_text(dict(x.d))).rstrip("\n")]
-    lines.append(f"component covers {len(lattice)} of {total} states")
+    lines.append(f"component covers {len(lattice)} of {len(dec.states)} states")
     lines.extend(_lattice_lines(lattice))
     return 0, lines
 
 
 def cmd_component(args):
     pmap, marked, raw = _load_map(args.map)
-    omega, extra = _resolve_weight(args, pmap, marked)
-    quiver = medial_quiver(pmap)
-    graph = st.build_L_graph(pmap, omega, quiver)
+    dec, extra = _decoration(args, pmap, marked)
+    graph = dec.move_graph
     lines = _header("component", [(args.map, raw)] + extra)
     comps = graph.undirected_components()
     lines.append(f"states: {len(graph.nodes)} components: {len(comps)}")
     for i, comp in enumerate(comps):
-        g0, d = bms.component_minimum(
-            pmap, omega, graph.nodes[comp[0]], quiver)
+        g0, d = bms.component_minimum(pmap, dec.omega, graph.nodes[comp[0]])
         lines.append(f"component {i}: size {len(comp)} "
                      f"minimum {_fun_text(g0)} "
                      f"({sum(d.values())} anti-moves down)")
@@ -294,16 +282,14 @@ def cmd_component(args):
 
 def cmd_subobjects(args):
     pmap, marked, raw = _load_map(args.map)
-    omega, extra = _resolve_weight(args, pmap, marked)
-    quiver = medial_quiver(pmap)
-    lattice, _ = _component_lattice(
-        pmap, omega, quiver, args.seed, args.bound_lattice)
+    dec, extra = _decoration(args, pmap, marked)
+    lattice = _component_lattice(dec, args.seed, args.bound_lattice)
     lines = _header("subobjects", [(args.map, raw)] + extra, seed=args.seed)
     if lattice is None:
         lines.append("no compatible angular functions")
         return 0, lines
     top = max(lattice.elements, key=lambda s: s.d_tot)
-    below = bms.plus_subobjects(pmap, omega, top, quiver,
+    below = bms.plus_subobjects(pmap, dec.omega, top,
                                 bound=args.bound_lattice, seed=args.seed)
     lines.append(f"subobjects of the maximal state {_state_text(top)}")
     if args.format == "dot":
@@ -336,7 +322,7 @@ def cmd_clock(args):
 def cmd_prime_check(args):
     diagram, raw = _diagram(args)
     lines = _header("prime-check", [(args.map, raw)])
-    witness = find_separating_pair(diagram.pmap)
+    witness = diagram.separating_pair
     if witness is None:
         lines.append("prime: yes (no separating edge pair)")
         return 0, lines
@@ -356,10 +342,8 @@ def cmd_kauffman_states(args):
 
 def cmd_module(args):
     pmap, marked, raw = _load_map(args.map)
-    omega, extra = _resolve_weight(args, pmap, marked)
-    quiver = medial_quiver(pmap)
-    _, top, module = _top_module(
-        pmap, omega, quiver, args.seed, args.bound_lattice)
+    dec, extra = _decoration(args, pmap, marked)
+    top, module = _top_module(dec, args.seed, args.bound_lattice)
     lines = _header("module", [(args.map, raw)] + extra, seed=args.seed)
     lines.append(f"state module of the maximal state {_state_text(top)}")
     lines.append("dims: " + " ".join(
@@ -372,21 +356,18 @@ def cmd_module(args):
 
 def cmd_jacobian_check(args):
     pmap, marked, raw = _load_map(args.map)
-    omega, extra = _resolve_weight(args, pmap, marked)
-    quiver = medial_quiver(pmap)
-    lattice, _ = _component_lattice(
-        pmap, omega, quiver, args.seed, args.bound_lattice)
+    dec, extra = _decoration(args, pmap, marked)
+    lattice = _component_lattice(dec, args.seed, args.bound_lattice)
     lines = _header("jacobian-check", [(args.map, raw)] + extra,
                     seed=args.seed)
     if lattice is None:
         lines.append("no compatible angular functions")
         return 0, lines
-    potential = reps.canonical_potential(pmap, omega, quiver)
+    potential = reps.canonical_potential(pmap, dec.omega)
     lines.append(f"potential terms: {len(potential.terms)}")
     bad = 0
     for i, state in enumerate(lattice.elements):
-        report = reps.check_jacobian(
-            reps.state_module(pmap, state, quiver), potential)
+        report = reps.check_jacobian(reps.state_module(pmap, state), potential)
         verdict = "ok" if report.ok else "NONZERO RESIDUAL"
         lines.append(f"state {i} ({_dims_text(dict(state.d))}): "
                      f"{report.arrows_checked} derivatives {verdict}")
@@ -399,10 +380,8 @@ def cmd_jacobian_check(args):
 
 def cmd_endo(args):
     pmap, marked, raw = _load_map(args.map)
-    omega, extra = _resolve_weight(args, pmap, marked)
-    quiver = medial_quiver(pmap)
-    _, top, module = _top_module(
-        pmap, omega, quiver, args.seed, args.bound_lattice)
+    dec, extra = _decoration(args, pmap, marked)
+    top, module = _top_module(dec, args.seed, args.bound_lattice)
     ring = reps.endomorphism_ring(module)
     lines = _header("endo", [(args.map, raw)] + extra, seed=args.seed)
     lines.append(f"endomorphisms of the maximal state module "
@@ -418,12 +397,10 @@ def cmd_endo(args):
 
 def cmd_subreps(args):
     pmap, marked, raw = _load_map(args.map)
-    omega, extra = _resolve_weight(args, pmap, marked)
-    quiver = medial_quiver(pmap)
-    _, top, module = _top_module(
-        pmap, omega, quiver, args.seed, args.bound_lattice)
+    dec, extra = _decoration(args, pmap, marked)
+    top, module = _top_module(dec, args.seed, args.bound_lattice)
     found = reps.enumerate_subreps(
-        module, omega, bound=args.bound_candidates,
+        module, dec.omega, bound=args.bound_candidates,
         bound_lattice=args.bound_lattice, seed=args.seed)
     lines = _header("subreps", [(args.map, raw)] + extra, seed=args.seed)
     lines.append(f"subrepresentations of the maximal state module "
@@ -437,17 +414,15 @@ def cmd_subreps(args):
 
 def cmd_verify_iso(args):
     pmap, marked, raw = _load_map(args.map)
-    omega, extra = _resolve_weight(args, pmap, marked)
-    quiver = medial_quiver(pmap)
-    lattice, _ = _component_lattice(
-        pmap, omega, quiver, args.seed, args.bound_lattice)
+    dec, extra = _decoration(args, pmap, marked)
+    lattice = _component_lattice(dec, args.seed, args.bound_lattice)
     lines = _header("verify-iso", [(args.map, raw)] + extra, seed=args.seed)
     if lattice is None:
         lines.append("no compatible angular functions")
         return 0, lines
     top = max(lattice.elements, key=lambda s: s.d_tot)
     cert = reps.verify_subrep_isomorphism(
-        pmap, omega, top, quiver, bound=args.bound_lattice, seed=args.seed,
+        pmap, dec.omega, top, bound=args.bound_lattice, seed=args.seed,
         bound_candidates=args.bound_candidates)
     lines.append(f"maximal state: {_state_text(top)}")
     lines.append(f"plus-subobjects: {len(cert.bms_lattice)} "
@@ -482,30 +457,29 @@ def _check_one_diagram(raw, seed, bound_lattice, bound_candidates):
     diagram = LinkDiagram.from_text(raw.decode("utf-8"))
     pmap = diagram.pmap
     omega = kauffman_weight(diagram)
-    quiver = medial_quiver(pmap)
+    dec = st.Decoration.of(pmap, omega)
+    quiver = dec.quiver
 
     states = enumerate_kauffman_states(diagram)
     lines.append(f"  kauffman states (dual enumeration agrees): {len(states)}")
 
-    check("nilpotency degree", lambda: st.nilpotency_degree(pmap, omega, quiver))
+    check("nilpotency degree", lambda: dec.nilpotency)
     ncomp = check("invisible cycle graph components",
-                  lambda: st.gamma_inv_components(pmap, omega, quiver))
+                  lambda: st.gamma_inv_components(pmap, omega))
     if len(quiver.arrow_ids) <= 12:
         brute = check("  same by brute force",
                       lambda: st.gamma_inv_components_bruteforce(pmap, omega))
         if brute is not None and ncomp is not None and brute != ncomp:
             failures.append(f"invisible component mismatch {ncomp} vs {brute}")
 
-    functions = st.enumerate_compatible(pmap, omega, quiver)
-    graph = st.build_L_graph(pmap, omega, quiver)
+    graph = dec.move_graph
     comps = graph.undirected_components()
-    lines.append(f"  angular functions: {len(functions)} in {len(comps)} "
+    lines.append(f"  angular functions: {len(graph.nodes)} in {len(comps)} "
                  "component(s)")
     lattices = []
     for comp in comps:
-        g0, _ = bms.component_minimum(pmap, omega, graph.nodes[comp[0]], quiver)
-        lattice = bms.bms_plus_lattice(pmap, omega, g0, quiver,
-                                       bound=bound_lattice, seed=seed)
+        lattice = dec.component_lattice(
+            graph.nodes[comp[0]], bound=bound_lattice, seed=seed)
         lattices.append(lattice)
         if len(lattice) != len(comp):
             failures.append(
@@ -514,17 +488,17 @@ def _check_one_diagram(raw, seed, bound_lattice, bound_candidates):
                  + " ".join(str(len(l)) for l in lattices))
     projection = bms.forgetful_projection(pmap, omega,
                                           [x for l in lattices
-                                           for x in l.elements], quiver)
+                                           for x in l.elements])
     if not projection.ok:
         failures.append("forgetful projection is not a move-graph isomorphism")
     lines.append(f"  projection onto the move graph: ok={projection.ok}")
 
-    potential = reps.canonical_potential(pmap, omega, quiver)
+    potential = reps.canonical_potential(pmap, omega)
     violations = 0
     for lattice in lattices:
         for state in lattice.elements:
             report = reps.check_jacobian(
-                reps.state_module(pmap, state, quiver), potential)
+                reps.state_module(pmap, state), potential)
             violations += len(report.nonzero)
     if violations:
         failures.append(f"{violations} nonzero cyclic-derivative residuals")
@@ -541,7 +515,7 @@ def _check_one_diagram(raw, seed, bound_lattice, bound_candidates):
 
     big = max(lattices, key=len)
     top = max(big.elements, key=lambda s: s.d_tot)
-    module = reps.state_module(pmap, top, quiver)
+    module = reps.state_module(pmap, top)
     if not reps.is_nilpotent(module):
         failures.append("maximal state module is not nilpotent")
     verdict = check("maximal module indecomposable (methods agree)",
@@ -553,7 +527,7 @@ def _check_one_diagram(raw, seed, bound_lattice, bound_candidates):
     lines.append(f"  simple quotients = anti-movable edges: "
                  f"{sorted(anti) or 'none'}")
     cert = reps.verify_subrep_isomorphism(
-        pmap, omega, top, quiver, bound=bound_lattice, seed=seed,
+        pmap, omega, top, bound=bound_lattice, seed=seed,
         bound_candidates=bound_candidates)
     if not cert.ok:
         failures.append("subobject/subrepresentation lattices disagree")
@@ -654,7 +628,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code, lines = args.func(args)
-    except (NotPrime, CertificationFailed) as exc:
+    except (NotPrime, CertificationFailed, AssertionError) as exc:
         print(f"medialq: {exc}", file=sys.stderr)
         return 1
     except (InputError, MapFormatError, MissingValue, NotNilpotencyZero,

@@ -16,15 +16,13 @@ lattice), built and certified here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-import networkx as nx
-
-from . import bms
 from .lattice import CertificationFailed, FiniteLattice, certified_lattice
-from .planar import MedialQuiver, PlanarMap, medial_quiver, parse_map_text
+from .planar import PlanarMap, parse_map_text
 from .states import (
     AngularFunction,
-    enumerate_compatible,
+    Decoration,
     gamma_inv_connected,
     is_e_movable,
     mov_e,
@@ -76,6 +74,11 @@ class LinkDiagram:
             raise ValueError("diagram file must declare marked_edge")
         return cls(pmap, marked)
 
+    @cached_property
+    def separating_pair(self):
+        """``find_separating_pair`` of the map, computed once."""
+        return find_separating_pair(self.pmap)
+
 
 def kauffman_weight(diagram: LinkDiagram):
     """1 on crossings and unmarked faces, 0 on the two marked faces."""
@@ -106,7 +109,7 @@ def is_valid_state(diagram: LinkDiagram, state: KauffmanState) -> bool:
     pmap = diagram.pmap
     if not set(state.angles) <= set(pmap.darts):
         return False
-    quiver = medial_quiver(pmap)
+    quiver = pmap.quiver
     per_vertex = {v: 0 for v in pmap.vertices}
     per_face = {f: 0 for f in pmap.faces}
     for a in state.angles:
@@ -138,7 +141,7 @@ def _enumerate_direct(diagram: LinkDiagram):
     """Matching-style enumeration: each crossing picks one unmarked angle,
     each unmarked face must end up picked exactly once."""
     pmap = diagram.pmap
-    quiver = medial_quiver(pmap)
+    quiver = pmap.quiver
     marked = set(diagram.marked_faces)
     vertices = sorted(pmap.vertices, key=lambda v: int(v[1:]))
     choices = {
@@ -190,7 +193,7 @@ def enumerate_kauffman_states(diagram: LinkDiagram):
     """
     w = kauffman_weight(diagram)
     via_functions = sorted(
-        (chi_inv(diagram, g) for g in enumerate_compatible(diagram.pmap, w)),
+        (chi_inv(diagram, g) for g in Decoration.of(diagram.pmap, w).states),
         key=lambda s: s.angles)
     direct = _enumerate_direct(diagram)
     if via_functions != direct:
@@ -214,7 +217,7 @@ def kauffman_move(diagram: LinkDiagram, state: KauffmanState, e) -> KauffmanStat
         raise NotApplicable("cannot move along the marked edge")
     if str(e) not in pmap.edges:
         raise NotApplicable(f"unknown edge {e!r}")
-    quiver = medial_quiver(pmap)
+    quiver = pmap.quiver
     g = chi(diagram, state)
     if not is_e_movable(quiver, g, str(e)):
         raise NotApplicable(
@@ -223,28 +226,57 @@ def kauffman_move(diagram: LinkDiagram, state: KauffmanState, e) -> KauffmanStat
 
 
 def find_separating_pair(pmap: PlanarMap):
-    """A pair of edges whose removal disconnects the map, or None."""
+    """A pair of edges whose removal disconnects the map, or None.
+
+    The first such pair (e1, e2), e1 before e2, in ``sorted(pmap.edges)``
+    order: for each e1 in turn, one bridge search on the map without e1.
+    """
     edges = sorted(pmap.edges)
-    graph = nx.MultiGraph()
-    graph.add_nodes_from(pmap.vertices)
+    adj = {v: [] for v in pmap.vertices}
     for e in edges:
         u, v = pmap.edge_endpoints(e)
-        graph.add_edge(u, v, key=e)
-    for i, e1 in enumerate(edges):
-        for e2 in edges[i + 1:]:
-            h = graph.copy()
-            u1, v1 = pmap.edge_endpoints(e1)
-            u2, v2 = pmap.edge_endpoints(e2)
-            h.remove_edge(u1, v1, key=e1)
-            h.remove_edge(u2, v2, key=e2)
-            if not nx.is_connected(h):
-                return (e1, e2)
+        adj[u].append((v, e))
+        adj[v].append((u, e))
+    for i, e1 in enumerate(edges[:-1]):
+        bridges = _bridges(adj, e1)
+        later = [e2 for e2 in edges[i + 1:] if bridges is None or e2 in bridges]
+        if later:
+            return (e1, later[0])
     return None
+
+
+def _bridges(adj, skip):
+    """Bridges of the multigraph ``adj`` without edge ``skip``, or None if
+    that graph is disconnected (iterative Tarjan low-link search)."""
+    root = next(iter(adj))
+    order = {root: 0}
+    low = {root: 0}
+    bridges = set()
+    stack = [(root, None, iter(adj[root]))]
+    while stack:
+        v, via, links = stack[-1]
+        for w, e in links:
+            if e == skip or e == via:
+                continue
+            if w in order:
+                low[v] = min(low[v], order[w])
+            else:
+                order[w] = low[w] = len(order)
+                stack.append((w, e, iter(adj[w])))
+                break
+        else:
+            stack.pop()
+            if stack:
+                u = stack[-1][0]
+                low[u] = min(low[u], low[v])
+                if low[v] > order[u]:
+                    bridges.add(via)
+    return bridges if len(order) == len(adj) else None
 
 
 def is_prime_diagram(diagram: LinkDiagram) -> bool:
     """True iff no pair of edges separates the underlying map."""
-    return find_separating_pair(diagram.pmap) is None
+    return diagram.separating_pair is None
 
 
 def clock_lattice(diagram: LinkDiagram, bound=500, seed=0) -> FiniteLattice:
@@ -258,19 +290,18 @@ def clock_lattice(diagram: LinkDiagram, bound=500, seed=0) -> FiniteLattice:
         NotPrime: with the separating edge pair as witness.
         CertificationFailed: a theorem-level guarantee failed to verify.
     """
-    witness = find_separating_pair(diagram.pmap)
+    witness = diagram.separating_pair
     if witness is not None:
         raise NotPrime(witness, f"separating edge pair {witness}")
     pmap = diagram.pmap
     w = kauffman_weight(diagram)
-    quiver = medial_quiver(pmap)
-    connected, ncomp = gamma_inv_connected(pmap, w, quiver)
+    connected, ncomp = gamma_inv_connected(pmap, w)
     if not connected:
         raise CertificationFailed(
             f"graph of invisible cycles has {ncomp} components on a prime diagram")
-    functions = enumerate_compatible(pmap, w, quiver)
-    f_min, _ = bms.component_minimum(pmap, w, functions[0], quiver)
-    inner = bms.bms_plus_lattice(pmap, w, f_min, quiver, bound=bound, seed=seed)
+    dec = Decoration.of(pmap, w)
+    functions = dec.states
+    inner = dec.component_lattice(functions[0], bound=bound, seed=seed)
     if len(inner) != len(functions):
         raise CertificationFailed(
             f"lattice reaches {len(inner)} of {len(functions)} states")

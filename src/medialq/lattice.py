@@ -112,30 +112,6 @@ class FinitePoset:
         k = self.meet_index(self._index[x], self._index[y])
         return None if k is None else self.elements[k]
 
-    def connected_components(self):
-        """Element groups connected through covers, ignoring direction."""
-        n = len(self.elements)
-        adj = [set() for _ in range(n)]
-        for a, b in self.covers:
-            ia, ib = self._index[a], self._index[b]
-            adj[ia].add(ib)
-            adj[ib].add(ia)
-        seen, comps = set(), []
-        for i in range(n):
-            if i in seen:
-                continue
-            seen.add(i)
-            comp, stack = [], [i]
-            while stack:
-                k = stack.pop()
-                comp.append(self.elements[k])
-                for m in adj[k]:
-                    if m not in seen:
-                        seen.add(m)
-                        stack.append(m)
-            comps.append(comp)
-        return comps
-
     def hasse_dot(self, label=str) -> str:
         """Hasse diagram in DOT format, minimum at the bottom."""
         lines = ["digraph hasse {", "  rankdir=BT;", "  node [shape=box];"]

@@ -11,6 +11,7 @@ as arrows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import yaml
 
@@ -63,7 +64,10 @@ class PlanarMap:
         vertices: vertex id -> tuple of darts in clockwise rotation order.
         edges: edge id -> pair of darts.
         faces: face id -> tuple of darts in face-tracing order.
+        cells: vertex ids then face ids, the cells a weight is defined on.
         vertex_of / edge_of / face_of: dart -> incident cell id.
+        decorations: weight values on ``cells`` -> ``states.Decoration``,
+            filled by ``Decoration.of`` so the map's lifetime bounds it.
     """
 
     def __init__(self, rotations, pairing):
@@ -140,6 +144,8 @@ class PlanarMap:
         self.vertices = vertices
         self.edges = edges
         self.faces = faces
+        self.cells = tuple(vertices) + tuple(faces)
+        self.decorations = {}
         self.vertex_of = vertex_of
         self.edge_of = edge_of
         self.face_of = face_of
@@ -181,6 +187,11 @@ class PlanarMap:
     # ------------------------------------------------------------------
     # derived data
     # ------------------------------------------------------------------
+
+    @cached_property
+    def quiver(self) -> MedialQuiver:
+        """The directed medial quiver, built once per map."""
+        return medial_quiver(self)
 
     def degree(self, vid):
         return len(self.vertices[vid])
@@ -327,13 +338,6 @@ class MedialQuiver:
     def target(self, arrow):
         return self.arrows[arrow][1]
 
-    def angles_at_vertex(self, vid):
-        """Arrow ids of the map-vertex cycle, as a set-friendly tuple."""
-        return self.vertex_cycles[vid]
-
-    def angles_at_face(self, fid):
-        return self.face_cycles[fid]
-
     def is_strongly_connected(self):
         if not self.vertices:
             return True
@@ -405,16 +409,16 @@ def dump_map_text(pmap: PlanarMap, marked_edge=None):
     """Serialize a map back to the input format (canonical, deterministic)."""
     lines = []
     rot = ", ".join(
-        "[" + ", ".join(pmap.vertices[v]) + "]" for v in sorted(pmap.vertices, key=_cell_key))
+        "[" + ", ".join(pmap.vertices[v]) + "]" for v in sorted(pmap.vertices, key=cell_key))
     lines.append(f"vertices: [{rot}]")
     pairs = ", ".join(
-        "[" + ", ".join(pmap.edges[e]) + "]" for e in sorted(pmap.edges, key=_cell_key))
+        "[" + ", ".join(pmap.edges[e]) + "]" for e in sorted(pmap.edges, key=cell_key))
     lines.append(f"edges: [{pairs}]")
     if marked_edge is not None:
         lines.append(f"marked_edge: {marked_edge}")
     return "\n".join(lines) + "\n"
 
 
-def _cell_key(cid):
+def cell_key(cid):
     """Sort v2 before v10: cell ids are a letter followed by an index."""
     return (cid[0], int(cid[1:]))

@@ -26,8 +26,8 @@ from .bms import BMSState, plus_subobjects
 from .lattice import CertificationFailed, FiniteLattice, certified_lattice, \
     verify_order_isomorphism
 from .linalg import Matrix, ShapeMismatch, hstack_all
-from .planar import MedialQuiver, PlanarMap, medial_quiver
-from .states import NotACycle, validate_weight
+from .planar import MedialQuiver, PlanarMap
+from .states import Decoration, NotACycle, connected_components
 
 
 class EmptySupport(ValueError):
@@ -129,16 +129,14 @@ def plus_minus_matrix(c, k, rows, cols) -> Matrix:
     return Matrix(rows, cols, out)
 
 
-def state_module(pmap: PlanarMap, xi: BMSState,
-                 quiver: MedialQuiver | None = None) -> QuiverRep:
+def state_module(pmap: PlanarMap, xi: BMSState) -> QuiverRep:
     """The representation with Q^{d(e)} at edge e and (+)^{f_plus}(-)^{f_minus}
     on each arrow.
 
     The angle relation guarantees the identity-block shapes are consistent,
     so construction never fails on a valid state.
     """
-    if quiver is None:
-        quiver = medial_quiver(pmap)
+    quiver = pmap.quiver
     dims = {e: xi.dim(e) for e in quiver.vertices}
     mats = {}
     for a, (s, t) in quiver.arrows.items():
@@ -197,18 +195,15 @@ def make_potential(quiver: MedialQuiver, terms) -> Potential:
     return Potential(tuple(out))
 
 
-def canonical_potential(pmap: PlanarMap, omega,
-                        quiver: MedialQuiver | None = None) -> Potential:
+def canonical_potential(pmap: PlanarMap, omega) -> Potential:
     """Sum over the support of (1/p) vertex-cycle^p minus (1/p) face-cycle^p,
     where p(x) = xi/omega(x) and xi is the lcm of the weights on the support.
 
     Raises:
         EmptySupport: the weight is identically zero.
+        ValueError: the weight is invalid (see ``Decoration.of``).
     """
-    if quiver is None:
-        quiver = medial_quiver(pmap)
-    if not validate_weight(pmap, omega):
-        raise ValueError("invalid weight")
+    quiver = Decoration.of(pmap, omega).quiver
     cells = sorted(pmap.vertices) + sorted(pmap.faces)
     supported = [x for x in cells if omega[x] > 0]
     if not supported:
@@ -387,22 +382,8 @@ def support_is_connected(m: QuiverRep) -> bool:
     """Connectivity of the subquiver induced on vertices of positive
     dimension; an empty support does not count as connected."""
     supp = m.support()
-    if not supp:
-        return False
-    adj = {e: set() for e in supp}
-    for s, t in m.arrows.values():
-        if s in supp and t in supp:
-            adj[s].add(t)
-            adj[t].add(s)
-    seen = set()
-    stack = [min(supp)]
-    while stack:
-        e = stack.pop()
-        if e in seen:
-            continue
-        seen.add(e)
-        stack.extend(adj[e] - seen)
-    return seen == supp
+    links = [(s, t) for s, t in m.arrows.values() if s in supp and t in supp]
+    return len(connected_components(sorted(supp), links)) == 1
 
 
 def is_indecomposable(m: QuiverRep, omega) -> bool:
@@ -580,7 +561,6 @@ class SubrepIsoCertificate:
 
 
 def verify_subrep_isomorphism(pmap: PlanarMap, omega, xi: BMSState,
-                              quiver: MedialQuiver | None = None,
                               bound=500, seed=0,
                               bound_candidates=100000) -> SubrepIsoCertificate:
     """Check that xi' -> (k_e = d'(e)) is an order isomorphism from the
@@ -591,13 +571,11 @@ def verify_subrep_isomorphism(pmap: PlanarMap, omega, xi: BMSState,
         NotNilpotencyZero, NotCharacteristicWeight, CandidateSpaceTooLarge,
         CertificationFailed: propagated from the two lattice constructions.
     """
-    if quiver is None:
-        quiver = medial_quiver(pmap)
-    below = plus_subobjects(pmap, omega, xi, quiver, bound=bound, seed=seed)
-    module = state_module(pmap, xi, quiver)
+    below = plus_subobjects(pmap, omega, xi, bound=bound, seed=seed)
+    module = state_module(pmap, xi)
     subreps = enumerate_subreps(module, omega, bound=bound_candidates,
                                 bound_lattice=bound, seed=seed)
-    mapping = {s: PrefixFamily.of({e: s.dim(e) for e in quiver.vertices})
+    mapping = {s: PrefixFamily.of({e: s.dim(e) for e in pmap.quiver.vertices})
                for s in below.elements}
     iso = verify_order_isomorphism(below.poset, subreps.poset, mapping)
     grades = all(below.grade[s] == subreps.grade[mapping[s]]

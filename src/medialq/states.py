@@ -10,12 +10,12 @@ of compatible functions is the main object of study.
 
 from __future__ import annotations
 
-from collections import Counter
+import heapq
+from functools import cached_property
 
-import networkx as nx
 import yaml
 
-from .planar import MedialQuiver, PlanarMap, medial_quiver
+from .planar import MedialQuiver, PlanarMap, cell_key
 
 
 class MissingValue(ValueError):
@@ -52,10 +52,10 @@ def validate_weight(pmap: PlanarMap, omega) -> bool:
     Raises:
         MissingValue: some vertex or face has no entry in omega.
     """
-    for cid in list(pmap.vertices) + list(pmap.faces):
+    for cid in pmap.cells:
         if cid not in omega:
             raise MissingValue(f"weight has no value for {cid}")
-    if any(omega[c] < 0 for c in list(pmap.vertices) + list(pmap.faces)):
+    if any(omega[c] < 0 for c in pmap.cells):
         return False
     sv = sum(omega[v] for v in pmap.vertices)
     sf = sum(omega[f] for f in pmap.faces)
@@ -63,7 +63,7 @@ def validate_weight(pmap: PlanarMap, omega) -> bool:
 
 
 def is_characteristic(pmap: PlanarMap, omega) -> bool:
-    return all(omega[c] in (0, 1) for c in list(pmap.vertices) + list(pmap.faces))
+    return all(omega[c] in (0, 1) for c in pmap.cells)
 
 
 def parse_weight_text(text):
@@ -80,7 +80,7 @@ def parse_weight_text(text):
 
 
 def dump_weight_text(omega):
-    keys = sorted(omega, key=lambda c: (c[0], int(c[1:])))
+    keys = sorted(omega, key=cell_key)
     return "\n".join(f"{k}: {omega[k]}" for k in keys) + "\n"
 
 
@@ -106,9 +106,6 @@ class AngularFunction:
     def keys(self):
         return [a for a, _ in self._key]
 
-    def as_dict(self):
-        return dict(self._values)
-
     def shifted(self, delta):
         """New function with delta[a] added where present (no sign checks)."""
         vals = dict(self._values)
@@ -130,86 +127,200 @@ class AngularFunction:
         return f"AngularFunction({inner})"
 
 
-def require_connected(pmap: PlanarMap):
-    if not pmap.is_connected():
-        raise ValueError("operation requires a connected map")
+class Decoration:
+    """One planar map with one weight, the decorated graph (G, omega).
 
-
-def enumerate_compatible(pmap: PlanarMap, omega, quiver: MedialQuiver | None = None):
-    """The complete set of omega-compatible angular functions, canonically ordered.
-
-    Backtracking over angles in dart order; each angle is bounded by the
-    remaining budget of its vertex and of its face, and the last unassigned
-    angle of a cell is forced to the exact remainder.  The result is sorted
-    lexicographically by value tuple; an empty list is a valid outcome.
+    Validated once; every invariant of the pair is computed on first use and
+    kept: the medial quiver (shared with the map), the first compatible
+    function, all of them in order, the nilpotency degree, the invisible
+    arrows and edges, the move graph and the component lattices.  Get one
+    through ``Decoration.of``, which memoizes on the map.
     """
-    require_connected(pmap)
-    validate_weight(pmap, omega)
-    if quiver is None:
-        quiver = medial_quiver(pmap)
 
-    angles = list(pmap.darts)
-    cell_pair = {a: (quiver.angles[a].vertex, quiver.angles[a].face) for a in angles}
-    remaining = Counter()
-    for a in angles:
-        v, f = cell_pair[a]
-        remaining[v] += 1
-        remaining[f] += 1
-    budget = {c: omega[c] for c in list(pmap.vertices) + list(pmap.faces)}
-    if any(b < 0 for b in budget.values()):
-        return []
+    def __init__(self, pmap: PlanarMap, omega):
+        self.pmap = pmap
+        self.omega = omega
+        self.quiver = pmap.quiver
+        self._lattices = {}
 
-    out = []
-    assignment = {}
+    @classmethod
+    def of(cls, pmap: PlanarMap, omega) -> "Decoration":
+        """The decoration of pmap by omega, cached on pmap under omega's values.
 
-    def backtrack(i):
-        if i == len(angles):
-            if all(b == 0 for b in budget.values()):
-                out.append(AngularFunction(assignment))
-            return
-        a = angles[i]
-        v, f = cell_pair[a]
-        hi = min(budget[v], budget[f])
-        lo = 0
-        if remaining[v] == 1:
-            forced = budget[v]
-            if lo <= forced <= hi:
-                lo = hi = forced
-            else:
-                lo, hi = 0, -1
-        if remaining[f] == 1:
-            forced = budget[f]
-            if lo <= forced <= hi:
-                lo = hi = forced
-            else:
-                lo, hi = 0, -1
-        remaining[v] -= 1
-        remaining[f] -= 1
-        for val in range(lo, hi + 1):
-            assignment[a] = val
-            budget[v] -= val
-            budget[f] -= val
-            backtrack(i + 1)
-            budget[v] += val
-            budget[f] += val
-        assignment.pop(a, None)
-        remaining[v] += 1
-        remaining[f] += 1
+        Raises:
+            MissingValue: some vertex or face has no weight.
+            ValueError: the weight is invalid, or the map is not connected.
+        """
+        key = tuple(omega.get(c) for c in pmap.cells)
+        dec = pmap.decorations.get(key)
+        if dec is None:
+            if not validate_weight(pmap, omega):
+                raise ValueError(
+                    "weight is negative somewhere or vertex/face totals differ")
+            if not pmap.is_connected():
+                raise ValueError("operation requires a connected map")
+            dec = pmap.decorations[key] = cls(pmap, dict(zip(pmap.cells, key)))
+        return dec
 
-    backtrack(0)
-    out.sort(key=lambda g: tuple(v for _, v in g.items()))
-    return out
+    @cached_property
+    def first(self):
+        """The least compatible function in canonical order, or None."""
+        return next(_compatible_functions(self.quiver, self.omega), None)
+
+    def require_first(self) -> AngularFunction:
+        if self.first is None:
+            raise EmptyStateSet("no compatible angular function")
+        return self.first
+
+    @cached_property
+    def states(self) -> tuple:
+        return tuple(enumerate_compatible(self.pmap, self.omega))
+
+    @cached_property
+    def nilpotency(self) -> int:
+        return nilpotency_degree(self.pmap, self.omega)
+
+    def require_nilpotency_zero(self, message):
+        if self.nilpotency != 0:
+            raise NotNilpotencyZero(message)
+
+    @cached_property
+    def invisible_arrows(self) -> frozenset:
+        """Arrows on a directed cycle inside the zero set of ``first``.
+
+        An arrow s -> t on which ``first`` vanishes is invisible iff s is
+        reachable from t through such arrows.  Which compatible function is
+        used does not matter: a cycle is invisible for one iff for all.
+        """
+        g0 = self.require_first()
+        q = self.quiver
+        zero = [a for a in q.arrow_ids if g0[a] == 0]
+        succ = {e: [] for e in q.vertices}
+        for a in zero:
+            succ[q.source(a)].append((0, q.target(a)))
+        reach = {t: _distances(succ, t) for t in {q.target(a) for a in zero}}
+        return frozenset(a for a in zero if q.source(a) in reach[q.target(a)])
+
+    @cached_property
+    def invisible_edges(self) -> frozenset:
+        return invisible_edge_set(self.quiver, self.invisible_arrows)
+
+    @cached_property
+    def move_graph(self) -> StateGraph:
+        q = self.quiver
+        nodes = self.states
+        index = {g: i for i, g in enumerate(nodes)}
+        edges = sorted((i, index[mov_e(q, g, e)], e)
+                       for i, g in enumerate(nodes) for e in q.vertices
+                       if is_e_movable(q, g, e))
+        return StateGraph(nodes, edges)
+
+    def component_lattice(self, g: AngularFunction, bound=500, seed=0):
+        """The certified lattice of the move-graph component of g, grown
+        from that component's minimum; kept per (g, bound, seed)."""
+        from .bms import bms_plus_lattice, component_minimum  # bms imports us
+
+        key = (g, bound, seed)
+        if key not in self._lattices:
+            g0, _ = component_minimum(self.pmap, self.omega, g)
+            self._lattices[key] = bms_plus_lattice(
+                self.pmap, self.omega, g0, bound=bound, seed=seed)
+        return self._lattices[key]
+
+
+def connected_components(nodes, links):
+    """Components of the undirected graph (nodes, links), each sorted, in
+    the order of their first node."""
+    adj = {x: [] for x in nodes}
+    for a, b in links:
+        adj[a].append(b)
+        adj[b].append(a)
+    seen, comps = set(), []
+    for x in adj:
+        if x in seen:
+            continue
+        seen.add(x)
+        comp = [x]
+        for y in comp:  # grows while it is scanned: a breadth-first sweep
+            for z in adj[y]:
+                if z not in seen:
+                    seen.add(z)
+                    comp.append(z)
+        comps.append(sorted(comp))
+    return comps
+
+
+def _compatible_functions(quiver: MedialQuiver, omega):
+    """Every omega-compatible function, in canonical order, one at a time.
+
+    Iterative backtracking over the angles in dart order with values tried
+    in ascending order, so depth-first order is the lexicographic order of
+    value tuples.  Each angle is bounded by the remaining budgets of its
+    vertex and of its face, and the last angle of a cell takes exactly what
+    is left there, so every leaf is compatible.
+    """
+    angles = quiver.arrow_ids
+    n = len(angles)
+    slot = {}
+    vs = [slot.setdefault(quiver.angles[a].vertex, len(slot)) for a in angles]
+    fs = [slot.setdefault(quiver.angles[a].face, len(slot)) for a in angles]
+    last = {c: i for i, c in enumerate(vs)}
+    last.update({c: i for i, c in enumerate(fs)})
+    closes_v = [last[c] == i for i, c in enumerate(vs)]
+    closes_f = [last[c] == i for i, c in enumerate(fs)]
+    budget = [omega[c] for c in slot]
+    values = [0] * n
+    top = [0] * n
+    i = 0
+    while True:
+        if i == n:
+            yield AngularFunction(zip(angles, values))
+        else:
+            v, f = vs[i], fs[i]
+            bv, bf = budget[v], budget[f]
+            lo = max(bv if closes_v[i] else 0, bf if closes_f[i] else 0)
+            hi = min(bv, bf)
+            if lo <= hi:
+                values[i], top[i] = lo, hi
+                budget[v], budget[f] = bv - lo, bf - lo
+                i += 1
+                continue
+        # back up to the deepest angle that can still take one more unit
+        while True:
+            i -= 1
+            if i < 0:
+                return
+            v, f = vs[i], fs[i]
+            if values[i] < top[i]:
+                values[i] += 1
+                budget[v] -= 1
+                budget[f] -= 1
+                i += 1
+                break
+            budget[v] += values[i]
+            budget[f] += values[i]
+
+
+def enumerate_compatible(pmap: PlanarMap, omega):
+    """The complete list of omega-compatible angular functions, canonically
+    (lexicographically) ordered; an empty list is a valid outcome.
+
+    Raises:
+        MissingValue, ValueError: see ``Decoration.of``.
+    """
+    dec = Decoration.of(pmap, omega)
+    return list(_compatible_functions(dec.quiver, dec.omega))
 
 
 def enumerate_compatible_bruteforce(pmap: PlanarMap, omega):
     """Product-space filter oracle; only for tiny instances (<= 10 angles)."""
     from itertools import product
 
-    quiver = medial_quiver(pmap)
+    quiver = pmap.quiver
     angles = list(pmap.darts)
     if len(angles) > 10:
         raise ValueError("brute-force oracle limited to 10 angles")
-    top = max((omega[c] for c in list(pmap.vertices) + list(pmap.faces)), default=0)
+    top = max((omega[c] for c in pmap.cells), default=0)
     found = []
     for combo in product(range(top + 1), repeat=len(angles)):
         g = dict(zip(angles, combo))
@@ -277,44 +388,14 @@ class StateGraph:
         self.nodes = tuple(nodes)
         self.edges = tuple(edges)  # (source index, target index, edge label)
 
-    def out_edges(self, i):
-        return [(j, lab) for (s, j, lab) in self.edges if s == i]
-
     def undirected_components(self):
-        adj = {i: set() for i in range(len(self.nodes))}
-        for s, t, _ in self.edges:
-            adj[s].add(t)
-            adj[t].add(s)
-        seen, comps = set(), []
-        for i in range(len(self.nodes)):
-            if i in seen:
-                continue
-            comp, stack = [], [i]
-            seen.add(i)
-            while stack:
-                x = stack.pop()
-                comp.append(x)
-                for y in adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            comps.append(sorted(comp))
-        return comps
+        return connected_components(
+            range(len(self.nodes)), ((s, t) for s, t, _ in self.edges))
 
 
-def build_L_graph(pmap: PlanarMap, omega, quiver: MedialQuiver | None = None) -> StateGraph:
+def build_L_graph(pmap: PlanarMap, omega) -> StateGraph:
     """Move graph on all compatible angular functions."""
-    if quiver is None:
-        quiver = medial_quiver(pmap)
-    nodes = enumerate_compatible(pmap, omega, quiver)
-    index = {g: i for i, g in enumerate(nodes)}
-    edges = []
-    for i, g in enumerate(nodes):
-        for e in quiver.vertices:
-            if is_e_movable(quiver, g, e):
-                edges.append((i, index[mov_e(quiver, g, e)], e))
-    edges.sort()
-    return StateGraph(nodes, edges)
+    return Decoration.of(pmap, omega).move_graph
 
 
 # ----------------------------------------------------------------------
@@ -326,10 +407,6 @@ class AngularCycle:
 
     def __init__(self, arrows):
         self.arrows = tuple(arrows)
-
-    @property
-    def coefficients(self):
-        return Counter(self.arrows)
 
     def __repr__(self):
         return f"AngularCycle({' '.join(self.arrows)})"
@@ -361,31 +438,14 @@ def lambda_omega(quiver: MedialQuiver, cycle, g: AngularFunction) -> int:
 # invisible cycles, nilpotency, and the graph of invisible cycles
 # ----------------------------------------------------------------------
 
-def invisible_subgraph(pmap: PlanarMap, omega, quiver: MedialQuiver | None = None):
-    """Arrows lying on a directed cycle inside the zero set of a compatible function.
-
-    The answer does not depend on which compatible function is used: a cycle
-    is invisible for one iff it is invisible for all.
+def invisible_subgraph(pmap: PlanarMap, omega) -> frozenset:
+    """Arrows lying on a directed cycle inside the zero set of a compatible
+    function (any one: the answer does not depend on the choice).
 
     Raises:
         EmptyStateSet: no compatible angular function exists.
     """
-    if quiver is None:
-        quiver = medial_quiver(pmap)
-    states = enumerate_compatible(pmap, omega, quiver)
-    if not states:
-        raise EmptyStateSet("no compatible angular function")
-    g0 = states[0]
-    zero = [a for a in quiver.arrow_ids if g0[a] == 0]
-    dg = nx.DiGraph()
-    dg.add_nodes_from(quiver.vertices)
-    dg.add_edges_from((quiver.source(a), quiver.target(a)) for a in zero)
-    comp = {}
-    for i, scc in enumerate(nx.strongly_connected_components(dg)):
-        for v in scc:
-            comp[v] = i
-    return frozenset(
-        a for a in zero if comp[quiver.source(a)] == comp[quiver.target(a)])
+    return Decoration.of(pmap, omega).invisible_arrows
 
 
 def invisible_edge_set(quiver: MedialQuiver, invisible_arrows):
@@ -397,88 +457,93 @@ def invisible_edge_set(quiver: MedialQuiver, invisible_arrows):
     return frozenset(out)
 
 
-def nilpotency_degree(pmap: PlanarMap, omega, quiver: MedialQuiver | None = None) -> int:
-    """Minimum of the weight pairing over non-zero directed cycles.
+def nilpotency_degree(pmap: PlanarMap, omega) -> int:
+    """Minimum of the weight pairing over directed cycles.
 
-    Computed as a minimum-weight directed cycle with non-negative arrow
-    weights g0(a), via one shortest-path sweep per arrow.
+    The pairing of a cycle sums any compatible function g0 over its arrows,
+    so this is a minimum-weight directed cycle under the non-negative arrow
+    weights g0(a): one Dijkstra sweep from each quiver vertex v, closed by
+    an arrow into v.
+
+    Raises:
+        EmptyStateSet: no compatible angular function exists.
     """
-    require_connected(pmap)
-    if quiver is None:
-        quiver = medial_quiver(pmap)
-    states = enumerate_compatible(pmap, omega, quiver)
-    if not states:
-        raise EmptyStateSet("no compatible angular function")
-    g0 = states[0]
-    dg = nx.DiGraph()
-    dg.add_nodes_from(quiver.vertices)
-    for a in quiver.arrow_ids:
-        s, t = quiver.arrows[a]
-        w = g0[a]
-        if not dg.has_edge(s, t) or dg[s][t]["weight"] > w:
-            dg.add_edge(s, t, weight=w)
+    dec = Decoration.of(pmap, omega)
+    g0 = dec.require_first()
+    q = dec.quiver
+    succ = {e: [] for e in q.vertices}
+    for a in q.arrow_ids:
+        succ[q.source(a)].append((g0[a], q.target(a)))
     best = None
-    dist = dict(nx.all_pairs_dijkstra_path_length(dg, weight="weight"))
-    for a in quiver.arrow_ids:
-        s, t = quiver.arrows[a]
-        if s in dist.get(t, {}):
-            total = g0[a] + dist[t][s]
+    for v in q.vertices:
+        dist = _distances(succ, v)
+        for a in q.incoming[v]:
+            total = dist[q.source(a)] + g0[a]
             best = total if best is None else min(best, total)
-    if best is None:  # pragma: no cover - impossible for connected maps
-        raise ValueError("quiver has no directed cycle")
     return best
 
 
-def gamma_inv_components(pmap: PlanarMap, omega, quiver: MedialQuiver | None = None) -> int:
+def _distances(succ, start):
+    """Shortest distances from start to every vertex it reaches (Dijkstra;
+    succ maps a vertex to (non-negative weight, successor) pairs)."""
+    dist = {start: 0}
+    heap = [(0, start)]
+    while heap:
+        d, x = heapq.heappop(heap)
+        if d > dist[x]:
+            continue
+        for w, y in succ[x]:
+            if y not in dist or d + w < dist[y]:
+                dist[y] = d + w
+                heapq.heappush(heap, (d + w, y))
+    return dist
+
+
+def gamma_inv_components(pmap: PlanarMap, omega) -> int:
     """Number of components of the graph of invisible connected angular cycles.
 
     Two invisible cycles are adjacent when they share a quiver vertex, which
     happens exactly when they lie in the same strongly connected component of
-    the invisible subgraph; so the component count equals the number of SCCs
-    of that subgraph.
+    the invisible subgraph.  Every invisible arrow lies on a cycle, so those
+    are its plain connected components.
 
     Raises:
         EmptyStateSet, NotNilpotencyZero.
     """
-    require_connected(pmap)
-    if quiver is None:
-        quiver = medial_quiver(pmap)
-    if nilpotency_degree(pmap, omega, quiver) != 0:
-        raise NotNilpotencyZero("no invisible cycles at positive nilpotency degree")
-    inv = invisible_subgraph(pmap, omega, quiver)
-    dg = nx.DiGraph()
-    dg.add_edges_from((quiver.source(a), quiver.target(a)) for a in inv)
-    return sum(1 for _ in nx.strongly_connected_components(dg))
+    dec = Decoration.of(pmap, omega)
+    dec.require_nilpotency_zero(
+        "no invisible cycles at positive nilpotency degree")
+    links = [dec.quiver.arrows[a] for a in dec.invisible_arrows]
+    return len(connected_components(sorted(dec.invisible_edges), links))
 
 
-def gamma_inv_connected(pmap: PlanarMap, omega, quiver: MedialQuiver | None = None):
+def gamma_inv_connected(pmap: PlanarMap, omega):
     """(is_connected, component_count) for the graph of invisible cycles."""
-    n = gamma_inv_components(pmap, omega, quiver)
+    n = gamma_inv_components(pmap, omega)
     return n == 1, n
 
 
 def gamma_inv_components_bruteforce(pmap: PlanarMap, omega, max_arrows=12) -> int:
     """Oracle: enumerate simple cycles in the zero set and glue along shared vertices."""
-    require_connected(pmap)
-    quiver = medial_quiver(pmap)
-    if len(quiver.arrow_ids) > max_arrows:
+    dec = Decoration.of(pmap, omega)
+    q = dec.quiver
+    if len(q.arrow_ids) > max_arrows:
         raise ValueError(f"brute-force oracle limited to {max_arrows} arrows")
-    states = enumerate_compatible(pmap, omega, quiver)
-    if not states:
-        raise EmptyStateSet("no compatible angular function")
-    g0 = states[0]
-    dg = nx.MultiDiGraph()
-    dg.add_nodes_from(quiver.vertices)
-    for a in quiver.arrow_ids:
+    g0 = dec.require_first()
+    succ = {e: set() for e in q.vertices}
+    for a in q.arrow_ids:
         if g0[a] == 0:
-            dg.add_edge(quiver.source(a), quiver.target(a), key=a)
-    cycles = [frozenset(c) for c in nx.simple_cycles(dg)]
-    if not cycles:
-        return 0
-    glue = nx.Graph()
-    glue.add_nodes_from(range(len(cycles)))
-    for i in range(len(cycles)):
-        for j in range(i + 1, len(cycles)):
-            if cycles[i] & cycles[j]:
-                glue.add_edge(i, j)
-    return sum(1 for _ in nx.connected_components(glue))
+            succ[q.source(a)].add(q.target(a))
+    cycles = []
+    for start in q.vertices:  # each simple cycle once, from its least vertex
+        paths = [[start]]
+        while paths:
+            path = paths.pop()
+            for w in succ[path[-1]]:
+                if w == start:
+                    cycles.append(frozenset(path))
+                elif w > start and w not in path:
+                    paths.append(path + [w])
+    links = [(i, j) for i in range(len(cycles)) for j in range(i)
+             if cycles[i] & cycles[j]]
+    return len(connected_components(range(len(cycles)), links))

@@ -33,12 +33,11 @@ TRIANGLE_WEIGHT = {"v0": 1, "v1": 1, "v2": 2, "f0": 2, "f1": 2}
 
 def _component_lattices(pmap, omega, quiver):
     """One certified lattice per move-graph component."""
-    graph = st.build_L_graph(pmap, omega, quiver)
+    graph = st.build_L_graph(pmap, omega)
     out = []
     for comp in graph.undirected_components():
-        g0, _ = bms.component_minimum(pmap, omega, graph.nodes[comp[0]],
-                                      quiver)
-        lattice = bms.bms_plus_lattice(pmap, omega, g0, quiver)
+        g0, _ = bms.component_minimum(pmap, omega, graph.nodes[comp[0]])
+        lattice = bms.bms_plus_lattice(pmap, omega, g0)
         assert len(lattice) == len(comp)
         out.append(lattice)
     return out
@@ -65,7 +64,7 @@ def test_criterion_2_triangle_weight_and_cycle_pairing(triangle):
     assert sum(TRIANGLE_WEIGHT[v] for v in triangle.vertices) == 4
     assert sum(TRIANGLE_WEIGHT[f] for f in triangle.faces) == 4
     quiver = medial_quiver(triangle)
-    functions = st.enumerate_compatible(triangle, TRIANGLE_WEIGHT, quiver)
+    functions = st.enumerate_compatible(triangle, TRIANGLE_WEIGHT)
     assert functions
     # the cycle bounding the weight-2 face pairs to 2 under every
     # compatible function, so the pairing is independent of the choice
@@ -112,7 +111,7 @@ def test_criterion_4_component_lattices_and_projection(corpus_maps):
             assert not lattice.certificate.sampled  # (a) certified exactly
             # (b) forgetting d is an order isomorphism onto the component
             report = bms.forgetful_projection(pmap, omega,
-                                              lattice.elements, quiver)
+                                              lattice.elements)
             assert report.ok and report.injective
             assert report.components_touched == 1
             assert report.components_fully_covered == 1
@@ -135,10 +134,10 @@ def test_criterion_5_jacobian_residuals_all_zero(corpus_maps):
         pmap, marked = corpus_maps[name]
         omega = kauffman_weight(LinkDiagram(pmap, marked))
         quiver = medial_quiver(pmap)
-        potential = reps.canonical_potential(pmap, omega, quiver)
+        potential = reps.canonical_potential(pmap, omega)
         for lattice in _component_lattices(pmap, omega, quiver):
             for state in lattice.elements:
-                module = reps.state_module(pmap, state, quiver)
+                module = reps.state_module(pmap, state)
                 assert reps.check_jacobian(module, potential).ok
                 states_checked += 1
 
@@ -150,10 +149,10 @@ def test_criterion_5_jacobian_residuals_all_zero(corpus_maps):
     assert zero_faces
     phantom = reps.make_potential(
         quiver, [(Fraction(1), quiver.face_cycles[zero_faces[0]])])
-    extended = reps.canonical_potential(pmap, omega, quiver) + phantom
+    extended = reps.canonical_potential(pmap, omega) + phantom
     for lattice in _component_lattices(pmap, omega, quiver):
         for state in lattice.elements:
-            module = reps.state_module(pmap, state, quiver)
+            module = reps.state_module(pmap, state)
             assert reps.check_jacobian(module, extended).ok
     print(f"PASS 5: {states_checked} corpus states have exactly zero "
           "cyclic-derivative residuals (plus the extended-potential variant)")
@@ -166,7 +165,7 @@ def test_criterion_6_representation_theorems(corpus_maps):
         quiver = medial_quiver(pmap)
         (lattice,) = _component_lattices(pmap, omega, quiver)
         top = max(lattice.elements, key=lambda s: s.d_tot)
-        module = reps.state_module(pmap, top, quiver)
+        module = reps.state_module(pmap, top)
         assert reps.is_nilpotent(module)
         assert reps.is_indecomposable(module, omega)  # both methods agree
         assert reps.endomorphism_ring(module).is_local
@@ -174,7 +173,7 @@ def test_criterion_6_representation_theorems(corpus_maps):
         anti = frozenset(e for e in quiver.vertices
                          if bms.is_bms_anti_movable(quiver, top, e))
         assert reps.simple_quotients(module) == anti
-        cert = reps.verify_subrep_isomorphism(pmap, omega, top, quiver)
+        cert = reps.verify_subrep_isomorphism(pmap, omega, top)
         assert cert.ok
         assert len(cert.bms_lattice) == expected
         assert len(cert.subrep_lattice) == expected
@@ -191,14 +190,14 @@ def test_criterion_7_oracle_equivalence(corpus_maps):
         quiver = medial_quiver(pmap)
         # state-for-state: raises internally if the two enumerations differ
         states = enumerate_kauffman_states(diagram)
-        assert len(states) == len(st.enumerate_compatible(pmap, omega, quiver))
+        assert len(states) == len(st.enumerate_compatible(pmap, omega))
 
         # move-for-move: the move graph computed through angular functions
         # must match the one from the direct marker-rotation rule, where a
         # move along e replaces the two markers sitting on the angles keyed
         # by e's darts with the two angles pointing into e
         from medialq.kauffman import chi_inv
-        graph = st.build_L_graph(pmap, omega, quiver)
+        graph = st.build_L_graph(pmap, omega)
         via_functions = {
             (chi_inv(diagram, graph.nodes[s]).angles,
              chi_inv(diagram, graph.nodes[t]).angles, e)
@@ -219,7 +218,7 @@ def test_criterion_7_oracle_equivalence(corpus_maps):
 
         if len(quiver.arrow_ids) <= 12:
             small += 1
-            assert (st.gamma_inv_components(pmap, omega, quiver)
+            assert (st.gamma_inv_components(pmap, omega)
                     == st.gamma_inv_components_bruteforce(pmap, omega))
     assert small >= 2  # hopf and trefoil at least
     print("PASS 7: dual Kauffman enumerations agree state-for-state and "
@@ -231,11 +230,11 @@ def test_criterion_8_mutations_are_rejected(corpus_maps):
     # (a) corrupting one matrix entry produces a nonzero residual
     tri = build_planar_map(TRIANGLE_ROT, TRIANGLE_PAIR)
     quiver = medial_quiver(tri)
-    g0 = st.enumerate_compatible(tri, TRIANGLE_WEIGHT, quiver)[0]
+    g0 = st.enumerate_compatible(tri, TRIANGLE_WEIGHT)[0]
     xi = bms.make_bms(tri, TRIANGLE_WEIGHT, g0, g0,
-                      {e: 1 for e in quiver.vertices}, quiver)
-    module = reps.state_module(tri, xi, quiver)
-    potential = reps.canonical_potential(tri, TRIANGLE_WEIGHT, quiver)
+                      {e: 1 for e in quiver.vertices})
+    module = reps.state_module(tri, xi)
+    potential = reps.canonical_potential(tri, TRIANGLE_WEIGHT)
     assert reps.check_jacobian(module, potential).ok
     corrupted = module.with_entry("a0", 0, 0, 2)
     report = reps.check_jacobian(corrupted, potential)
@@ -251,8 +250,8 @@ def test_criterion_8_mutations_are_rejected(corpus_maps):
     pmap, marked = corpus_maps["trefoil"]
     omega = kauffman_weight(LinkDiagram(pmap, marked))
     q = medial_quiver(pmap)
-    g = st.enumerate_compatible(pmap, omega, q)[0]
+    g = st.enumerate_compatible(pmap, omega)[0]
     with pytest.raises(bms.InvisibleDimNonZero):
-        bms.make_bms(pmap, omega, g, g, {e: 1 for e in q.vertices}, q)
+        bms.make_bms(pmap, omega, g, g, {e: 1 for e in q.vertices})
     print("PASS 8: corrupted entry, non-prime diagram, and invisible "
           "dimension bump are each rejected")

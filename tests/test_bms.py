@@ -42,13 +42,13 @@ def _setup(name):
     pmap, marked = corpus.load(name)
     omega = kauffman_like_weight(pmap, marked)
     quiver = medial_quiver(pmap)
-    states = st.enumerate_compatible(pmap, omega, quiver)
+    states = st.enumerate_compatible(pmap, omega)
     return pmap, omega, quiver, states
 
 
 def lattice_from_bottom(pmap, omega, quiver, states):
-    g0, _ = bms.component_minimum(pmap, omega, states[0], quiver)
-    return bms.bms_plus_lattice(pmap, omega, g0, quiver)
+    g0, _ = bms.component_minimum(pmap, omega, states[0])
+    return bms.bms_plus_lattice(pmap, omega, g0)
 
 
 def test_trefoil_chain(trefoil_setup):
@@ -121,17 +121,17 @@ def test_component_minimum_confluent(trefoil_setup, figure_eight_setup):
     for setup in (trefoil_setup, figure_eight_setup):
         pmap, omega, quiver, states = setup
         for h in states:
-            reference = bms.component_minimum(pmap, omega, h, quiver)
+            reference = bms.component_minimum(pmap, omega, h)
             for _ in range(20):
                 randomized = bms.component_minimum(
-                    pmap, omega, h, quiver, choose=rng.choice)
+                    pmap, omega, h, choose=rng.choice)
                 assert randomized == reference
 
 
 def test_component_minimum_of_minimum_is_trivial(trefoil_setup):
     pmap, omega, quiver, states = trefoil_setup
-    g0, _ = bms.component_minimum(pmap, omega, states[0], quiver)
-    again, d = bms.component_minimum(pmap, omega, g0, quiver)
+    g0, _ = bms.component_minimum(pmap, omega, states[0])
+    again, d = bms.component_minimum(pmap, omega, g0)
     assert again == g0
     assert all(v == 0 for v in d.values())
 
@@ -140,7 +140,7 @@ def test_moves_blocked_on_invisible_edges(trefoil_setup):
     pmap, omega, quiver, states = trefoil_setup
     lat = lattice_from_bottom(pmap, omega, quiver, states)
     inv_edges = st.invisible_edge_set(
-        quiver, st.invisible_subgraph(pmap, omega, quiver))
+        quiver, st.invisible_subgraph(pmap, omega))
     assert inv_edges
     for xi in lat.elements:
         for e in sorted(inv_edges):
@@ -152,24 +152,24 @@ def test_moves_blocked_on_invisible_edges(trefoil_setup):
 def test_make_bms_validation(trefoil_setup):
     pmap, omega, quiver, states = trefoil_setup
     g = states[0]
-    xi = bms.make_bms(pmap, omega, g, g, {}, quiver)
+    xi = bms.make_bms(pmap, omega, g, g, {})
     assert xi.d_tot == 0
 
     with pytest.raises(bms.RelationViolated) as err:
-        bms.make_bms(pmap, omega, g, g, {"e3": 1}, quiver)
+        bms.make_bms(pmap, omega, g, g, {"e3": 1})
     assert err.value.angle in quiver.arrow_ids
 
     # constant bump keeps the relation but violates invisible-edge vanishing
     ones = {e: 1 for e in quiver.vertices}
     with pytest.raises(bms.InvisibleDimNonZero):
-        bms.make_bms(pmap, omega, g, g, ones, quiver)
+        bms.make_bms(pmap, omega, g, g, ones)
 
     with pytest.raises(ValueError):
-        bms.make_bms(pmap, omega, g, g, {"e3": -1}, quiver)
+        bms.make_bms(pmap, omega, g, g, {"e3": -1})
 
     bad = st.AngularFunction({a: 5 for a in quiver.arrow_ids})
     with pytest.raises(ValueError):
-        bms.make_bms(pmap, omega, bad, g, {}, quiver)
+        bms.make_bms(pmap, omega, bad, g, {})
 
 
 def test_mov_updates_exactly_one_dimension(trefoil_setup):
@@ -199,14 +199,14 @@ def test_nilpotency_gate():
 def test_plus_subobjects(trefoil_setup):
     pmap, omega, quiver, states = trefoil_setup
     lat = lattice_from_bottom(pmap, omega, quiver, states)
-    sub = bms.plus_subobjects(pmap, omega, lat.maximum, quiver)
+    sub = bms.plus_subobjects(pmap, omega, lat.maximum)
     assert set(sub.elements) == set(lat.elements)
     assert len(sub) == 3
-    bottom = bms.plus_subobjects(pmap, omega, lat.minimum, quiver)
+    bottom = bms.plus_subobjects(pmap, omega, lat.minimum)
     assert len(bottom) == 1
     # order ideal: subobjects of any element stay inside the ambient lattice
     for xi in lat.elements:
-        ideal = bms.plus_subobjects(pmap, omega, xi, quiver)
+        ideal = bms.plus_subobjects(pmap, omega, xi)
         assert set(ideal.elements) <= set(lat.elements)
         assert all(lat.leq(s, xi) for s in ideal.elements)
 
@@ -214,13 +214,13 @@ def test_plus_subobjects(trefoil_setup):
 def test_forgetful_projection_covers_component(trefoil_setup):
     pmap, omega, quiver, states = trefoil_setup
     lat = lattice_from_bottom(pmap, omega, quiver, states)
-    report = bms.forgetful_projection(pmap, omega, lat.elements, quiver)
+    report = bms.forgetful_projection(pmap, omega, lat.elements)
     assert report.ok and report.injective
     assert report.components_fully_covered == 1
     # feeding every (g, g, 0) covers all
 
-    roots = [bms.make_bms(pmap, omega, g, g, {}, quiver) for g in states]
-    full = bms.forgetful_projection(pmap, omega, roots, quiver)
+    roots = [bms.make_bms(pmap, omega, g, g, {}) for g in states]
+    full = bms.forgetful_projection(pmap, omega, roots)
     assert full.image_size == full.graph_size
 
 
@@ -230,14 +230,14 @@ def test_component_reconstruction_across_corpus(corpus_maps):
     for name, (pmap, marked) in sorted(corpus_maps.items()):
         omega = kauffman_like_weight(pmap, marked)
         quiver = medial_quiver(pmap)
-        graph = st.build_L_graph(pmap, omega, quiver)
+        graph = st.build_L_graph(pmap, omega)
         directed = {}
         for s, t, lab in graph.edges:
             directed.setdefault(s, set()).add((t, lab))
         for comp in graph.undirected_components():
             h = graph.nodes[comp[0]]
-            f_min, _ = bms.component_minimum(pmap, omega, h, quiver)
-            lat = bms.bms_plus_lattice(pmap, omega, f_min, quiver)
+            f_min, _ = bms.component_minimum(pmap, omega, h)
+            lat = bms.bms_plus_lattice(pmap, omega, f_min)
             image = {xi.f_plus for xi in lat.elements}
             assert image == {graph.nodes[i] for i in comp}
             # edges match one-for-one through the projection
@@ -270,12 +270,12 @@ def test_solve_dimension_roundtrip(figure_eight_setup):
     pmap, omega, quiver, states = figure_eight_setup
     lat = lattice_from_bottom(pmap, omega, quiver, states)
     for xi in lat.elements:
-        d = bms.solve_dimension(pmap, omega, xi.f_plus, xi.f_minus, quiver)
+        d = bms.solve_dimension(pmap, omega, xi.f_plus, xi.f_minus)
         assert d == xi.dims()
     # swapped endpoints would need negative dimensions
     with pytest.raises(ValueError):
         bms.solve_dimension(
-            pmap, omega, lat.minimum.f_plus, lat.maximum.f_plus, quiver)
+            pmap, omega, lat.minimum.f_plus, lat.maximum.f_plus)
 
 
 def test_solve_dimension_rejects_cross_component(corpus_maps):

@@ -259,3 +259,37 @@ def test_module_entry_point(maps):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "nilpotency degree: 0" in proc.stdout
+
+
+def test_internal_disagreement_exits_1_without_traceback(capsys, maps,
+                                                         monkeypatch):
+    from medialq import kauffman
+
+    direct = kauffman._enumerate_direct
+    monkeypatch.setattr(kauffman, "_enumerate_direct",
+                        lambda diagram: direct(diagram)[1:])
+    code, out, err = run(capsys, "kauffman-states", maps["trefoil"])
+    assert code == 1
+    assert out == ""
+    assert err == ("medialq: state enumerations disagree: "
+                   "3 via functions, 2 direct\n")
+
+
+def test_cli_import_leaves_networkx_out():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, medialq.cli; print('networkx' in sys.modules)"],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"
+
+
+def test_networkx_is_not_a_runtime_dependency():
+    from pathlib import Path
+
+    tomllib = pytest.importorskip("tomllib")
+
+    root = Path(__file__).resolve().parent.parent
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    assert not any(d.startswith("networkx") for d in project["dependencies"])
+    assert any(d.startswith("networkx")
+               for d in project["optional-dependencies"]["test"])

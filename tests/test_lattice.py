@@ -149,12 +149,6 @@ def test_poset_basics():
         FinitePoset([1, 2], [(1, 2), (2, 1)])
 
 
-def test_connected_components():
-    p = FinitePoset(range(5), [(0, 1), (1, 2), (3, 4)])
-    comps = [sorted(c) for c in p.connected_components()]
-    assert sorted(comps) == [[0, 1, 2], [3, 4]]
-
-
 def test_hasse_dot():
     dot = chain(2).hasse_dot()
     assert "digraph hasse" in dot

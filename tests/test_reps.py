@@ -26,9 +26,9 @@ def _setup(name):
     pmap, marked = corpus.load(name)
     omega = kauffman_weight(LinkDiagram(pmap, marked))
     quiver = medial_quiver(pmap)
-    gs = st.enumerate_compatible(pmap, omega, quiver)
-    g0, _ = bms.component_minimum(pmap, omega, gs[0], quiver)
-    lattice = bms.bms_plus_lattice(pmap, omega, g0, quiver)
+    gs = st.enumerate_compatible(pmap, omega)
+    g0, _ = bms.component_minimum(pmap, omega, gs[0])
+    lattice = bms.bms_plus_lattice(pmap, omega, g0)
     return pmap, omega, quiver, lattice
 
 
@@ -109,7 +109,7 @@ def test_cyclic_derivative_rotations():
 def test_canonical_potential_triangle_exponents():
     tri = build_planar_map(TRIANGLE_ROT, TRIANGLE_PAIR)
     quiver = medial_quiver(tri)
-    s = reps.canonical_potential(tri, TRIANGLE_WEIGHT, quiver)
+    s = reps.canonical_potential(tri, TRIANGLE_WEIGHT)
     # lcm of the support is 2, so weight-1 cells get their cycle squared
     # with coefficient 1/2 and weight-2 cells keep coefficient 1 (vertices)
     # or -1 (faces)
@@ -138,7 +138,7 @@ def test_potential_validation():
 def test_state_module_trefoil_max(trefoil_setup):
     pmap, omega, quiver, lattice = trefoil_setup
     top = top_state(lattice)
-    module = reps.state_module(pmap, top, quiver)
+    module = reps.state_module(pmap, top)
     assert {e: v for e, v in module.dims.items() if v} == {"e3": 1, "e5": 1}
     assert module.total_dim == 2
     assert sorted(module.support()) == ["e3", "e5"]
@@ -160,7 +160,7 @@ def test_state_module_trefoil_max(trefoil_setup):
 
 def test_state_module_of_minimum_is_zero(trefoil_setup):
     pmap, omega, quiver, lattice = trefoil_setup
-    module = reps.state_module(pmap, bottom_state(lattice), quiver)
+    module = reps.state_module(pmap, bottom_state(lattice))
     assert module.total_dim == 0
     assert module.support() == frozenset()
     assert all(m.rows == 0 and m.cols == 0 for m in module.mats.values())
@@ -168,7 +168,7 @@ def test_state_module_of_minimum_is_zero(trefoil_setup):
 
 def test_evaluate_path_composition(trefoil_setup):
     pmap, omega, quiver, lattice = trefoil_setup
-    module = reps.state_module(pmap, top_state(lattice), quiver)
+    module = reps.state_module(pmap, top_state(lattice))
     assert reps.evaluate_path(module, (), at="e3") == Matrix.identity(1)
     assert reps.evaluate_path(module, ["c3ne"]) == module.mats["c3ne"]
     with pytest.raises(ShapeMismatch):
@@ -185,10 +185,10 @@ def test_evaluate_path_composition(trefoil_setup):
 
 def test_jacobian_holds_on_lattices(trefoil_setup, figure_eight_setup):
     for pmap, omega, quiver, lattice in (trefoil_setup, figure_eight_setup):
-        s = reps.canonical_potential(pmap, omega, quiver)
+        s = reps.canonical_potential(pmap, omega)
         for state in lattice.elements:
             report = reps.check_jacobian(
-                reps.state_module(pmap, state, quiver), s)
+                reps.state_module(pmap, state), s)
             assert report.ok and report.arrows_checked == len(quiver.arrows)
 
 
@@ -200,9 +200,9 @@ def test_jacobian_with_phantom_term(trefoil_setup):
     assert zero_faces
     phantom = reps.make_potential(
         quiver, [(Fraction(1), quiver.face_cycles[zero_faces[0]])])
-    s = reps.canonical_potential(pmap, omega, quiver) + phantom
+    s = reps.canonical_potential(pmap, omega) + phantom
     for state in lattice.elements:
-        assert reps.check_jacobian(reps.state_module(pmap, state, quiver), s).ok
+        assert reps.check_jacobian(reps.state_module(pmap, state), s).ok
 
 
 def test_jacobian_detects_corruption():
@@ -212,11 +212,11 @@ def test_jacobian_detects_corruption():
     # three edges is a valid state since then f_plus = f_minus works.
     tri = build_planar_map(TRIANGLE_ROT, TRIANGLE_PAIR)
     quiver = medial_quiver(tri)
-    g0 = st.enumerate_compatible(tri, TRIANGLE_WEIGHT, quiver)[0]
+    g0 = st.enumerate_compatible(tri, TRIANGLE_WEIGHT)[0]
     xi = bms.make_bms(tri, TRIANGLE_WEIGHT, g0, g0,
-                      {e: 1 for e in quiver.vertices}, quiver)
-    module = reps.state_module(tri, xi, quiver)
-    s = reps.canonical_potential(tri, TRIANGLE_WEIGHT, quiver)
+                      {e: 1 for e in quiver.vertices})
+    module = reps.state_module(tri, xi)
+    s = reps.canonical_potential(tri, TRIANGLE_WEIGHT)
     assert reps.check_jacobian(module, s).ok
     corrupted = module.with_entry("a0", 0, 0, Fraction(2))
     report = reps.check_jacobian(corrupted, s)
@@ -228,7 +228,7 @@ def test_jacobian_detects_corruption():
 def test_is_nilpotent(trefoil_setup, figure_eight_setup):
     for pmap, omega, quiver, lattice in (trefoil_setup, figure_eight_setup):
         for state in lattice.elements:
-            assert reps.is_nilpotent(reps.state_module(pmap, state, quiver))
+            assert reps.is_nilpotent(reps.state_module(pmap, state))
     looped = reps.QuiverRep(
         ("x",), {"a": ("x", "x")}, {"x": 1}, {"a": Matrix.identity(1)})
     assert not reps.is_nilpotent(looped)
@@ -236,7 +236,7 @@ def test_is_nilpotent(trefoil_setup, figure_eight_setup):
 
 def test_endomorphism_ring_trefoil_max(trefoil_setup):
     pmap, omega, quiver, lattice = trefoil_setup
-    module = reps.state_module(pmap, top_state(lattice), quiver)
+    module = reps.state_module(pmap, top_state(lattice))
     ring = reps.endomorphism_ring(module)
     assert ring.dimension == 1 and ring.gram_rank == 1 and ring.is_local
     # the basis endomorphism is a shared scalar across the support
@@ -246,7 +246,7 @@ def test_endomorphism_ring_trefoil_max(trefoil_setup):
 
 def test_endomorphism_ring_degenerate_cases(trefoil_setup):
     pmap, omega, quiver, lattice = trefoil_setup
-    zero = reps.state_module(pmap, bottom_state(lattice), quiver)
+    zero = reps.state_module(pmap, bottom_state(lattice))
     ring = reps.endomorphism_ring(zero)
     assert ring.dimension == 0 and not ring.is_local
     # a single Jordan block: End = {a.1 + b.J}, local despite dimension 2,
@@ -262,7 +262,7 @@ def test_endomorphism_ring_degenerate_cases(trefoil_setup):
 
 def test_indecomposability_both_methods(trefoil_setup, figure_eight_setup):
     for pmap, omega, quiver, lattice in (trefoil_setup, figure_eight_setup):
-        module = reps.state_module(pmap, top_state(lattice), quiver)
+        module = reps.state_module(pmap, top_state(lattice))
         assert reps.support_is_connected(module)
         assert reps.is_indecomposable(module, omega)
 
@@ -273,7 +273,7 @@ def test_disconnected_support_is_decomposable():
     split = [s for s in lattice.elements
              if {e for e, v in s.d if v} == {"e6", "e11"}]
     assert len(split) == 1
-    module = reps.state_module(pmap, split[0], quiver)
+    module = reps.state_module(pmap, split[0])
     assert not reps.support_is_connected(module)
     assert not reps.endomorphism_ring(module).is_local
     assert not reps.is_indecomposable(module, omega)
@@ -283,8 +283,8 @@ def test_direct_sums(figure_eight_setup):
     pmap, omega, quiver, lattice = figure_eight_setup
     a, b = sorted((s for s in lattice.elements if s.d_tot == 1),
                   key=lambda s: s.d)
-    ma = reps.state_module(pmap, a, quiver)
-    mb = reps.state_module(pmap, b, quiver)
+    ma = reps.state_module(pmap, a)
+    mb = reps.state_module(pmap, b)
     # supports {e5} and {e4} with no arrow between them
     total = reps.direct_sum(ma, mb)
     assert sorted(total.support()) == ["e4", "e5"]
@@ -297,7 +297,7 @@ def test_direct_sums(figure_eight_setup):
 
 def test_non_characteristic_weight_refusals(trefoil_setup):
     pmap, omega, quiver, lattice = trefoil_setup
-    module = reps.state_module(pmap, top_state(lattice), quiver)
+    module = reps.state_module(pmap, top_state(lattice))
     heavy = {"v0": 2, "f0": 2}
     with pytest.raises(reps.NotCharacteristicWeight) as info:
         reps.is_indecomposable(module, heavy)
@@ -310,16 +310,16 @@ def test_non_characteristic_weight_refusals(trefoil_setup):
 def test_simple_quotients_match_anti_movable(trefoil_setup, figure_eight_setup):
     for pmap, omega, quiver, lattice in (trefoil_setup, figure_eight_setup):
         for state in lattice.elements:
-            module = reps.state_module(pmap, state, quiver)
+            module = reps.state_module(pmap, state)
             expected = frozenset(
                 e for e in quiver.vertices
                 if bms.is_bms_anti_movable(quiver, state, e))
             assert reps.simple_quotients(module) == expected
     pmap, omega, quiver, lattice = trefoil_setup
     assert reps.simple_quotients(
-        reps.state_module(pmap, top_state(lattice), quiver)) == {"e3"}
+        reps.state_module(pmap, top_state(lattice))) == {"e3"}
     assert reps.simple_quotients(
-        reps.state_module(pmap, bottom_state(lattice), quiver)) == frozenset()
+        reps.state_module(pmap, bottom_state(lattice))) == frozenset()
 
 
 def test_moved_edge_joins_simple_quotients(trefoil_setup):
@@ -328,7 +328,7 @@ def test_moved_edge_joins_simple_quotients(trefoil_setup):
     (step,) = [hi for (lo, hi) in lattice.covers if lo == bottom]
     moved = lattice.labels[(bottom, step)]
     assert moved == "e5"
-    assert moved in reps.simple_quotients(reps.state_module(pmap, step, quiver))
+    assert moved in reps.simple_quotients(reps.state_module(pmap, step))
 
 
 def test_short_exact_sequence_inclusions(trefoil_setup, figure_eight_setup):
@@ -337,8 +337,8 @@ def test_short_exact_sequence_inclusions(trefoil_setup, figure_eight_setup):
         for lo, hi in lattice.covers:
             e = lattice.labels[(lo, hi)]
             assert hi.d_tot == lo.d_tot + 1 and hi.dim(e) == lo.dim(e) + 1
-            small = reps.state_module(pmap, lo, quiver)
-            big = reps.state_module(pmap, hi, quiver)
+            small = reps.state_module(pmap, lo)
+            big = reps.state_module(pmap, hi)
             iota = {
                 x: pm(1, 0, big.dims[x], small.dims[x]) if x == e
                 else Matrix.identity(small.dims[x])
@@ -349,7 +349,7 @@ def test_short_exact_sequence_inclusions(trefoil_setup, figure_eight_setup):
 
 def test_subrep_lattice_trefoil_chain(trefoil_setup):
     pmap, omega, quiver, lattice = trefoil_setup
-    module = reps.state_module(pmap, top_state(lattice), quiver)
+    module = reps.state_module(pmap, top_state(lattice))
     found = reps.enumerate_subreps(module, omega)
     assert len(found) == 3
     by_grade = sorted(found.elements, key=lambda f: f.grade)
@@ -362,7 +362,7 @@ def test_subrep_lattice_trefoil_chain(trefoil_setup):
 
 def test_subrep_lattice_figure_eight(figure_eight_setup):
     pmap, omega, quiver, lattice = figure_eight_setup
-    module = reps.state_module(pmap, top_state(lattice), quiver)
+    module = reps.state_module(pmap, top_state(lattice))
     found = reps.enumerate_subreps(module, omega)
     assert len(found) == 5
     grades = sorted(f.grade for f in found.elements)
@@ -374,7 +374,7 @@ def test_subrep_lattice_figure_eight(figure_eight_setup):
 
 def test_subrep_refusals(trefoil_setup):
     pmap, omega, quiver, lattice = trefoil_setup
-    module = reps.state_module(pmap, top_state(lattice), quiver)
+    module = reps.state_module(pmap, top_state(lattice))
     with pytest.raises(reps.CandidateSpaceTooLarge):
         reps.enumerate_subreps(module, omega, bound=2)
     # a supported vertex with no certified Jordan cycle is refused rather
@@ -388,14 +388,14 @@ def test_subrep_isomorphism_certificates(trefoil_setup, figure_eight_setup):
     for expected, setup in ((3, trefoil_setup), (5, figure_eight_setup)):
         pmap, omega, quiver, lattice = setup
         cert = reps.verify_subrep_isomorphism(
-            pmap, omega, top_state(lattice), quiver)
+            pmap, omega, top_state(lattice))
         assert cert.ok
         assert len(cert.bms_lattice) == len(cert.subrep_lattice) == expected
         for state, family in cert.mapping.items():
             assert family.grade == state.d_tot
     pmap, omega, quiver, lattice = trefoil_setup
     trivial = reps.verify_subrep_isomorphism(
-        pmap, omega, bottom_state(lattice), quiver)
+        pmap, omega, bottom_state(lattice))
     assert trivial.ok and trivial.size == 1
 
 
@@ -406,7 +406,7 @@ def test_quiver_rep_validation(trefoil_setup):
     with pytest.raises(ValueError):
         reps.QuiverRep(("x",), {"a": ("x", "x")}, {"x": 1}, {})
     pmap, omega, quiver, lattice = trefoil_setup
-    module = reps.state_module(pmap, top_state(lattice), quiver)
+    module = reps.state_module(pmap, top_state(lattice))
     bumped = module.with_entry("c3ne", 0, 0, Fraction(7))
     assert bumped.mats["c3ne"].data[0][0] == 7
     assert module.mats["c3ne"].data[0][0] == 1

@@ -75,7 +75,7 @@ def test_cycle_pairing_matches_weights(corpus_maps):
     q = medial_quiver(pmap)
     rng = random.Random(7)
     omega = random_weight(pmap, rng)
-    L = st.enumerate_compatible(pmap, omega, q)
+    L = st.enumerate_compatible(pmap, omega)
     if not L:
         pytest.skip("empty state set for this draw")
     g = L[0]
@@ -117,8 +117,8 @@ def test_invisible_subgraph_state_independent(corpus_maps):
 
     pmap, _ = corpus_maps["hopf"]
     q = medial_quiver(pmap)
-    reference = st.invisible_subgraph(pmap, HOPF_WEIGHT, q)
-    for g in st.enumerate_compatible(pmap, HOPF_WEIGHT, q):
+    reference = st.invisible_subgraph(pmap, HOPF_WEIGHT)
+    for g in st.enumerate_compatible(pmap, HOPF_WEIGHT):
         zero = [a for a in q.arrow_ids if g[a] == 0]
         dg = nx.DiGraph()
         dg.add_nodes_from(q.vertices)
@@ -216,7 +216,7 @@ def test_moves_invert_randomized(corpus_maps):
         pmap, _ = corpus_maps[rng.choice(names)]
         q = medial_quiver(pmap)
         omega = random_weight(pmap, rng)
-        L = st.enumerate_compatible(pmap, omega, q)
+        L = st.enumerate_compatible(pmap, omega)
         universe = set(L)
         for g in L[:40]:
             for e in q.vertices:
@@ -240,3 +240,33 @@ def test_enumeration_is_sorted_and_duplicate_free(corpus_maps):
     vals = [values(g) for g in L]
     assert vals == sorted(vals)
     assert len(set(vals)) == len(vals)
+
+
+def test_invalid_weight_is_refused(digon):
+    """Unequal vertex and face totals raise instead of giving no states."""
+    unequal = {"v0": 2, "v1": 1, "f0": 1, "f1": 1}
+    with pytest.raises(ValueError, match="vertex/face totals differ"):
+        st.enumerate_compatible(digon, unequal)
+    with pytest.raises(ValueError, match="vertex/face totals differ"):
+        st.Decoration.of(digon, unequal)
+
+
+def test_decoration_is_memoized_on_the_map(triangle):
+    dec = st.Decoration.of(triangle, TRIANGLE_WEIGHT)
+    assert st.Decoration.of(triangle, dict(TRIANGLE_WEIGHT)) is dec
+    assert dec.quiver is triangle.quiver
+    assert dec.first == dec.states[0]
+    assert dec.nilpotency == 1
+    other = dict(TRIANGLE_WEIGHT, v0=0, f0=1)
+    assert st.Decoration.of(triangle, other) is not dec
+
+
+def test_component_lattice_is_kept():
+    from medialq.kauffman import LinkDiagram, kauffman_weight
+
+    pmap, marked = corpus.load("figure_eight")
+    dec = st.Decoration.of(pmap, kauffman_weight(LinkDiagram(pmap, marked)))
+    lattice = dec.component_lattice(dec.first)
+    assert len(lattice) == len(dec.states) == 5
+    assert dec.component_lattice(dec.first) is lattice
+    assert dec.component_lattice(dec.first, bound=4) is not lattice
