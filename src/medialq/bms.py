@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .lattice import FiniteLattice, certified_lattice
+from .lattice import FiniteLattice, certified_lattice, pointwise_lattice
 from .planar import MedialQuiver, PlanarMap
 from .states import (
     AngularFunction,
@@ -135,14 +135,12 @@ def bms_anti_mov_e(quiver: MedialQuiver, xi: BMSState, e) -> BMSState:
     return BMSState(anti_mov_e(quiver, xi.f_plus, e), xi.f_minus, _d_tuple(d))
 
 
-def bms_plus_lattice(pmap: PlanarMap, omega, g: AngularFunction,
-                     bound=500, seed=0) -> FiniteLattice:
+def bms_plus_lattice(pmap: PlanarMap, omega, g: AngularFunction) -> FiniteLattice:
     """All states reachable from (g, g, 0), certified as a lattice.
 
     The order is the pointwise order on d; the grading is total dimension.
-    After the closure an independent check confirms the set is closed under
-    pointwise max and min of dimension vectors with f_plus rebuilt from
-    g + (d(target) - d(source)).
+    After certification a check on the certificate's masks confirms that
+    join and meet are pointwise max and min of dimension vectors.
 
     Raises:
         NotNilpotencyZero: the closure would be infinite.
@@ -166,24 +164,39 @@ def bms_plus_lattice(pmap: PlanarMap, omega, g: AngularFunction,
                     seen.add(nxt)
                     frontier.append(nxt)
 
-    _check_pointwise_closure(quiver, seen)
     grade = {xi: xi.d_tot for xi in seen}
     order = sorted(seen, key=lambda xi: (xi.d_tot, xi.d))
-    return certified_lattice(
+    lattice = certified_lattice(
         order, sorted(set(covers), key=lambda c: (grade[c[0]], c[0].d, c[1].d)),
-        grade=grade, labels=labels, bound=bound, seed=seed)
+        grade=grade, labels=labels)
+    _check_pointwise_closure(lattice)
+    return lattice
 
 
-def _check_pointwise_closure(quiver, states):
-    by_d = {xi.d: xi for xi in states}
-    dicts = [dict(d) for d in by_d]
-    for d1 in dicts:
-        for d2 in dicts:
-            for pick in (max, min):
-                dm = {e: pick(d1[e], d2[e]) for e in quiver.vertices}
-                if _d_tuple(dm) not in by_d:
-                    raise AssertionError(
-                        f"state set not closed under pointwise {pick.__name__}")
+def _check_pointwise_closure(lattice: FiniteLattice):
+    """Check that join and meet are pointwise max and min of d.
+
+    Covers are moves, each raising d by one at its label.  A join-irreducible
+    takes the label of its lower cover; every cover adding it must carry that
+    label, and the irreducibles of each edge must form a chain.  Then
+    d(x)(e) - d(minimum)(e) counts the irreducibles of e below x, a prefix of
+    that chain, so unions and intersections of masks are pointwise max and
+    min of d.  Both conditions are also necessary.
+    """
+    cert, index = lattice.certificate, lattice.poset._index
+    edge_of, chains = {}, {}
+    for (a, b), e in lattice.labels.items():
+        bit = cert.masks[index[b]] ^ cert.masks[index[a]]
+        if edge_of.setdefault(bit, e) != e:
+            raise AssertionError(f"covers by {edge_of[bit]} and {e} add the "
+                                 "same join-irreducible")
+    for k, j in enumerate(cert.join_irreducibles):
+        chains.setdefault(edge_of[1 << k], []).append(cert.masks[index[j]])
+    for e, masks in chains.items():
+        masks.sort(key=int.bit_count)
+        if any(lo & ~hi for lo, hi in zip(masks, masks[1:])):
+            raise AssertionError(
+                f"join-irreducibles moved along {e} do not form a chain")
 
 
 def _reconstruct_plus(quiver, f_minus, d):
@@ -230,8 +243,7 @@ def component_minimum(pmap: PlanarMap, omega, h: AngularFunction,
     return current, d
 
 
-def plus_subobjects(pmap: PlanarMap, omega, xi: BMSState,
-                    bound=500, seed=0) -> FiniteLattice:
+def plus_subobjects(pmap: PlanarMap, omega, xi: BMSState) -> FiniteLattice:
     """The lattice of states below xi: same f_minus, d' pointwise below d.
 
     A candidate d' qualifies exactly when f_minus + (d'(t) - d'(s)) stays
@@ -252,23 +264,7 @@ def plus_subobjects(pmap: PlanarMap, omega, xi: BMSState,
         f_plus = _reconstruct_plus(quiver, xi.f_minus, d)
         if all(v >= 0 for _, v in f_plus.items()):
             found.append(make_bms(pmap, omega, f_plus, xi.f_minus, d))
-    covers = []
-    labels = {}
-    by_d = {s.d: s for s in found}
-    for s in found:
-        d = s.dims()
-        for e in edges:
-            d[e] += 1
-            key = _d_tuple(d)
-            if key in by_d:
-                covers.append((s, by_d[key]))
-                labels[(s, by_d[key])] = e
-            d[e] -= 1
-    grade = {s: s.d_tot for s in found}
-    order = sorted(found, key=lambda s: (s.d_tot, s.d))
-    return certified_lattice(
-        order, sorted(covers, key=lambda c: (grade[c[0]], c[0].d, c[1].d)),
-        grade=grade, labels=labels, bound=bound, seed=seed)
+    return pointwise_lattice(found, lambda s: s.d)
 
 
 @dataclass

@@ -125,32 +125,28 @@ def _lattice_lines(lat: FiniteLattice):
         label = (lat.labels or {}).get((a, b))
         suffix = f" by {label}" if label is not None else ""
         out.append(f"  {index[a]} -> {index[b]}{suffix}")
-    for name, op in (("join", lat.poset.join_index),
-                     ("meet", lat.poset.meet_index)):
-        out.append(f"{name} table:")
-        for i in range(len(order)):
-            row = " ".join(str(op(i, j)) for j in range(len(order)))
-            out.append(f"  {row}")
     cert = lat.certificate
+    index_text = {m: str(i) for m, i in cert.index_of_mask.items()}
+    for name, op in (("join", int.__or__), ("meet", int.__and__)):
+        out.append(f"{name} table:")  # union and intersection of masks
+        for m in cert.masks:
+            out.append("  " + " ".join(index_text[op(m, x)] for x in cert.masks))
     out.append(
         f"certified: size {cert.size}, grades {cert.grade_range[0]}"
         f"..{cert.grade_range[1]}, sampled {cert.sampled}")
     return out
 
 
-def _component_lattice(dec, seed, bound):
+def _component_lattice(dec):
     """Lattice of the component of the first compatible function, or None."""
-    if dec.first is None:
-        return None
-    return dec.component_lattice(dec.first, bound=bound, seed=seed)
+    return None if dec.first is None else dec.component_lattice(dec.first)
 
 
-def _top_module(dec, seed, bound):
-    lattice = _component_lattice(dec, seed, bound)
+def _top_module(dec):
+    lattice = _component_lattice(dec)
     if lattice is None:
         raise InputError("no compatible angular function, nothing to build")
-    top = max(lattice.elements, key=lambda s: s.d_tot)
-    return top, reps.state_module(dec.pmap, top)
+    return lattice.maximum, reps.state_module(dec.pmap, lattice.maximum)
 
 
 # ----------------------------------------------------------------------
@@ -252,7 +248,7 @@ def cmd_nilpotency(args):
 def cmd_bms_lattice(args):
     pmap, marked, raw = _load_map(args.map)
     dec, extra = _decoration(args, pmap, marked)
-    lattice = _component_lattice(dec, args.seed, args.bound_lattice)
+    lattice = _component_lattice(dec)
     lines = _header("bms-lattice", [(args.map, raw)] + extra, seed=args.seed)
     if lattice is None:
         lines.append("no compatible angular functions")
@@ -283,14 +279,13 @@ def cmd_component(args):
 def cmd_subobjects(args):
     pmap, marked, raw = _load_map(args.map)
     dec, extra = _decoration(args, pmap, marked)
-    lattice = _component_lattice(dec, args.seed, args.bound_lattice)
+    lattice = _component_lattice(dec)
     lines = _header("subobjects", [(args.map, raw)] + extra, seed=args.seed)
     if lattice is None:
         lines.append("no compatible angular functions")
         return 0, lines
-    top = max(lattice.elements, key=lambda s: s.d_tot)
-    below = bms.plus_subobjects(pmap, dec.omega, top,
-                                bound=args.bound_lattice, seed=args.seed)
+    top = lattice.maximum
+    below = bms.plus_subobjects(pmap, dec.omega, top)
     lines.append(f"subobjects of the maximal state {_state_text(top)}")
     if args.format == "dot":
         return 0, lines + [below.poset.hasse_dot(
@@ -309,7 +304,7 @@ def _diagram(args):
 def cmd_clock(args):
     diagram, raw = _diagram(args)
     lines = _header("clock", [(args.map, raw)], seed=args.seed)
-    lattice = clock_lattice(diagram, bound=args.bound_lattice, seed=args.seed)
+    lattice = clock_lattice(diagram)
     if args.format == "dot":
         return 0, lines + [lattice.poset.hasse_dot(
             label=lambda x: ",".join(x.angles)).rstrip("\n")]
@@ -343,7 +338,7 @@ def cmd_kauffman_states(args):
 def cmd_module(args):
     pmap, marked, raw = _load_map(args.map)
     dec, extra = _decoration(args, pmap, marked)
-    top, module = _top_module(dec, args.seed, args.bound_lattice)
+    top, module = _top_module(dec)
     lines = _header("module", [(args.map, raw)] + extra, seed=args.seed)
     lines.append(f"state module of the maximal state {_state_text(top)}")
     lines.append("dims: " + " ".join(
@@ -357,7 +352,7 @@ def cmd_module(args):
 def cmd_jacobian_check(args):
     pmap, marked, raw = _load_map(args.map)
     dec, extra = _decoration(args, pmap, marked)
-    lattice = _component_lattice(dec, args.seed, args.bound_lattice)
+    lattice = _component_lattice(dec)
     lines = _header("jacobian-check", [(args.map, raw)] + extra,
                     seed=args.seed)
     if lattice is None:
@@ -381,7 +376,7 @@ def cmd_jacobian_check(args):
 def cmd_endo(args):
     pmap, marked, raw = _load_map(args.map)
     dec, extra = _decoration(args, pmap, marked)
-    top, module = _top_module(dec, args.seed, args.bound_lattice)
+    top, module = _top_module(dec)
     ring = reps.endomorphism_ring(module)
     lines = _header("endo", [(args.map, raw)] + extra, seed=args.seed)
     lines.append(f"endomorphisms of the maximal state module "
@@ -398,10 +393,9 @@ def cmd_endo(args):
 def cmd_subreps(args):
     pmap, marked, raw = _load_map(args.map)
     dec, extra = _decoration(args, pmap, marked)
-    top, module = _top_module(dec, args.seed, args.bound_lattice)
-    found = reps.enumerate_subreps(
-        module, dec.omega, bound=args.bound_candidates,
-        bound_lattice=args.bound_lattice, seed=args.seed)
+    top, module = _top_module(dec)
+    found = reps.enumerate_subreps(module, dec.omega,
+                                   bound=args.bound_candidates)
     lines = _header("subreps", [(args.map, raw)] + extra, seed=args.seed)
     lines.append(f"subrepresentations of the maximal state module "
                  f"{_state_text(top)}")
@@ -415,15 +409,14 @@ def cmd_subreps(args):
 def cmd_verify_iso(args):
     pmap, marked, raw = _load_map(args.map)
     dec, extra = _decoration(args, pmap, marked)
-    lattice = _component_lattice(dec, args.seed, args.bound_lattice)
+    lattice = _component_lattice(dec)
     lines = _header("verify-iso", [(args.map, raw)] + extra, seed=args.seed)
     if lattice is None:
         lines.append("no compatible angular functions")
         return 0, lines
-    top = max(lattice.elements, key=lambda s: s.d_tot)
+    top = lattice.maximum
     cert = reps.verify_subrep_isomorphism(
-        pmap, dec.omega, top, bound=args.bound_lattice, seed=args.seed,
-        bound_candidates=args.bound_candidates)
+        pmap, dec.omega, top, bound_candidates=args.bound_candidates)
     lines.append(f"maximal state: {_state_text(top)}")
     lines.append(f"plus-subobjects: {len(cert.bms_lattice)} "
                  f"subrepresentations: {len(cert.subrep_lattice)}")
@@ -439,7 +432,7 @@ def cmd_verify_iso(args):
 # the whole suite
 # ----------------------------------------------------------------------
 
-def _check_one_diagram(raw, seed, bound_lattice, bound_candidates):
+def _check_one_diagram(raw, bound_candidates):
     """All certifiable properties of one link diagram; (passed, lines)."""
     lines = []
     failures = []
@@ -478,8 +471,7 @@ def _check_one_diagram(raw, seed, bound_lattice, bound_candidates):
                  "component(s)")
     lattices = []
     for comp in comps:
-        lattice = dec.component_lattice(
-            graph.nodes[comp[0]], bound=bound_lattice, seed=seed)
+        lattice = dec.component_lattice(graph.nodes[comp[0]])
         lattices.append(lattice)
         if len(lattice) != len(comp):
             failures.append(
@@ -507,14 +499,13 @@ def _check_one_diagram(raw, seed, bound_lattice, bound_candidates):
     prime = is_prime_diagram(diagram)
     lines.append(f"  prime: {prime}")
     if prime:
-        clock = clock_lattice(diagram, bound=bound_lattice, seed=seed)
+        clock = clock_lattice(diagram)
         if len(clock) != len(states):
             failures.append(
                 f"clock lattice has {len(clock)} of {len(states)} states")
         lines.append(f"  clock lattice: {len(clock)} states")
 
-    big = max(lattices, key=len)
-    top = max(big.elements, key=lambda s: s.d_tot)
+    top = max(lattices, key=len).maximum
     module = reps.state_module(pmap, top)
     if not reps.is_nilpotent(module):
         failures.append("maximal state module is not nilpotent")
@@ -527,8 +518,7 @@ def _check_one_diagram(raw, seed, bound_lattice, bound_candidates):
     lines.append(f"  simple quotients = anti-movable edges: "
                  f"{sorted(anti) or 'none'}")
     cert = reps.verify_subrep_isomorphism(
-        pmap, omega, top, bound=bound_lattice, seed=seed,
-        bound_candidates=bound_candidates)
+        pmap, omega, top, bound_candidates=bound_candidates)
     if not cert.ok:
         failures.append("subobject/subrepresentation lattices disagree")
     lines.append(f"  subrep lattice isomorphism: ok={cert.ok} "
@@ -554,8 +544,7 @@ def cmd_check_all(args):
     for name, raw in sources:
         lines.append(f"{name}:")
         try:
-            failures, body = _check_one_diagram(
-                raw, args.seed, args.bound_lattice, args.bound_candidates)
+            failures, body = _check_one_diagram(raw, args.bound_candidates)
         except (MapFormatError, ValueError) as exc:
             raise InputError(f"{name}: {exc}") from exc
         lines.extend(body)
@@ -578,7 +567,7 @@ def build_parser():
                     "representations")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add(name, fn, *, weight=False, fmt=False, bounds=False,
+    def add(name, fn, *, weight=False, fmt=False, seed=False,
             candidates=False, map_arg=True):
         p = sub.add_parser(name)
         if map_arg:
@@ -590,9 +579,8 @@ def build_parser():
         if fmt:
             p.add_argument("--format", choices=("dump", "dot"),
                            default="dump")
-        if bounds:
+        if seed:
             p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--bound-lattice", type=int, default=500)
         if candidates:
             p.add_argument("--bound-candidates", type=int, default=100000)
         p.set_defaults(func=fn)
@@ -603,20 +591,20 @@ def build_parser():
     add("move-graph", cmd_move_graph, weight=True, fmt=True)
     add("invisible", cmd_invisible, weight=True)
     add("nilpotency", cmd_nilpotency, weight=True)
-    add("bms-lattice", cmd_bms_lattice, weight=True, fmt=True, bounds=True)
+    add("bms-lattice", cmd_bms_lattice, weight=True, fmt=True, seed=True)
     add("component", cmd_component, weight=True)
-    add("subobjects", cmd_subobjects, weight=True, fmt=True, bounds=True)
-    add("clock", cmd_clock, fmt=True, bounds=True)
+    add("subobjects", cmd_subobjects, weight=True, fmt=True, seed=True)
+    add("clock", cmd_clock, fmt=True, seed=True)
     add("prime-check", cmd_prime_check)
     add("kauffman-states", cmd_kauffman_states)
-    add("module", cmd_module, weight=True, bounds=True)
-    add("jacobian-check", cmd_jacobian_check, weight=True, bounds=True)
-    add("endo", cmd_endo, weight=True, bounds=True)
-    add("subreps", cmd_subreps, weight=True, fmt=True, bounds=True,
+    add("module", cmd_module, weight=True, seed=True)
+    add("jacobian-check", cmd_jacobian_check, weight=True, seed=True)
+    add("endo", cmd_endo, weight=True, seed=True)
+    add("subreps", cmd_subreps, weight=True, fmt=True, seed=True,
         candidates=True)
-    add("verify-iso", cmd_verify_iso, weight=True, bounds=True,
+    add("verify-iso", cmd_verify_iso, weight=True, seed=True,
         candidates=True)
-    allp = add("check-all", cmd_check_all, bounds=True, candidates=True,
+    allp = add("check-all", cmd_check_all, seed=True, candidates=True,
                map_arg=False)
     allp.add_argument("path", nargs="?",
                       help="directory of .map files (default: built-in corpus)")

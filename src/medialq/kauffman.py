@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .lattice import CertificationFailed, FiniteLattice, certified_lattice
+from .lattice import CertificationFailed, FiniteLattice
 from .planar import PlanarMap, parse_map_text
 from .states import (
     AngularFunction,
@@ -153,19 +153,20 @@ def _enumerate_direct(diagram: LinkDiagram):
         for a in choices[v]:
             remaining[quiver.angles[a].face] += 1
 
-    states = []
-    picked_faces = set()
-    picks = []
+    # depth-first search with an explicit stack of per-crossing iterators
+    states, picks, picked_faces, stack = [], [], set(), []
 
-    def backtrack(i):
-        if i == len(vertices):
-            states.append(KauffmanState.of(picks))
-            return
-        v = vertices[i]
-        for a in choices[v]:
-            f = quiver.angles[a].face
-            remaining[f] -= 1
-        for a in choices[v]:
+    def enter(i):  # crossing i takes its angles out of the remaining choices
+        for a in choices[vertices[i]]:
+            remaining[quiver.angles[a].face] -= 1
+        stack.append(iter(choices[vertices[i]]))
+
+    enter(0)
+    while stack:
+        i = len(stack) - 1
+        if len(picks) > i:  # back from crossing i + 1: undo crossing i's pick
+            picked_faces.remove(quiver.angles[picks.pop()].face)
+        for a in stack[i]:
             f = quiver.angles[a].face
             if f in picked_faces:
                 continue
@@ -174,13 +175,16 @@ def _enumerate_direct(diagram: LinkDiagram):
             # a face with no remaining choice must already be picked
             if all(remaining[x] > 0 or x in picked_faces or x in marked
                    for x in pmap.faces):
-                backtrack(i + 1)
+                if i + 1 < len(vertices):
+                    enter(i + 1)
+                    break
+                states.append(KauffmanState.of(picks))
             picks.pop()
             picked_faces.remove(f)
-        for a in choices[v]:
-            remaining[quiver.angles[a].face] += 1
-
-    backtrack(0)
+        else:
+            for a in choices[vertices[i]]:
+                remaining[quiver.angles[a].face] += 1
+            stack.pop()
     return sorted(states, key=lambda s: s.angles)
 
 
@@ -279,12 +283,13 @@ def is_prime_diagram(diagram: LinkDiagram) -> bool:
     return diagram.separating_pair is None
 
 
-def clock_lattice(diagram: LinkDiagram, bound=500, seed=0) -> FiniteLattice:
+def clock_lattice(diagram: LinkDiagram) -> FiniteLattice:
     """The certified lattice of all Kauffman states of a prime diagram.
 
     Certifies that the graph of invisible cycles is connected, grows the
     state lattice from the greedily-found minimum, checks it reaches every
-    state, and re-labels everything in Kauffman-state coordinates.
+    state, and re-labels everything in Kauffman-state coordinates; chi_inv
+    is a bijection on the states, so the certificate carries over.
 
     Raises:
         NotPrime: with the separating edge pair as witness.
@@ -301,16 +306,8 @@ def clock_lattice(diagram: LinkDiagram, bound=500, seed=0) -> FiniteLattice:
             f"graph of invisible cycles has {ncomp} components on a prime diagram")
     dec = Decoration.of(pmap, w)
     functions = dec.states
-    inner = dec.component_lattice(functions[0], bound=bound, seed=seed)
+    inner = dec.component_lattice(functions[0])
     if len(inner) != len(functions):
         raise CertificationFailed(
             f"lattice reaches {len(inner)} of {len(functions)} states")
-
-    as_state = {xi: chi_inv(diagram, xi.f_plus) for xi in inner.elements}
-    elements = [as_state[xi] for xi in inner.elements]
-    covers = [(as_state[a], as_state[b]) for a, b in inner.covers]
-    labels = {
-        (as_state[a], as_state[b]): e for (a, b), e in inner.labels.items()}
-    grade = {as_state[xi]: xi.d_tot for xi in inner.elements}
-    return certified_lattice(
-        elements, covers, grade=grade, labels=labels, bound=bound, seed=seed)
+    return inner.relabel(lambda xi: chi_inv(diagram, xi.f_plus))

@@ -2,20 +2,19 @@
 
 A poset is given by its elements and Hasse covers.  Certification checks, in
 order: the covers really are covers, there is a unique minimum and maximum,
-every cover raises the grade by exactly one, every pair has a join and a
-meet, and the join-irreducible primality criterion (equivalent to the
-distributive law, and quadratic instead of cubic).  On failure a
-Counterexample pinpoints the offending elements; on success a Certificate
-records what was checked.
-
-Instances larger than the exhaustive bound are spot-checked on seeded random
-pairs and triples and the certificate is marked as sampled.
+and every cover raises the grade by exactly one.  Then it checks Birkhoff's
+representation theorem directly: with J the join-irreducible elements (one
+lower cover each), x -> J ∩ ↓x must be an isomorphism onto the down-sets of
+J.  That costs O(n·|J|) and is exact at every size.  On success a
+Certificate keeps the bitmasks J ∩ ↓x, so a join is a union of masks and a
+meet an intersection; on failure a pairwise search names the offending
+elements in a Counterexample.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 
 class CertificationFailed(RuntimeError):
@@ -126,21 +125,40 @@ class FinitePoset:
 
 @dataclass
 class Certificate:
+    """Evidence that a poset is a graded distributive lattice.
+
+    ``masks[i]`` holds one bit per join-irreducible below element i, bit k
+    standing for ``join_irreducibles[k]``; ``index_of_mask`` inverts it.
+    The join and meet tables are built from the masks when first read.
+    """
+
     minimum: object
     maximum: object
     size: int
     grade_range: tuple
     grade: dict
-    sampled: bool
-    seed: int | None
-    pairs_checked: int
-    triples_checked: int
-    join_table: dict | None = field(default=None, repr=False)
-    meet_table: dict | None = field(default=None, repr=False)
+    elements: tuple = field(repr=False)
+    join_irreducibles: tuple
+    masks: tuple = field(repr=False)
+    index_of_mask: dict = field(repr=False)
 
-    @property
-    def ok(self):
-        return True
+    ok = True
+    sampled = False  # exact at every size; reports still print the flag
+
+    @cached_property
+    def join_table(self):
+        """{(x, y): x join y} over all pairs of distinct elements."""
+        return self._table(int.__or__)
+
+    @cached_property
+    def meet_table(self):
+        return self._table(int.__and__)
+
+    def _table(self, op):
+        xs, index_of = self.elements, self.index_of_mask
+        return {(x, y): xs[index_of[op(mx, my)]]
+                for x, mx in zip(xs, self.masks)
+                for y, my in zip(xs, self.masks) if x != y}
 
 
 @dataclass
@@ -149,9 +167,7 @@ class Counterexample:
     witness: tuple
     message: str
 
-    @property
-    def ok(self):
-        return False
+    ok = False
 
 
 def _derived_grade(poset: FinitePoset):
@@ -164,18 +180,18 @@ def _derived_grade(poset: FinitePoset):
     return g
 
 
-def certify_graded_distributive_lattice(
-        poset: FinitePoset, grade=None, bound=500, seed=0,
-        sample_pairs=1000, sample_triples=1000):
+def certify_graded_distributive_lattice(poset: FinitePoset, grade=None):
     """Certificate that the poset is a graded distributive lattice, or a
     Counterexample naming the violated law and the elements involved.
 
     Checks the cover relation, unique minimum and maximum, unit grade steps,
-    existence of all joins and meets, and that every join-irreducible element
-    below a join is below one of the factors.  A failing pair (x, y) with a
-    stray irreducible j yields the classic failing triple: j and (x or y)
-    violate the distributive identity.  Above `bound` elements the pair and
-    triple checks run on a seeded sample and the certificate says so.
+    and then Birkhoff's representation (see ``_birkhoff``).  When that
+    fails, a pairwise search names a pair without join or meet, or a
+    join-irreducible j below x join y but below neither x nor y: j, x and y
+    violate the distributive identity.
+
+    Raises:
+        AssertionError: Birkhoff's check and the pairwise search disagree.
     """
     n = len(poset.elements)
     if n == 0:
@@ -203,97 +219,83 @@ def certify_graded_distributive_lattice(
             return Counterexample(
                 "graded", (a, b),
                 f"cover {a!r} -> {b!r} changes grade by {grade[b] - grade[a]}")
-    lo = min(grade[x] for x in poset.elements)
-    hi = max(grade[x] for x in poset.elements)
 
-    # join-irreducible = exactly one lower cover; mask over element indices
-    irr = 0
-    for i in range(n):
-        if len(poset._below[i]) == 1:
-            irr |= 1 << i
+    found = _birkhoff(poset)
+    if found is None:
+        bad = _pairwise_counterexample(poset)
+        if bad is None:
+            raise AssertionError("Birkhoff's check and the pairwise search "
+                                 "disagree")
+        return bad
+    irreducibles, masks, index_of = found
+    return Certificate(
+        minimum=mins[0], maximum=maxs[0], size=n,
+        grade_range=(min(grade[x] for x in poset.elements),
+                     max(grade[x] for x in poset.elements)),
+        grade=dict(grade), elements=poset.elements,
+        join_irreducibles=tuple(poset.elements[j] for j in irreducibles),
+        masks=tuple(masks), index_of_mask=index_of)
 
-    exhaustive = n <= bound
-    pairs_checked = triples_checked = 0
-    join_table = {} if exhaustive else None
-    meet_table = {} if exhaustive else None
 
-    def check_pair(i, j):
-        nonlocal pairs_checked, triples_checked
-        pairs_checked += 1
-        jk = poset.join_index(i, j)
-        if jk is None:
-            return Counterexample(
-                "join", (poset.elements[i], poset.elements[j]),
-                "pair has no least upper bound")
-        mk = poset.meet_index(i, j)
-        if mk is None:
-            return Counterexample(
-                "meet", (poset.elements[i], poset.elements[j]),
-                "pair has no greatest lower bound")
-        if join_table is not None:
-            x, y = poset.elements[i], poset.elements[j]
-            join_table[(x, y)] = join_table[(y, x)] = poset.elements[jk]
-            meet_table[(x, y)] = meet_table[(y, x)] = poset.elements[mk]
-        stray = (poset._down[jk] & irr) & ~(poset._down[i] | poset._down[j])
-        if stray:
-            triples_checked += 1
-            b = stray.bit_length() - 1
-            return Counterexample(
-                "distributive",
-                (poset.elements[b], poset.elements[i], poset.elements[j]),
-                "join-irreducible below the join but below neither factor")
+def _birkhoff(poset: FinitePoset):
+    """(irreducible indices, masks, mask -> index) if x -> J ∩ ↓x is an
+    isomorphism onto the down-sets of J, else None.
+
+    (a) Distinct masks and (b) one new bit per cover send covers one-to-one
+    to covers of down-sets.  (c) Adding to a mask m any j outside m whose
+    strict down-set lies in m gives a mask, so from the minimum's empty mask
+    the image reaches every down-set.  (d) There are as many such additions
+    as covers, so the covers map onto those of the down-set lattice.
+    """
+    below = poset._below
+    irreducibles = [i for i in poset._topo if len(below[i]) == 1]
+    bit = {i: 1 << k for k, i in enumerate(irreducibles)}
+    masks = [bit.get(i, 0) for i in range(len(poset.elements))]
+    for i in poset._topo:
+        for k in below[i]:
+            masks[i] |= masks[k]
+    index_of = {m: i for i, m in enumerate(masks)}
+    if len(index_of) != len(masks):  # (a)
         return None
+    for a, b in poset.covers:  # (b); mask(a) is inside mask(b)
+        step = masks[poset._index[b]] ^ masks[poset._index[a]]
+        if step & (step - 1):
+            return None
+    strict = [(bit[j], masks[j] ^ bit[j]) for j in irreducibles]
+    extensions = 0
+    for m in masks:
+        for b, s in strict:
+            if not m & b and not s & ~m:
+                if m | b not in index_of:  # (c)
+                    return None
+                extensions += 1
+    if extensions != len(set(poset.covers)):  # (d)
+        return None
+    return irreducibles, masks, index_of
 
-    if exhaustive:
-        for i in range(n):
-            for j in range(i + 1, n):
-                bad = check_pair(i, j)
-                if bad is not None:
-                    return bad
-        triples_checked = pairs_checked
-    else:
-        rng = random.Random(seed)
-        for _ in range(sample_pairs):
-            bad = check_pair(rng.randrange(n), rng.randrange(n))
-            if bad is not None:
-                return bad
-        for _ in range(sample_triples):
-            i, j, k = (rng.randrange(n) for _ in range(3))
-            steps = []
-            jk = poset.join_index(j, k)
-            steps.append(("join", j, k, jk))
-            mij = poset.meet_index(i, j)
-            steps.append(("meet", i, j, mij))
-            mik = poset.meet_index(i, k)
-            steps.append(("meet", i, k, mik))
-            for law, s, t, got in steps:
-                if got is None:
-                    return Counterexample(
-                        law, (poset.elements[s], poset.elements[t]),
-                        f"pair has no {'least upper' if law == 'join' else 'greatest lower'} bound")
-            a1 = poset.meet_index(i, jk)
-            if a1 is None:
+
+def _pairwise_counterexample(poset: FinitePoset):
+    """The first pair, in element order, without a join or a meet, or with a
+    join-irreducible below its join but below neither factor; else None."""
+    n = len(poset.elements)
+    irr = sum(1 << i for i in range(n) if len(poset._below[i]) == 1)
+    for i in range(n):
+        for j in range(i + 1, n):
+            x, y = poset.elements[i], poset.elements[j]
+            jk = poset.join_index(i, j)
+            if jk is None:
                 return Counterexample(
-                    "meet", (poset.elements[i], poset.elements[jk]),
-                    "pair has no greatest lower bound")
-            a2 = poset.join_index(mij, mik)
-            if a2 is None:
+                    "join", (x, y), "pair has no least upper bound")
+            if poset.meet_index(i, j) is None:
                 return Counterexample(
-                    "join", (poset.elements[mij], poset.elements[mik]),
-                    "pair has no least upper bound")
-            triples_checked += 1
-            if a1 != a2:
+                    "meet", (x, y), "pair has no greatest lower bound")
+            stray = poset._down[jk] & irr & ~(poset._down[i] | poset._down[j])
+            if stray:
                 return Counterexample(
                     "distributive",
-                    tuple(poset.elements[t] for t in (i, j, k)),
-                    "x meet (y join z) differs from (x meet y) join (x meet z)")
-
-    return Certificate(
-        minimum=mins[0], maximum=maxs[0], size=n, grade_range=(lo, hi),
-        grade=dict(grade), sampled=not exhaustive,
-        seed=None if exhaustive else seed,
-        pairs_checked=pairs_checked, triples_checked=triples_checked,
-        join_table=join_table, meet_table=meet_table)
+                    (poset.elements[stray.bit_length() - 1], x, y),
+                    "join-irreducible below the join but below neither factor")
+    return None
 
 
 def require_certificate(result):
@@ -308,7 +310,8 @@ class FiniteLattice:
     """A certified graded distributive lattice with its evidence.
 
     `labels` optionally tags each cover (x, y) with the datum that produced
-    it (for move lattices, the edge of the map that was moved).
+    it (for move lattices, the edge of the map that was moved).  Joins and
+    meets are unions and intersections of the certificate's masks.
     """
 
     poset: FinitePoset
@@ -338,23 +341,66 @@ class FiniteLattice:
     def leq(self, x, y):
         return self.poset.leq(x, y)
 
+    def join_index(self, i, j):
+        cert = self.certificate
+        return cert.index_of_mask[cert.masks[i] | cert.masks[j]]
+
+    def meet_index(self, i, j):
+        cert = self.certificate
+        return cert.index_of_mask[cert.masks[i] & cert.masks[j]]
+
     def join(self, x, y):
-        return self.poset.join(x, y)
+        index = self.poset._index
+        return self.elements[self.join_index(index[x], index[y])]
 
     def meet(self, x, y):
-        return self.poset.meet(x, y)
+        index = self.poset._index
+        return self.elements[self.meet_index(index[x], index[y])]
+
+    def relabel(self, rename) -> "FiniteLattice":
+        """The same lattice with each element x renamed rename(x), which must
+        be injective; the certificate and the cover labels carry over."""
+        new, cert = {x: rename(x) for x in self.elements}, self.certificate
+        poset = FinitePoset(new.values(),
+                            [(new[a], new[b]) for a, b in self.covers])
+        cert = replace(
+            cert, minimum=new[cert.minimum], maximum=new[cert.maximum],
+            grade={new[x]: g for x, g in cert.grade.items()},
+            elements=poset.elements,
+            join_irreducibles=tuple(new[j] for j in cert.join_irreducibles))
+        labels = None if self.labels is None else {
+            (new[a], new[b]): e for (a, b), e in self.labels.items()}
+        return FiniteLattice(poset, cert, labels)
 
     def __len__(self):
         return len(self.poset.elements)
 
 
-def certified_lattice(elements, covers, grade=None, labels=None,
-                      bound=500, seed=0) -> FiniteLattice:
+def certified_lattice(elements, covers, grade=None, labels=None) -> FiniteLattice:
     """Build a poset and certify it, raising CertificationFailed otherwise."""
     poset = FinitePoset(elements, covers)
-    outcome = certify_graded_distributive_lattice(
-        poset, grade=grade, bound=bound, seed=seed)
+    outcome = certify_graded_distributive_lattice(poset, grade=grade)
     return FiniteLattice(poset, require_certificate(outcome), labels)
+
+
+def pointwise_lattice(found, dims) -> FiniteLattice:
+    """The certified lattice of `found` ordered by dims(x), a sorted tuple of
+    (coordinate, value) pairs: y covers x, labelled e, when dims(y) is dims(x)
+    plus one at e.  The grade is the sum of the values.
+    """
+    by_dims = {dims(x): x for x in found}
+    grade = {x: sum(v for _, v in dims(x)) for x in found}
+    labels = {}
+    for x in found:
+        key = dims(x)
+        for i, (e, v) in enumerate(key):
+            up = by_dims.get(key[:i] + ((e, v + 1),) + key[i + 1:])
+            if up is not None:
+                labels[(x, up)] = e
+    return certified_lattice(
+        sorted(found, key=lambda x: (grade[x], dims(x))),
+        sorted(labels, key=lambda c: (grade[c[0]], dims(c[0]), dims(c[1]))),
+        grade=grade, labels=labels)
 
 
 def verify_order_isomorphism(p: FinitePoset, q: FinitePoset, mapping) -> bool:

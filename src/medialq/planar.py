@@ -382,10 +382,7 @@ def parse_map_text(text):
     Returns:
         (PlanarMap, marked_edge or None)
     """
-    try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise MapFormatError(f"not valid structured text: {exc}") from exc
+    doc = load_yaml(text, MapFormatError)
     if not isinstance(doc, dict):
         raise MapFormatError("expected a mapping with 'vertices' and 'edges' keys")
     if "vertices" not in doc or "edges" not in doc:
@@ -403,6 +400,16 @@ def parse_map_text(text):
         if marked not in pmap.edges:
             raise MapFormatError(f"marked_edge {marked!r} is not an edge id")
     return pmap, marked
+
+
+def load_yaml(text, error):
+    """The YAML document in text, parsed by libyaml when it is installed;
+    raises error(message) if the text is not YAML."""
+    try:
+        return yaml.load(text, Loader=getattr(yaml, "CSafeLoader",
+                                              yaml.SafeLoader))
+    except yaml.YAMLError as exc:
+        raise error(f"not valid structured text: {exc}") from exc
 
 
 def dump_map_text(pmap: PlanarMap, marked_edge=None):

@@ -23,8 +23,8 @@ from itertools import product
 from math import lcm
 
 from .bms import BMSState, plus_subobjects
-from .lattice import CertificationFailed, FiniteLattice, certified_lattice, \
-    verify_order_isomorphism
+from .lattice import (CertificationFailed, FiniteLattice, pointwise_lattice,
+                      verify_order_isomorphism)
 from .linalg import Matrix, ShapeMismatch, hstack_all
 from .planar import MedialQuiver, PlanarMap
 from .states import Decoration, NotACycle, connected_components
@@ -465,8 +465,7 @@ def _jordan_premise(m: QuiverRep, e):
     return False
 
 
-def enumerate_subreps(m: QuiverRep, omega, bound=100000,
-                      bound_lattice=500, seed=0) -> FiniteLattice:
+def enumerate_subreps(m: QuiverRep, omega, bound=100000) -> FiniteLattice:
     """All subrepresentations spanned by coordinate prefixes, as a certified
     lattice ordered pointwise.
 
@@ -501,26 +500,7 @@ def enumerate_subreps(m: QuiverRep, omega, bound=100000,
         k = dict(zip(verts, combo))
         if all(_prefix_closed(m, k, a) for a in m.arrows):
             kept.append(PrefixFamily.of(k))
-    kept_set = set(kept)
-
-    covers = []
-    labels = {}
-    for fam in kept:
-        k = dict(fam.dims)
-        for e in verts:
-            k[e] += 1
-            if k[e] <= m.dims[e]:
-                up = PrefixFamily.of(k)
-                if up in kept_set and _is_cover(kept_set, fam, up):
-                    covers.append((fam, up))
-                    labels[(fam, up)] = e
-            k[e] -= 1
-    grade = {fam: fam.grade for fam in kept}
-    order = sorted(kept, key=lambda f: (f.grade, f.dims))
-    return certified_lattice(
-        order,
-        sorted(covers, key=lambda c: (grade[c[0]], c[0].dims, c[1].dims)),
-        grade=grade, labels=labels, bound=bound_lattice, seed=seed)
+    return pointwise_lattice(kept, lambda f: f.dims)
 
 
 def _prefix_closed(m, k, arrow):
@@ -529,16 +509,6 @@ def _prefix_closed(m, k, arrow):
     mat = m.mats[arrow]
     return all(mat.data[i][j] == 0
                for j in range(k[s]) for i in range(k[t], m.dims[t]))
-
-
-def _leq(a: PrefixFamily, b: PrefixFamily):
-    bd = dict(b.dims)
-    return all(v <= bd.get(e, 0) for e, v in a.dims)
-
-
-def _is_cover(fams, lo, hi):
-    return not any(f != lo and f != hi and _leq(lo, f) and _leq(f, hi)
-                   for f in fams)
 
 
 @dataclass
@@ -561,7 +531,6 @@ class SubrepIsoCertificate:
 
 
 def verify_subrep_isomorphism(pmap: PlanarMap, omega, xi: BMSState,
-                              bound=500, seed=0,
                               bound_candidates=100000) -> SubrepIsoCertificate:
     """Check that xi' -> (k_e = d'(e)) is an order isomorphism from the
     plus-subobjects of xi onto the subrepresentation lattice of its module,
@@ -571,10 +540,9 @@ def verify_subrep_isomorphism(pmap: PlanarMap, omega, xi: BMSState,
         NotNilpotencyZero, NotCharacteristicWeight, CandidateSpaceTooLarge,
         CertificationFailed: propagated from the two lattice constructions.
     """
-    below = plus_subobjects(pmap, omega, xi, bound=bound, seed=seed)
+    below = plus_subobjects(pmap, omega, xi)
     module = state_module(pmap, xi)
-    subreps = enumerate_subreps(module, omega, bound=bound_candidates,
-                                bound_lattice=bound, seed=seed)
+    subreps = enumerate_subreps(module, omega, bound=bound_candidates)
     mapping = {s: PrefixFamily.of({e: s.dim(e) for e in pmap.quiver.vertices})
                for s in below.elements}
     iso = verify_order_isomorphism(below.poset, subreps.poset, mapping)

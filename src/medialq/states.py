@@ -13,9 +13,7 @@ from __future__ import annotations
 import heapq
 from functools import cached_property
 
-import yaml
-
-from .planar import MedialQuiver, PlanarMap, cell_key
+from .planar import MedialQuiver, PlanarMap, cell_key, load_yaml
 
 
 class MissingValue(ValueError):
@@ -68,7 +66,7 @@ def is_characteristic(pmap: PlanarMap, omega) -> bool:
 
 def parse_weight_text(text):
     """Parse a weight file: a YAML mapping from vertex/face ids to integers."""
-    doc = yaml.safe_load(text)
+    doc = load_yaml(text, MissingValue)
     if not isinstance(doc, dict):
         raise MissingValue("weight file must be a mapping of cell ids to integers")
     out = {}
@@ -215,17 +213,15 @@ class Decoration:
                        if is_e_movable(q, g, e))
         return StateGraph(nodes, edges)
 
-    def component_lattice(self, g: AngularFunction, bound=500, seed=0):
+    def component_lattice(self, g: AngularFunction):
         """The certified lattice of the move-graph component of g, grown
-        from that component's minimum; kept per (g, bound, seed)."""
+        from that component's minimum; kept per g."""
         from .bms import bms_plus_lattice, component_minimum  # bms imports us
 
-        key = (g, bound, seed)
-        if key not in self._lattices:
+        if g not in self._lattices:
             g0, _ = component_minimum(self.pmap, self.omega, g)
-            self._lattices[key] = bms_plus_lattice(
-                self.pmap, self.omega, g0, bound=bound, seed=seed)
-        return self._lattices[key]
+            self._lattices[g] = bms_plus_lattice(self.pmap, self.omega, g0)
+        return self._lattices[g]
 
 
 def connected_components(nodes, links):

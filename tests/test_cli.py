@@ -235,6 +235,16 @@ def test_invalid_weight_file_exits_2(capsys, maps, tmp_path):
     assert code == 2
 
 
+def test_malformed_yaml_exits_2(capsys, maps, tmp_path):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("v0: [1, 2\n")
+    for argv in (("states", maps["trefoil"], "--weight", bad),
+                 ("states", bad)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("medialq: not valid structured text")
+
+
 def test_out_writes_file_and_stays_silent(capsys, maps, tmp_path):
     target = tmp_path / "report.txt"
     code, out, _ = run(capsys, "nilpotency", maps["trefoil"],

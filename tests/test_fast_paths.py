@@ -4,20 +4,27 @@ Maps are braid-closure shadows and connected sums built by ``corpus``, and
 small cycle maps; weights are either summed from a random angular function
 (so never empty) or drawn cell by cell (possibly invalid or empty).  The
 oracles are brute force and networkx, which is a test-only dependency.
+Lattices are the down-sets of random small posets, whole or mutated; their
+oracles are the pairwise certifier and the pointwise-closure scan that
+Birkhoff's check and the mask-based closure check replaced.
 """
 
 import sys
+from importlib import resources
 
 import networkx as nx
 import pytest
+import yaml
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as hs
 
-from medialq import corpus
+from medialq import bms, corpus
 from medialq import states as st
 from medialq.kauffman import (LinkDiagram, enumerate_kauffman_states,
                               find_separating_pair, kauffman_weight)
-from medialq.planar import build_planar_map
+from medialq.lattice import (FiniteLattice, FinitePoset,
+                             certify_graded_distributive_lattice)
+from medialq.planar import build_planar_map, dump_map_text
 
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
                     database=None,
@@ -209,3 +216,188 @@ def test_enumeration_needs_no_recursion():
     finally:
         sys.setrecursionlimit(limit)
     assert len(functions) == 60
+
+
+def test_kauffman_states_need_no_recursion():
+    """T(2,200) has 200 crossings, past a recursion limit of 150."""
+    diagram = diagram_of(
+        build_planar_map(*corpus.braid_closure_shadow([1] * 200, 2)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        states = enumerate_kauffman_states(diagram)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(states) == 200
+
+
+def test_libyaml_and_pure_python_loaders_agree():
+    if not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML built without libyaml")
+    folder = resources.files("medialq").joinpath("corpus")
+    texts = [folder.joinpath(f"{name}.map").read_text()
+             for name in corpus.names()]
+    for word, strands in (([1, 2] * 6, 3), ([1] * 9, 2),
+                          ([1, 2, 3, 1, 2, 3], 4)):
+        pmap = build_planar_map(*corpus.braid_closure_shadow(word, strands))
+        texts.append(dump_map_text(pmap, diagram_of(pmap).marked_edge))
+        texts.append(st.dump_weight_text(kauffman_weight(diagram_of(pmap))))
+    for text in texts:
+        assert (yaml.load(text, Loader=yaml.CSafeLoader)
+                == yaml.load(text, Loader=yaml.SafeLoader))
+
+
+# ----------------------------------------------------------------------
+# lattice certification: Birkhoff's check against the pairwise certifier
+# ----------------------------------------------------------------------
+
+def pairwise_certify(poset):
+    """The exhaustive pairwise certifier: None for a graded distributive
+    lattice, else the violated law.  Covers are genuine, minimum and maximum
+    unique, grades rise by one along covers, every pair has a join and a
+    meet, and every join-irreducible below a join is below a factor."""
+    n = len(poset.elements)
+    for a, b in poset.covers:
+        ia, ib = poset._index[a], poset._index[b]
+        if poset._down[ib] & poset._up[ia] != (1 << ia) | (1 << ib):
+            return "cover"
+    if len(poset.minimal_elements()) != 1:
+        return "minimum"
+    if len(poset.maximal_elements()) != 1:
+        return "maximum"
+    grade = {}
+    for i in poset._topo:
+        grade[i] = max((grade[j] + 1 for j in poset._below[i]), default=0)
+    if any(grade[poset._index[b]] != grade[poset._index[a]] + 1
+           for a, b in poset.covers):
+        return "graded"
+    irr = sum(1 << i for i in range(n) if len(poset._below[i]) == 1)
+    for i in range(n):
+        for j in range(i + 1, n):
+            join = poset.join_index(i, j)
+            if join is None:
+                return "join"
+            if poset.meet_index(i, j) is None:
+                return "meet"
+            if poset._down[join] & irr & ~(poset._down[i] | poset._down[j]):
+                return "distributive"
+    return None
+
+
+@hs.composite
+def down_set_lattices(draw, max_points=6):
+    """The down-sets of a random poset on 0..k-1 (i < j required for i below
+    j), as a FinitePoset in shuffled element and cover order, and k."""
+    k = draw(hs.integers(1, max_points))
+    below = {j: {i for i in range(j) if draw(hs.booleans())}
+             for j in range(k)}
+    for j in range(k):  # transitive closure, in increasing j
+        for i in list(below[j]):
+            below[j] |= below[i]
+    sets = [frozenset(s) for s in _subsets(k)
+            if all(below[j] <= set(s) for j in s)]
+    covers = [(d, d | {j}) for d in sets for j in range(k)
+              if j not in d and below[j] <= d]
+    return FinitePoset(draw(hs.permutations(sets)),
+                       draw(hs.permutations(covers))), k
+
+
+def _subsets(k):
+    return [[i for i in range(k) if mask >> i & 1] for mask in range(1 << k)]
+
+
+# Mutations grafted on top of the maximum: (new covers, law reported).
+GRAFTS = {
+    "m3": ([("top", "a"), ("top", "b"), ("top", "c"), ("a", "t"), ("b", "t"),
+            ("c", "t")], "distributive"),
+    "n5": ([("top", "x"), ("x", "z"), ("z", "t"), ("top", "y"), ("y", "t")],
+           "graded"),
+    "two upper bounds": ([("top", "a"), ("top", "b"), ("a", "c"), ("b", "c"),
+                          ("a", "d"), ("b", "d"), ("c", "t"), ("d", "t")],
+                         "join"),
+    "two tops": ([("top", "a"), ("top", "b")], "maximum"),
+}
+
+
+@SETTINGS
+@given(down_set_lattices())
+def test_birkhoff_certificate_matches_pairwise_certifier(made):
+    poset, k = made
+    cert = certify_graded_distributive_lattice(poset)
+    assert cert.ok and pairwise_certify(poset) is None
+    assert sorted(map(sorted, cert.join_irreducibles)) == sorted(
+        sorted(d) for d in poset.elements if len(poset.lower_covers(d)) == 1)
+    assert len(cert.join_irreducibles) == k
+    lattice = FiniteLattice(poset, cert)
+    n = len(poset.elements)
+    for i in range(n):
+        for j in range(n):
+            assert lattice.join_index(i, j) == poset.join_index(i, j)
+            assert lattice.meet_index(i, j) == poset.meet_index(i, j)
+    assert cert.join_table == {
+        (x, y): x | y for x in poset.elements for y in poset.elements
+        if x != y}
+
+
+@SETTINGS
+@given(down_set_lattices())
+def test_mutated_lattices_are_rejected_by_both(made):
+    poset, _ = made
+    top = poset.maximal_elements()[0]
+    mutations = []
+    for extra, law in GRAFTS.values():
+        new = sorted({x for c in extra for x in c} - {"top"})
+        mutations.append((
+            list(poset.elements) + new,
+            list(poset.covers) + [(top if a == "top" else a, b)
+                                  for a, b in extra],
+            law))
+    for dropped in _spread(range(len(poset.covers)), 4):
+        covers = list(poset.covers)
+        del covers[dropped]
+        mutations.append((poset.elements, covers, None))
+    for elements, covers, law in mutations:
+        mutated = FinitePoset(elements, covers)
+        bad = certify_graded_distributive_lattice(mutated)
+        assert not bad.ok
+        assert bad.law == pairwise_certify(mutated)
+        assert law is None or bad.law == law
+
+
+def pointwise_closure_oracle(quiver, states):
+    """The state set is closed under pointwise max and min of d."""
+    by_d = {xi.d: xi for xi in states}
+    dicts = [dict(d) for d in by_d]
+    return all(
+        tuple(sorted((e, pick(d1[e], d2[e])) for e in quiver.vertices))
+        in by_d for d1 in dicts for d2 in dicts for pick in (max, min))
+
+
+@SETTINGS
+@given(shadows(max_per_position=2))
+def test_mask_closure_check_agrees_with_pointwise_oracle(pmap):
+    dec = st.Decoration.of(pmap, kauffman_weight(diagram_of(pmap)))
+    graph = dec.move_graph
+    for comp in graph.undirected_components()[:3]:
+        lattice = dec.component_lattice(graph.nodes[comp[0]])  # mask check
+        assume(len(lattice) <= 150)
+        assert pointwise_closure_oracle(dec.quiver, lattice.elements)
+        for x in _spread(lattice.elements, 12):
+            for y in lattice.elements:
+                up = lattice.join(x, y).dims()
+                lo = lattice.meet(x, y).dims()
+                for e in dec.quiver.vertices:
+                    assert up[e] == max(x.dim(e), y.dim(e))
+                    assert lo[e] == min(x.dim(e), y.dim(e))
+
+
+def test_mask_closure_check_rejects_bad_labels():
+    """Square 0 < a, b < t: labels that do not follow one join-irreducible
+    per edge, or whose irreducibles of one edge are incomparable."""
+    poset = FinitePoset("0abt", [("0", "a"), ("0", "b"), ("a", "t"),
+                                 ("b", "t")])
+    cert = certify_graded_distributive_lattice(poset)
+    for labels, message in (("efef", "add the same"), ("eeee", "chain")):
+        lattice = FiniteLattice(poset, cert, dict(zip(poset.covers, labels)))
+        with pytest.raises(AssertionError, match=message):
+            bms._check_pointwise_closure(lattice)

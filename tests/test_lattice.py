@@ -11,6 +11,7 @@ from medialq.lattice import (
     CertificationFailed,
     Certificate,
     Counterexample,
+    FiniteLattice,
     FinitePoset,
     certify_graded_distributive_lattice,
     require_certificate,
@@ -24,9 +25,7 @@ def chain(n):
 
 def boolean_cube(k):
     elems = [frozenset(s) for s in _subsets(range(k))]
-    covers = [
-        (a, b) for a in elems for b in elems
-        if a < b and len(b) == len(a) + 1]
+    covers = [(a, a | {x}) for a in elems for x in range(k) if x not in a]
     return FinitePoset(elems, covers)
 
 
@@ -120,19 +119,22 @@ def test_explicit_grade_checked():
     assert cert.ok and cert.grade_range == (5, 7)
 
 
-def test_sampled_certification_deterministic():
-    p = boolean_cube(3)
-    c1 = certify_graded_distributive_lattice(p, bound=4, seed=11)
-    c2 = certify_graded_distributive_lattice(p, bound=4, seed=11)
-    assert c1.ok and c1.sampled and c1.seed == 11
-    assert (c1.pairs_checked, c1.triples_checked) == (
-        c2.pairs_checked, c2.triples_checked)
-    assert c1.join_table is None
-    # sampling still catches the diamond with a decent budget
+def test_large_lattice_certifies_exactly():
+    # 2^10 has 1024 elements, more than the old sampling threshold of 500
+    p = boolean_cube(10)
+    cert = certify_graded_distributive_lattice(p)
+    assert cert.ok and not cert.sampled
+    assert cert.size == 1024 and cert.grade_range == (0, 10)
+    assert sorted(cert.join_irreducibles, key=min) == [
+        frozenset({i}) for i in range(10)]
+    a, b = frozenset({0, 3, 9}), frozenset({3, 4})
+    lattice = FiniteLattice(p, cert)
+    assert lattice.join(a, b) == a | b and lattice.meet(a, b) == a & b
+    # the diamond is still rejected
     m3 = FinitePoset(
         "0abc1",
         [("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"), ("c", "1")])
-    bad = certify_graded_distributive_lattice(m3, bound=2, seed=0)
+    bad = certify_graded_distributive_lattice(m3)
     assert not bad.ok
 
 
@@ -169,3 +171,13 @@ def test_order_isomorphism():
 def test_empty_poset():
     bad = certify_graded_distributive_lattice(FinitePoset([], []))
     assert not bad.ok and bad.law == "nonempty"
+
+
+def test_disagreement_with_the_pairwise_search_is_an_assertion(monkeypatch):
+    # a valid lattice never reaches the pairwise search; if Birkhoff's check
+    # failed on one anyway, the search finds nothing to report
+    import medialq.lattice as lattice_module
+
+    monkeypatch.setattr(lattice_module, "_birkhoff", lambda poset: None)
+    with pytest.raises(AssertionError, match="disagree"):
+        certify_graded_distributive_lattice(chain(3))

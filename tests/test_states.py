@@ -269,4 +269,3 @@ def test_component_lattice_is_kept():
     lattice = dec.component_lattice(dec.first)
     assert len(lattice) == len(dec.states) == 5
     assert dec.component_lattice(dec.first) is lattice
-    assert dec.component_lattice(dec.first, bound=4) is not lattice
