@@ -16,9 +16,8 @@ checks the forgetful projection onto plain angular functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
-from .lattice import FiniteLattice, certified_lattice, pointwise_lattice
+from .lattice import FiniteLattice, grown_lattice
 from .planar import MedialQuiver, PlanarMap
 from .states import (
     AngularFunction,
@@ -148,27 +147,14 @@ def bms_plus_lattice(pmap: PlanarMap, omega, g: AngularFunction) -> FiniteLattic
     dec = Decoration.of(pmap, omega)
     dec.require_nilpotency_zero("lattice construction needs nilpotency degree 0")
     quiver = dec.quiver
-    root = make_bms(pmap, omega, g, g, {})
-    frontier = [root]
-    seen = {root}
-    covers = []
-    labels = {}
-    while frontier:
-        xi = frontier.pop()
+
+    def upper(xi):
         for e in quiver.vertices:
             if is_e_movable(quiver, xi.f_plus, e):
-                nxt = bms_mov_e(quiver, xi, e)
-                covers.append((xi, nxt))
-                labels[(xi, nxt)] = e
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
+                yield e, bms_mov_e(quiver, xi, e)
 
-    grade = {xi: xi.d_tot for xi in seen}
-    order = sorted(seen, key=lambda xi: (xi.d_tot, xi.d))
-    lattice = certified_lattice(
-        order, sorted(set(covers), key=lambda c: (grade[c[0]], c[0].d, c[1].d)),
-        grade=grade, labels=labels)
+    lattice = grown_lattice(make_bms(pmap, omega, g, g, {}), upper,
+                            key=lambda xi: xi.d)
     _check_pointwise_closure(lattice)
     return lattice
 
@@ -246,9 +232,14 @@ def component_minimum(pmap: PlanarMap, omega, h: AngularFunction,
 def plus_subobjects(pmap: PlanarMap, omega, xi: BMSState) -> FiniteLattice:
     """The lattice of states below xi: same f_minus, d' pointwise below d.
 
-    A candidate d' qualifies exactly when f_minus + (d'(t) - d'(s)) stays
+    Grown up from (f_minus, f_minus, 0) by unit steps of d' inside d.  A
+    candidate d' qualifies exactly when f_minus + (d'(t) - d'(s)) stays
     non-negative; the angle sums are then automatic, so the candidate is a
-    valid state.
+    valid state.  The growth reaches every state below xi: for d' != 0 let
+    S be the edges where d' is largest.  If no edge of S were anti-movable,
+    f_minus would vanish on a directed cycle inside S; that cycle would be
+    invisible, and d, hence d', is zero on invisible edges.  So d' minus one
+    at some edge of S is again a state.
 
     Raises:
         NotNilpotencyZero.
@@ -256,15 +247,19 @@ def plus_subobjects(pmap: PlanarMap, omega, xi: BMSState) -> FiniteLattice:
     dec = Decoration.of(pmap, omega)
     dec.require_nilpotency_zero("subobject lattice needs nilpotency degree 0")
     quiver = dec.quiver
-    edges = sorted(quiver.vertices)
     top = xi.dims()
-    found = []
-    for combo in product(*(range(top[e] + 1) for e in edges)):
-        d = dict(zip(edges, combo))
-        f_plus = _reconstruct_plus(quiver, xi.f_minus, d)
-        if all(v >= 0 for _, v in f_plus.items()):
-            found.append(make_bms(pmap, omega, f_plus, xi.f_minus, d))
-    return pointwise_lattice(found, lambda s: s.d)
+
+    def upper(below):
+        for e in quiver.vertices:
+            d = below.dims()
+            if d[e] < top[e]:
+                d[e] += 1
+                f_plus = _reconstruct_plus(quiver, xi.f_minus, d)
+                if all(v >= 0 for _, v in f_plus.items()):
+                    yield e, make_bms(pmap, omega, f_plus, xi.f_minus, d)
+
+    root = make_bms(pmap, omega, xi.f_minus, xi.f_minus, {})
+    return grown_lattice(root, upper, key=lambda s: s.d)
 
 
 @dataclass

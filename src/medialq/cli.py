@@ -394,8 +394,7 @@ def cmd_subreps(args):
     pmap, marked, raw = _load_map(args.map)
     dec, extra = _decoration(args, pmap, marked)
     top, module = _top_module(dec)
-    found = reps.enumerate_subreps(module, dec.omega,
-                                   bound=args.bound_candidates)
+    found = reps.enumerate_subreps(module, dec.omega)
     lines = _header("subreps", [(args.map, raw)] + extra, seed=args.seed)
     lines.append(f"subrepresentations of the maximal state module "
                  f"{_state_text(top)}")
@@ -415,8 +414,7 @@ def cmd_verify_iso(args):
         lines.append("no compatible angular functions")
         return 0, lines
     top = lattice.maximum
-    cert = reps.verify_subrep_isomorphism(
-        pmap, dec.omega, top, bound_candidates=args.bound_candidates)
+    cert = reps.verify_subrep_isomorphism(pmap, dec.omega, top)
     lines.append(f"maximal state: {_state_text(top)}")
     lines.append(f"plus-subobjects: {len(cert.bms_lattice)} "
                  f"subrepresentations: {len(cert.subrep_lattice)}")
@@ -432,7 +430,7 @@ def cmd_verify_iso(args):
 # the whole suite
 # ----------------------------------------------------------------------
 
-def _check_one_diagram(raw, bound_candidates):
+def _check_one_diagram(raw):
     """All certifiable properties of one link diagram; (passed, lines)."""
     lines = []
     failures = []
@@ -517,8 +515,7 @@ def _check_one_diagram(raw, bound_candidates):
         failures.append("simple quotients do not match anti-movable edges")
     lines.append(f"  simple quotients = anti-movable edges: "
                  f"{sorted(anti) or 'none'}")
-    cert = reps.verify_subrep_isomorphism(
-        pmap, omega, top, bound_candidates=bound_candidates)
+    cert = reps.verify_subrep_isomorphism(pmap, omega, top)
     if not cert.ok:
         failures.append("subobject/subrepresentation lattices disagree")
     lines.append(f"  subrep lattice isomorphism: ok={cert.ok} "
@@ -544,7 +541,7 @@ def cmd_check_all(args):
     for name, raw in sources:
         lines.append(f"{name}:")
         try:
-            failures, body = _check_one_diagram(raw, args.bound_candidates)
+            failures, body = _check_one_diagram(raw)
         except (MapFormatError, ValueError) as exc:
             raise InputError(f"{name}: {exc}") from exc
         lines.extend(body)
@@ -567,8 +564,7 @@ def build_parser():
                     "representations")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add(name, fn, *, weight=False, fmt=False, seed=False,
-            candidates=False, map_arg=True):
+    def add(name, fn, *, weight=False, fmt=False, seed=False, map_arg=True):
         p = sub.add_parser(name)
         if map_arg:
             p.add_argument("map", help="rotation-system input file")
@@ -581,8 +577,6 @@ def build_parser():
                            default="dump")
         if seed:
             p.add_argument("--seed", type=int, default=0)
-        if candidates:
-            p.add_argument("--bound-candidates", type=int, default=100000)
         p.set_defaults(func=fn)
         return p
 
@@ -600,12 +594,9 @@ def build_parser():
     add("module", cmd_module, weight=True, seed=True)
     add("jacobian-check", cmd_jacobian_check, weight=True, seed=True)
     add("endo", cmd_endo, weight=True, seed=True)
-    add("subreps", cmd_subreps, weight=True, fmt=True, seed=True,
-        candidates=True)
-    add("verify-iso", cmd_verify_iso, weight=True, seed=True,
-        candidates=True)
-    allp = add("check-all", cmd_check_all, seed=True, candidates=True,
-               map_arg=False)
+    add("subreps", cmd_subreps, weight=True, fmt=True, seed=True)
+    add("verify-iso", cmd_verify_iso, weight=True, seed=True)
+    allp = add("check-all", cmd_check_all, seed=True, map_arg=False)
     allp.add_argument("path", nargs="?",
                       help="directory of .map files (default: built-in corpus)")
 

@@ -148,6 +148,7 @@ def _enumerate_direct(diagram: LinkDiagram):
         v: [a for a in quiver.vertex_cycles[v]
             if quiver.angles[a].face not in marked]
         for v in vertices}
+    faces_at = [{quiver.angles[a].face for a in choices[v]} for v in vertices]
     remaining = {f: 0 for f in pmap.faces}
     for v in vertices:
         for a in choices[v]:
@@ -172,9 +173,9 @@ def _enumerate_direct(diagram: LinkDiagram):
                 continue
             picked_faces.add(f)
             picks.append(a)
-            # a face with no remaining choice must already be picked
-            if all(remaining[x] > 0 or x in picked_faces or x in marked
-                   for x in pmap.faces):
+            # a face with no remaining choice must already be picked; only
+            # the faces that entering crossing i counted down can newly fail
+            if all(remaining[x] > 0 or x in picked_faces for x in faces_at[i]):
                 if i + 1 < len(vertices):
                     enter(i + 1)
                     break

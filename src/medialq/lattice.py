@@ -8,7 +8,8 @@ lower cover each), x -> J ∩ ↓x must be an isomorphism onto the down-sets of
 J.  That costs O(n·|J|) and is exact at every size.  On success a
 Certificate keeps the bitmasks J ∩ ↓x, so a join is a union of masks and a
 meet an intersection; on failure a pairwise search names the offending
-elements in a Counterexample.
+elements in a Counterexample.  ``grown_lattice`` finds a lattice by
+breadth-first cover steps from its minimum and certifies it.
 """
 
 from __future__ import annotations
@@ -376,40 +377,43 @@ class FiniteLattice:
         return len(self.poset.elements)
 
 
-def certified_lattice(elements, covers, grade=None, labels=None) -> FiniteLattice:
-    """Build a poset and certify it, raising CertificationFailed otherwise."""
-    poset = FinitePoset(elements, covers)
+def grown_lattice(root, upper, key) -> FiniteLattice:
+    """The certified lattice of everything reached from root by cover steps.
+
+    upper(x) yields (label, y) for each y covering x.  The grade is the
+    number of steps from root; elements are ordered by (grade, key) and
+    covers by (grade of the lower end, key of the lower, key of the upper).
+
+    Raises:
+        CertificationFailed: the elements reached are not a graded
+            distributive lattice.
+    """
+    grade, labels = {root: 0}, {}
+    frontier = [root]
+    for x in frontier:  # breadth first: the list grows while it is read
+        for label, y in upper(x):
+            labels[(x, y)] = label
+            if y not in grade:
+                grade[y] = grade[x] + 1
+                frontier.append(y)
+    poset = FinitePoset(
+        sorted(grade, key=lambda x: (grade[x], key(x))),
+        sorted(labels, key=lambda c: (grade[c[0]], key(c[0]), key(c[1]))))
     outcome = certify_graded_distributive_lattice(poset, grade=grade)
     return FiniteLattice(poset, require_certificate(outcome), labels)
 
 
-def pointwise_lattice(found, dims) -> FiniteLattice:
-    """The certified lattice of `found` ordered by dims(x), a sorted tuple of
-    (coordinate, value) pairs: y covers x, labelled e, when dims(y) is dims(x)
-    plus one at e.  The grade is the sum of the values.
-    """
-    by_dims = {dims(x): x for x in found}
-    grade = {x: sum(v for _, v in dims(x)) for x in found}
-    labels = {}
-    for x in found:
-        key = dims(x)
-        for i, (e, v) in enumerate(key):
-            up = by_dims.get(key[:i] + ((e, v + 1),) + key[i + 1:])
-            if up is not None:
-                labels[(x, up)] = e
-    return certified_lattice(
-        sorted(found, key=lambda x: (grade[x], dims(x))),
-        sorted(labels, key=lambda c: (grade[c[0]], dims(c[0]), dims(c[1]))),
-        grade=grade, labels=labels)
-
-
 def verify_order_isomorphism(p: FinitePoset, q: FinitePoset, mapping) -> bool:
-    """True iff mapping is a bijection p -> q preserving order both ways."""
+    """True iff mapping is a bijection p -> q preserving order both ways.
+
+    Each order is the closure of its covers, so it suffices that every cover
+    of p maps below-or-equal in q and every cover of q comes from p's order.
+    """
     if set(mapping.keys()) != set(p.elements):
         return False
     image = list(mapping.values())
     if len(set(image)) != len(image) or set(image) != set(q.elements):
         return False
-    return all(
-        p.leq(x, y) == q.leq(mapping[x], mapping[y])
-        for x in p.elements for y in p.elements)
+    inverse = {y: x for x, y in mapping.items()}
+    return (all(q.leq(mapping[a], mapping[b]) for a, b in p.covers)
+            and all(p.leq(inverse[c], inverse[d]) for c, d in q.covers))

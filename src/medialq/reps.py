@@ -19,15 +19,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import lcm
 
 from .bms import BMSState, plus_subobjects
-from .lattice import (CertificationFailed, FiniteLattice, pointwise_lattice,
+from .lattice import (CertificationFailed, FiniteLattice, grown_lattice,
                       verify_order_isomorphism)
 from .linalg import Matrix, ShapeMismatch, hstack_all
 from .planar import MedialQuiver, PlanarMap
-from .states import Decoration, NotACycle, connected_components
+from .states import (Decoration, NotACycle, connected_components,
+                     is_characteristic)
 
 
 class EmptySupport(ValueError):
@@ -39,12 +39,9 @@ class NotCharacteristicWeight(ValueError):
 
 
 class CandidateSpaceTooLarge(RuntimeError):
-    """Subrepresentation search refused: candidate set too big, or the
-    prefix-completeness premise could not be certified."""
-
-
-def _characteristic(omega):
-    return all(v in (0, 1) for v in dict(omega).values())
+    """Subrepresentation search refused: a premise that makes its prefix
+    families complete (a Jordan block at every supported vertex, a nilpotent
+    module) could not be certified."""
 
 
 class QuiverRep:
@@ -401,7 +398,7 @@ def is_indecomposable(m: QuiverRep, omega) -> bool:
         CertificationFailed: the two methods disagree.
     """
     ring = endomorphism_ring(m)
-    if not _characteristic(omega):
+    if not is_characteristic(omega):
         err = NotCharacteristicWeight(
             "support-connectivity criterion needs weight values in {0, 1}")
         err.is_local = ring.is_local
@@ -465,21 +462,26 @@ def _jordan_premise(m: QuiverRep, e):
     return False
 
 
-def enumerate_subreps(m: QuiverRep, omega, bound=100000) -> FiniteLattice:
+def enumerate_subreps(m: QuiverRep, omega) -> FiniteLattice:
     """All subrepresentations spanned by coordinate prefixes, as a certified
     lattice ordered pointwise.
 
     At every supported vertex a distinguished cycle must act as the full
     Jordan block; its invariant subspaces are then exactly the coordinate
     prefixes, so every subrepresentation restricts to a prefix at every
-    vertex and the enumeration below is complete.
+    vertex.  The lattice is grown up from 0 by raising one prefix at a time;
+    that can only break the arrows out of the raised vertex, so only those
+    are checked.  The growth reaches every subrepresentation U != 0 when m
+    is nilpotent: the images of the arrows on U form a proper
+    subrepresentation, again a prefix family, so at some vertex the last
+    coordinate of U is hit by no arrow and can be dropped.
 
     Raises:
         NotCharacteristicWeight.
-        CandidateSpaceTooLarge: too many candidates, or the Jordan-block
-            premise could not be certified at some supported vertex.
+        CandidateSpaceTooLarge: the Jordan-block premise could not be
+            certified at some supported vertex, or m is not nilpotent.
     """
-    if not _characteristic(omega):
+    if not is_characteristic(omega):
         raise NotCharacteristicWeight(
             "subrepresentation enumeration needs weight values in {0, 1}")
     for e in sorted(m.support()):
@@ -487,20 +489,24 @@ def enumerate_subreps(m: QuiverRep, omega, bound=100000) -> FiniteLattice:
             raise CandidateSpaceTooLarge(
                 f"no distinguished cycle acts as the Jordan block at {e}; "
                 "prefix enumeration would not be provably complete")
-    count = 1
-    for e in m.vertices:
-        count *= m.dims[e] + 1
-        if count > bound:
-            raise CandidateSpaceTooLarge(
-                f"more than {bound} candidate prefix families")
+    if not is_nilpotent(m):
+        raise CandidateSpaceTooLarge(
+            "module is not nilpotent; growth by unit steps from 0 would not "
+            "be provably complete")
 
-    verts = list(m.vertices)
-    kept = []
-    for combo in product(*(range(m.dims[e] + 1) for e in verts)):
-        k = dict(zip(verts, combo))
-        if all(_prefix_closed(m, k, a) for a in m.arrows):
-            kept.append(PrefixFamily.of(k))
-    return pointwise_lattice(kept, lambda f: f.dims)
+    out = {e: [a for a in sorted(m.arrows) if m.source(a) == e]
+           for e in m.vertices}
+
+    def upper(family):
+        for e in m.vertices:
+            k = dict(family.dims)  # a fresh family per candidate
+            if k[e] < m.dims[e]:
+                k[e] += 1
+                if all(_prefix_closed(m, k, a) for a in out[e]):
+                    yield e, PrefixFamily.of(k)
+
+    root = PrefixFamily.of(dict.fromkeys(m.vertices, 0))
+    return grown_lattice(root, upper, key=lambda f: f.dims)
 
 
 def _prefix_closed(m, k, arrow):
@@ -530,8 +536,8 @@ class SubrepIsoCertificate:
         return len(self.bms_lattice)
 
 
-def verify_subrep_isomorphism(pmap: PlanarMap, omega, xi: BMSState,
-                              bound_candidates=100000) -> SubrepIsoCertificate:
+def verify_subrep_isomorphism(pmap: PlanarMap, omega,
+                              xi: BMSState) -> SubrepIsoCertificate:
     """Check that xi' -> (k_e = d'(e)) is an order isomorphism from the
     plus-subobjects of xi onto the subrepresentation lattice of its module,
     matching the grading on both sides.
@@ -542,7 +548,7 @@ def verify_subrep_isomorphism(pmap: PlanarMap, omega, xi: BMSState,
     """
     below = plus_subobjects(pmap, omega, xi)
     module = state_module(pmap, xi)
-    subreps = enumerate_subreps(module, omega, bound=bound_candidates)
+    subreps = enumerate_subreps(module, omega)
     mapping = {s: PrefixFamily.of({e: s.dim(e) for e in pmap.quiver.vertices})
                for s in below.elements}
     iso = verify_order_isomorphism(below.poset, subreps.poset, mapping)

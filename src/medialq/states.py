@@ -60,8 +60,9 @@ def validate_weight(pmap: PlanarMap, omega) -> bool:
     return sv == sf
 
 
-def is_characteristic(pmap: PlanarMap, omega) -> bool:
-    return all(omega[c] in (0, 1) for c in pmap.cells)
+def is_characteristic(omega) -> bool:
+    """True iff every weight value is 0 or 1."""
+    return all(v in (0, 1) for v in omega.values())
 
 
 def parse_weight_text(text):
@@ -306,31 +307,6 @@ def enumerate_compatible(pmap: PlanarMap, omega):
     """
     dec = Decoration.of(pmap, omega)
     return list(_compatible_functions(dec.quiver, dec.omega))
-
-
-def enumerate_compatible_bruteforce(pmap: PlanarMap, omega):
-    """Product-space filter oracle; only for tiny instances (<= 10 angles)."""
-    from itertools import product
-
-    quiver = pmap.quiver
-    angles = list(pmap.darts)
-    if len(angles) > 10:
-        raise ValueError("brute-force oracle limited to 10 angles")
-    top = max((omega[c] for c in pmap.cells), default=0)
-    found = []
-    for combo in product(range(top + 1), repeat=len(angles)):
-        g = dict(zip(angles, combo))
-        ok = all(
-            sum(g[a] for a in quiver.vertex_cycles[v]) == omega[v]
-            for v in pmap.vertices
-        ) and all(
-            sum(g[a] for a in quiver.face_cycles[f]) == omega[f]
-            for f in pmap.faces
-        )
-        if ok:
-            found.append(AngularFunction(g))
-    found.sort(key=lambda g: tuple(v for _, v in g.items()))
-    return found
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,10 @@
+from itertools import product
+
 import pytest
 
 from medialq import corpus
 from medialq.planar import build_planar_map
+from medialq.states import AngularFunction
 
 
 # Triangle: three degree-2 vertices in a cycle.  Face f0 = {a0, a1, a2} is the
@@ -28,3 +31,24 @@ def digon():
 def corpus_maps():
     """name -> (PlanarMap, marked_edge) for every shipped diagram."""
     return {name: corpus.load(name) for name in corpus.names()}
+
+
+def compatible_functions(pmap, omega):
+    """Every function on the angles with values up to the largest weight,
+    filtered by the vertex and face sums; only for tiny maps (<= 10 angles).
+    Sorted by the value tuple, the canonical order."""
+    quiver = pmap.quiver
+    angles = list(pmap.darts)
+    if len(angles) > 10:
+        raise ValueError("brute-force oracle limited to 10 angles")
+    top = max((omega[c] for c in pmap.cells), default=0)
+    found = []
+    for combo in product(range(top + 1), repeat=len(angles)):
+        g = dict(zip(angles, combo))
+        if all(sum(g[a] for a in quiver.vertex_cycles[v]) == omega[v]
+               for v in pmap.vertices) and all(
+                sum(g[a] for a in quiver.face_cycles[f]) == omega[f]
+                for f in pmap.faces):
+            found.append(AngularFunction(g))
+    found.sort(key=lambda g: tuple(v for _, v in g.items()))
+    return found

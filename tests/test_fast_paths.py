@@ -3,14 +3,21 @@
 Maps are braid-closure shadows and connected sums built by ``corpus``, and
 small cycle maps; weights are either summed from a random angular function
 (so never empty) or drawn cell by cell (possibly invalid or empty).  The
-oracles are brute force and networkx, which is a test-only dependency.
-Lattices are the down-sets of random small posets, whole or mutated; their
-oracles are the pairwise certifier and the pointwise-closure scan that
-Birkhoff's check and the mask-based closure check replaced.
+oracles are brute force, networkx (a test-only dependency) and the
+matrix-tree theorem on the Tait graph.  Lattices are the down-sets of random
+small posets, whole or mutated; their oracles are the pairwise certifier,
+the pairwise order-isomorphism check and the pointwise-closure scan that
+Birkhoff's check, the cover-based isomorphism check and the mask-based
+closure check replaced.  Subobject and subrepresentation lattices grown by
+cover steps are checked against the scans of the whole box of dimension
+vectors that they replaced.
 """
 
 import sys
+from fractions import Fraction
 from importlib import resources
+from itertools import product
+from math import prod
 
 import networkx as nx
 import pytest
@@ -18,13 +25,17 @@ import yaml
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as hs
 
-from medialq import bms, corpus
+from medialq import bms, cli, corpus, reps
 from medialq import states as st
 from medialq.kauffman import (LinkDiagram, enumerate_kauffman_states,
                               find_separating_pair, kauffman_weight)
 from medialq.lattice import (FiniteLattice, FinitePoset,
-                             certify_graded_distributive_lattice)
+                             certify_graded_distributive_lattice,
+                             verify_order_isomorphism)
+from medialq.linalg import Matrix
 from medialq.planar import build_planar_map, dump_map_text
+
+from conftest import compatible_functions
 
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
                     database=None,
@@ -138,7 +149,7 @@ def test_enumeration_matches_bruteforce(data):
          build_planar_map(*corpus.braid_closure_shadow([1, 1], 2))]))
     omega = data.draw(hs.one_of(summed_weights(pmap, top=2),
                                 cell_weights(pmap)))
-    expected = st.enumerate_compatible_bruteforce(pmap, omega)
+    expected = compatible_functions(pmap, omega)
     if st.validate_weight(pmap, omega):
         assert st.enumerate_compatible(pmap, omega) == expected
     else:
@@ -401,3 +412,233 @@ def test_mask_closure_check_rejects_bad_labels():
         lattice = FiniteLattice(poset, cert, dict(zip(poset.covers, labels)))
         with pytest.raises(AssertionError, match=message):
             bms._check_pointwise_closure(lattice)
+
+
+# ----------------------------------------------------------------------
+# order isomorphisms: covers against all pairs
+# ----------------------------------------------------------------------
+
+def pairwise_isomorphism(p, q, mapping):
+    """A bijection p -> q with x <= y iff mapping[x] <= mapping[y], checked
+    on every pair of elements."""
+    image = list(mapping.values())
+    return (set(mapping) == set(p.elements) and len(set(image)) == len(image)
+            and set(image) == set(q.elements)
+            and all(p.leq(x, y) == q.leq(mapping[x], mapping[y])
+                    for x in p.elements for y in p.elements))
+
+
+@SETTINGS
+@given(hs.data())
+def test_cover_isomorphism_check_matches_pairwise_oracle(data):
+    p, _ = data.draw(down_set_lattices())
+    xs = list(p.elements)
+    rename = dict(zip(xs, data.draw(hs.permutations(range(len(xs))))))
+    q = FinitePoset(sorted(rename.values()),
+                    [(rename[a], rename[b]) for a, b in p.covers])
+    assert verify_order_isomorphism(p, q, rename)
+    assert pairwise_isomorphism(p, q, rename)
+    cases = []
+    for i, j in _spread([(i, j) for i in range(len(xs))
+                         for j in range(i + 1, len(xs))], 6):
+        swapped = dict(rename)
+        swapped[xs[i]], swapped[xs[j]] = rename[xs[j]], rename[xs[i]]
+        cases.append((q, swapped))
+        if not (p.leq(xs[i], xs[j]) or p.leq(xs[j], xs[i])):
+            # extra order in q, seen only from q's side
+            cases.append((FinitePoset(
+                q.elements, q.covers + ((rename[xs[i]], rename[xs[j]]),)),
+                rename))
+    for dropped in _spread(range(len(q.covers)), 3):
+        cases.append((FinitePoset(
+            q.elements, q.covers[:dropped] + q.covers[dropped + 1:]), rename))
+    if len(xs) > 1:
+        cases.append((q, {**rename, xs[0]: rename[xs[1]]}))
+    for target, mapping in cases:
+        assert (verify_order_isomorphism(p, target, mapping)
+                == pairwise_isomorphism(p, target, mapping))
+
+
+# ----------------------------------------------------------------------
+# subobjects and subrepresentations: growth against the box scans
+# ----------------------------------------------------------------------
+
+def subobjects_box(pmap, omega, xi):
+    """Every state (f_plus, f_minus(xi), d') with d' in the box below d(xi):
+    f_plus = f_minus + (d'(t) - d'(s)) must be non-negative."""
+    quiver = pmap.quiver
+    edges = sorted(quiver.vertices)
+    found = []
+    for combo in product(*(range(xi.dim(e) + 1) for e in edges)):
+        d = dict(zip(edges, combo))
+        values = {a: xi.f_minus[a] + d[t] - d[s]
+                  for a, (s, t) in quiver.arrows.items()}
+        if min(values.values()) >= 0:
+            found.append(bms.make_bms(pmap, omega, st.AngularFunction(values),
+                                      xi.f_minus, d))
+    return found
+
+
+def subreps_box(m):
+    """Every prefix family k in the box below the dimensions of m that each
+    arrow matrix maps into itself."""
+    found = []
+    for combo in product(*(range(m.dims[e] + 1) for e in m.vertices)):
+        k = dict(zip(m.vertices, combo))
+        if all(m.mats[a].data[i][j] == 0 for a, (s, t) in m.arrows.items()
+               for j in range(k[s]) for i in range(k[t], m.dims[t])):
+            found.append(reps.PrefixFamily.of(k))
+    return found
+
+
+def pointwise_order(found, key):
+    """(elements, covers, labels) of the pointwise order on key(x), a sorted
+    tuple of (coordinate, value) pairs: y covers x, labelled e, when key(y)
+    is key(x) plus one at e.  Ordered as the library orders lattices."""
+    by_key = {key(x): x for x in found}
+    grade = {x: sum(v for _, v in key(x)) for x in found}
+    labels = {}
+    for x in found:
+        k = key(x)
+        for i, (e, v) in enumerate(k):
+            up = by_key.get(k[:i] + ((e, v + 1),) + k[i + 1:])
+            if up is not None:
+                labels[(x, up)] = e
+    return (tuple(sorted(found, key=lambda x: (grade[x], key(x)))),
+            tuple(sorted(labels, key=lambda c: (grade[c[0]], key(c[0]),
+                                                key(c[1])))),
+            labels)
+
+
+def assert_lattice_is(lattice, found, key):
+    elements, covers, labels = pointwise_order(found, key)
+    assert lattice.elements == elements
+    assert lattice.covers == covers
+    assert lattice.labels == labels
+
+
+@SETTINGS
+@given(shadows(max_per_position=2))
+def test_grown_subobjects_and_subreps_match_the_box_scans(pmap):
+    omega = kauffman_weight(diagram_of(pmap))
+    dec = st.Decoration.of(pmap, omega)
+    graph = dec.move_graph
+    for comp in graph.undirected_components()[:3]:
+        lattice = dec.component_lattice(graph.nodes[comp[0]])
+        for xi in lattice.elements:
+            if prod(v + 1 for _, v in xi.d) > 2048:
+                continue
+            assert_lattice_is(bms.plus_subobjects(pmap, omega, xi),
+                              subobjects_box(pmap, omega, xi),
+                              key=lambda s: s.d)
+            module = reps.state_module(pmap, xi)
+            assert_lattice_is(reps.enumerate_subreps(module, omega),
+                              subreps_box(module), key=lambda f: f.dims)
+
+
+def test_subreps_refuse_a_module_that_is_not_nilpotent():
+    """x -> y -> x acting by 1, with zero loops as the Jordan cycles: the
+    subrepresentations are 0 and everything, two unit steps apart."""
+    one, zero = Matrix.identity(1), Matrix.zeros(1, 1)
+    module = reps.QuiverRep(
+        ("x", "y"),
+        {"a": ("x", "y"), "b": ("y", "x"), "lx": ("x", "x"), "ly": ("y", "y")},
+        {"x": 1, "y": 1}, {"a": one, "b": one, "lx": zero, "ly": zero},
+        cycles=(("lx",), ("ly",)))
+    assert not reps.is_nilpotent(module)
+    assert [f.grade for f in subreps_box(module)] == [0, 2]
+    with pytest.raises(reps.CandidateSpaceTooLarge, match="not nilpotent"):
+        reps.enumerate_subreps(module, {"v0": 1})
+
+
+def test_verify_iso_on_the_torus_2_18_chain(tmp_path, capsys):
+    """The plus-subobject box of T(2,18) has 2^17 vectors; its lattice is
+    an 18-element chain."""
+    pmap = build_planar_map(*corpus.braid_closure_shadow([1] * 18, 2))
+    diagram = diagram_of(pmap)
+    path = tmp_path / "torus_2_18.map"
+    path.write_text(dump_map_text(pmap, diagram.marked_edge))
+    assert cli.main(["verify-iso", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "plus-subobjects: 18 subrepresentations: 18" in out
+    assert "order isomorphism: True grades match: True" in out
+    omega = kauffman_weight(diagram)
+    dec = st.Decoration.of(pmap, omega)
+    top = dec.component_lattice(dec.first).maximum
+    chain = bms.plus_subobjects(pmap, omega, top)
+    assert sorted(chain.grade.values()) == list(range(18))
+    assert len(chain.covers) == 17
+
+
+@pytest.mark.parametrize("verb", ["subreps", "verify-iso", "check-all"])
+@pytest.mark.parametrize("flag", ["--bound-candidates", "--bound-lattice"])
+def test_removed_bound_flags_exit_2(verb, flag, capsys):
+    path = resources.files("medialq").joinpath("corpus", "trefoil.map")
+    argv = [verb, flag, "5"] + ([] if verb == "check-all" else [str(path)])
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# Kauffman state counts: the matrix-tree theorem on the Tait graph
+# ----------------------------------------------------------------------
+
+def tait_spanning_trees(pmap, colour_class):
+    """Spanning trees of the Tait graph on the faces of one checkerboard
+    colour (an edge per crossing, joining its two corners of that colour),
+    as an exact Fraction determinant of a reduced Laplacian."""
+    faces = sorted(pmap.faces)
+    colour, stack = {faces[0]: 0}, [faces[0]]
+    while stack:
+        f = stack.pop()
+        for e in pmap.edges:
+            sides = pmap.edge_faces(e)
+            if f in sides:
+                g = sides[1] if sides[0] == f else sides[0]
+                assert g != f
+                if g not in colour:
+                    colour[g] = 1 - colour[f]
+                    stack.append(g)
+                assert colour[g] != colour[f]
+    q = pmap.quiver
+    nodes = [f for f in faces if colour[f] == colour_class]
+    index = {f: i for i, f in enumerate(nodes)}
+    lap = [[Fraction(0)] * len(nodes) for _ in nodes]
+    for v in pmap.vertices:
+        corners = [q.angles[a].face for a in q.vertex_cycles[v]]
+        assert len(corners) == 4
+        f, g = corners[0::2] if colour[corners[0]] == colour_class \
+            else corners[1::2]
+        if f != g:
+            i, j = index[f], index[g]
+            lap[i][i] += 1
+            lap[j][j] += 1
+            lap[i][j] -= 1
+            lap[j][i] -= 1
+    m = [row[1:] for row in lap[1:]]
+    det = Fraction(1)
+    for c in range(len(m)):
+        pivot = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            factor = m[r][c] / m[c][c]
+            for k in range(c, len(m)):
+                m[r][k] -= factor * m[c][k]
+    return int(det)
+
+
+@SETTINGS
+@given(shadows())
+def test_kauffman_state_count_is_the_tait_tree_count(pmap):
+    diagram = diagram_of(pmap)
+    trees = tait_spanning_trees(pmap, 0)
+    assert trees == tait_spanning_trees(pmap, 1)  # planar duality
+    assert len(enumerate_kauffman_states(diagram)) == trees
+    assert len(st.Decoration.of(pmap, kauffman_weight(diagram)).states) == trees

@@ -57,7 +57,7 @@ def test_kauffman_weight(diagrams):
     zeros = [f for f in diag.pmap.faces if w[f] == 0]
     assert sorted(zeros) == sorted(diag.marked_faces)
     assert sum(w[f] for f in diag.pmap.faces) == 3
-    assert st.is_characteristic(diag.pmap, w)
+    assert st.is_characteristic(w)
 
 
 def test_state_counts_both_enumerations(diagrams):
