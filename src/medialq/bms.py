@@ -186,11 +186,11 @@ def _check_pointwise_closure(lattice: FiniteLattice):
 
 
 def _reconstruct_plus(quiver, f_minus, d):
-    vals = {}
-    for a in quiver.arrow_ids:
-        s, t = quiver.arrows[a]
-        vals[a] = f_minus[a] + d[t] - d[s]
-    return AngularFunction(vals)
+    """f_minus + d(target) - d(source) on every angle of f_minus."""
+    frame, arrows = f_minus.frame, quiver.arrows
+    return AngularFunction.from_vector(frame, tuple(
+        v + d[arrows[a][1]] - d[arrows[a][0]]
+        for a, v in zip(frame.names, f_minus.vector)))
 
 
 def component_minimum(pmap: PlanarMap, omega, h: AngularFunction,
@@ -255,7 +255,7 @@ def plus_subobjects(pmap: PlanarMap, omega, xi: BMSState) -> FiniteLattice:
             if d[e] < top[e]:
                 d[e] += 1
                 f_plus = _reconstruct_plus(quiver, xi.f_minus, d)
-                if all(v >= 0 for _, v in f_plus.items()):
+                if min(f_plus.vector, default=0) >= 0:
                     yield e, make_bms(pmap, omega, f_plus, xi.f_minus, d)
 
     root = make_bms(pmap, omega, xi.f_minus, xi.f_minus, {})

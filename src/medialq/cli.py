@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import sys
 from importlib import resources
+from itertools import compress
 from pathlib import Path
 
 from . import bms, corpus
@@ -85,7 +86,9 @@ def _emit(args, lines):
 
 
 def _fun_text(g):
-    inner = ",".join(f"{a}:{v}" for a, v in g.items() if v)
+    """angle:value for the nonzero values, in angle order."""
+    inner = ",".join(map("{}:{}".format, compress(g.frame.names, g.vector),
+                         filter(None, g.vector)))
     return inner or "0"
 
 

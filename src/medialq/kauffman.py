@@ -21,6 +21,7 @@ from functools import cached_property
 from .lattice import CertificationFailed, FiniteLattice
 from .planar import PlanarMap, parse_map_text
 from .states import (
+    AngleFrame,
     AngularFunction,
     Decoration,
     gamma_inv_connected,
@@ -125,8 +126,10 @@ def is_valid_state(diagram: LinkDiagram, state: KauffmanState) -> bool:
 
 def chi(diagram: LinkDiagram, state: KauffmanState) -> AngularFunction:
     """Indicator angular function of a state."""
-    return AngularFunction(
-        {d: (1 if d in state.angles else 0) for d in diagram.pmap.darts})
+    picked = set(state.angles)
+    return AngularFunction.from_vector(
+        AngleFrame.of(diagram.pmap.darts),
+        tuple(int(d in picked) for d in diagram.pmap.darts))
 
 
 def chi_inv(diagram: LinkDiagram, g: AngularFunction) -> KauffmanState:

@@ -18,6 +18,7 @@ provides them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import lcm
 
@@ -169,6 +170,16 @@ class Potential:
     def __add__(self, other):
         return Potential(self.terms + other.terms)
 
+    @cached_property
+    def derivatives(self) -> dict:
+        """arrow -> its cyclic derivative (see ``cyclic_derivative``), for
+        every arrow that occurs in some term, in one pass over the terms."""
+        out = {}
+        for coeff, path in self.terms:
+            for i, a in enumerate(path):
+                out.setdefault(a, []).append((coeff, path[i + 1:] + path[:i]))
+        return out
+
 
 def make_potential(quiver: MedialQuiver, terms) -> Potential:
     """Validated potential: every path must be a directed cycle in the quiver.
@@ -219,12 +230,7 @@ def canonical_potential(pmap: PlanarMap, omega) -> Potential:
 def cyclic_derivative(s: Potential, arrow):
     """For each occurrence of `arrow` in each cycle, the rotated remainder
     path (starting just after the occurrence) with the term's coefficient."""
-    out = []
-    for coeff, path in s.terms:
-        for i, a in enumerate(path):
-            if a == arrow:
-                out.append((coeff, path[i + 1:] + path[:i]))
-    return out
+    return list(s.derivatives.get(arrow, ()))
 
 
 def evaluate_path(m: QuiverRep, path, at=None) -> Matrix:
@@ -276,7 +282,7 @@ def check_jacobian(m: QuiverRep, s: Potential) -> JacobianReport:
     bad = []
     checked = 0
     for arrow in sorted(m.arrows):
-        terms = cyclic_derivative(s, arrow)
+        terms = s.derivatives.get(arrow, ())
         src, tgt = m.arrows[arrow]
         residual = Matrix.zeros(m.dims[src], m.dims[tgt])
         for coeff, path in terms:

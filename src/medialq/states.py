@@ -87,42 +87,90 @@ def dump_weight_text(omega):
 # angular functions
 # ----------------------------------------------------------------------
 
-class AngularFunction:
-    """Immutable non-negative integer function on the angles (quiver arrows)."""
+class AngleFrame:
+    """Sorted angle names and their positions, one object per set of names.
 
-    __slots__ = ("_values", "_key")
+    Get frames through ``AngleFrame.of``, which interns them, so functions
+    over the same angles share one frame and compare frames by identity.
+    """
+
+    __slots__ = ("names", "position")
+    _interned = {}
+
+    def __init__(self, names):
+        self.names = names
+        self.position = {a: i for i, a in enumerate(names)}
+
+    @classmethod
+    def of(cls, names) -> "AngleFrame":
+        """The frame of `names`, which must be sorted and distinct."""
+        names = tuple(names)
+        frame = cls._interned.get(names)
+        if frame is None:
+            if any(a >= b for a, b in zip(names, names[1:])):
+                raise ValueError("angle names must be sorted and distinct")
+            frame = cls._interned[names] = cls(names)
+        return frame
+
+
+class AngularFunction:
+    """Immutable non-negative integer function on the angles (quiver arrows).
+
+    Stored as a shared ``AngleFrame`` plus ``vector``, the tuple of values
+    in the frame's (sorted) angle order.  For functions over the same angles
+    the canonical order is the lexicographic order of their vectors.
+    """
+
+    __slots__ = ("frame", "vector")
 
     def __init__(self, values):
-        self._values = dict(values)
-        self._key = tuple(sorted(self._values.items()))
+        pairs = sorted(dict(values).items())
+        self.frame = AngleFrame.of(a for a, _ in pairs)
+        self.vector = tuple(v for _, v in pairs)
+
+    @classmethod
+    def from_vector(cls, frame: AngleFrame, vector: tuple) -> "AngularFunction":
+        """The function with values `vector` in `frame`'s order (no checks)."""
+        g = cls.__new__(cls)
+        g.frame = frame
+        g.vector = vector
+        return g
 
     def __getitem__(self, angle):
-        return self._values[angle]
+        return self.vector[self.frame.position[angle]]
 
     def items(self):
-        return self._key
-
-    def keys(self):
-        return [a for a, _ in self._key]
+        """(angle, value) pairs in sorted angle order."""
+        return tuple(zip(self.frame.names, self.vector))
 
     def shifted(self, delta):
-        """New function with delta[a] added where present (no sign checks)."""
-        vals = dict(self._values)
+        """New function with delta[a] added, starting from 0 where a is
+        absent (no sign checks)."""
+        position = self.frame.position
+        if not all(a in position for a in delta):
+            vals = dict(self.items())
+            for a, dv in delta.items():
+                vals[a] = vals.get(a, 0) + dv
+            return AngularFunction(vals)
+        vec = list(self.vector)
         for a, dv in delta.items():
-            vals[a] = vals.get(a, 0) + dv
-        return AngularFunction(vals)
+            vec[position[a]] += dv
+        return AngularFunction.from_vector(self.frame, tuple(vec))
 
     def __eq__(self, other):
-        return isinstance(other, AngularFunction) and self._key == other._key
+        return (isinstance(other, AngularFunction) and self.frame is other.frame
+                and self.vector == other.vector)
 
     def __hash__(self):
-        return hash(self._key)
+        return hash(self.vector)
 
     def __lt__(self, other):
-        return self._key < other._key
+        if self.frame is other.frame:
+            return self.vector < other.vector
+        return self.items() < other.items()
 
     def __repr__(self):
-        inner = ", ".join(f"{a}:{v}" for a, v in self._key)
+        inner = ", ".join(f"{a}:{v}" for a, v in self.items())
         return f"AngularFunction({inner})"
 
 
@@ -206,12 +254,34 @@ class Decoration:
 
     @cached_property
     def move_graph(self) -> StateGraph:
+        """Every move between states, found by index arithmetic on vectors:
+        per edge, the positions of its two outgoing and two incoming angles.
+
+        Raises:
+            AssertionError: a move leaves the state set.
+        """
         q = self.quiver
         nodes = self.states
-        index = {g: i for i, g in enumerate(nodes)}
-        edges = sorted((i, index[mov_e(q, g, e)], e)
-                       for i, g in enumerate(nodes) for e in q.vertices
-                       if is_e_movable(q, g, e))
+        position = AngleFrame.of(q.arrow_ids).position
+        steps = [(e, *(position[a] for a in q.outgoing[e] + q.incoming[e]))
+                 for e in q.vertices]
+        index = {g.vector: n for n, g in enumerate(nodes)}
+        edges = []
+        for n, g in enumerate(nodes):
+            v = g.vector
+            for e, i, j, k, l in steps:
+                if v[i] and v[j]:
+                    w = list(v)
+                    w[i] -= 1
+                    w[j] -= 1
+                    w[k] += 1
+                    w[l] += 1
+                    m = index.get(tuple(w))
+                    if m is None:
+                        raise AssertionError(
+                            f"move along {e} from state {n} leaves the state set")
+                    edges.append((n, m, e))
+        edges.sort()
         return StateGraph(nodes, edges)
 
     def component_lattice(self, g: AngularFunction):
@@ -257,6 +327,7 @@ def _compatible_functions(quiver: MedialQuiver, omega):
     is left there, so every leaf is compatible.
     """
     angles = quiver.arrow_ids
+    frame = AngleFrame.of(angles)
     n = len(angles)
     slot = {}
     vs = [slot.setdefault(quiver.angles[a].vertex, len(slot)) for a in angles]
@@ -271,7 +342,7 @@ def _compatible_functions(quiver: MedialQuiver, omega):
     i = 0
     while True:
         if i == n:
-            yield AngularFunction(zip(angles, values))
+            yield AngularFunction.from_vector(frame, tuple(values))
         else:
             v, f = vs[i], fs[i]
             bv, bf = budget[v], budget[f]

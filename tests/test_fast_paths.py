@@ -10,7 +10,10 @@ the pairwise order-isomorphism check and the pointwise-closure scan that
 Birkhoff's check, the cover-based isomorphism check and the mask-based
 closure check replaced.  Subobject and subrepresentation lattices grown by
 cover steps are checked against the scans of the whole box of dimension
-vectors that they replaced.
+vectors that they replaced.  Angular functions stored as value vectors are
+checked against sorted (angle, value) pairs, the move graph built by index
+arithmetic against the one built move by move, and Jacobian residuals from
+derivatives cached on the potential against a per-arrow recomputation.
 """
 
 import sys
@@ -642,3 +645,188 @@ def test_kauffman_state_count_is_the_tait_tree_count(pmap):
     assert trees == tait_spanning_trees(pmap, 1)  # planar duality
     assert len(enumerate_kauffman_states(diagram)) == trees
     assert len(st.Decoration.of(pmap, kauffman_weight(diagram)).states) == trees
+
+
+# ----------------------------------------------------------------------
+# angular functions as vectors; the move graph by index arithmetic
+# ----------------------------------------------------------------------
+
+class PairsFunction:
+    """Reference: a function kept as its sorted (angle, value) pairs, the
+    layout that frames plus value vectors replaced."""
+
+    def __init__(self, values):
+        self.pairs = tuple(sorted(dict(values).items()))
+
+    def shifted(self, delta):
+        vals = dict(self.pairs)
+        for a, dv in delta.items():
+            vals[a] = vals.get(a, 0) + dv
+        return PairsFunction(vals)
+
+
+ANGLE_NAMES = ("a0", "a1", "a10", "a2", "b0", "b1")
+
+
+def angle_values(names=ANGLE_NAMES):
+    return hs.dictionaries(hs.sampled_from(names), hs.integers(0, 3))
+
+
+@SETTINGS
+@given(hs.data())
+def test_vector_functions_agree_with_sorted_pairs(data):
+    x = data.draw(angle_values())
+    y = data.draw(hs.one_of(
+        angle_values(),  # usually over other angles
+        hs.just(dict(x)),
+        hs.fixed_dictionaries({a: hs.integers(0, 3) for a in x})))
+    delta = data.draw(hs.dictionaries(hs.sampled_from(ANGLE_NAMES),
+                                      hs.integers(-2, 2)))
+    g, h = st.AngularFunction(x), st.AngularFunction(y)
+    rg, rh = PairsFunction(x), PairsFunction(y)
+    assert g.items() == rg.pairs
+    assert all(g[a] == v for a, v in rg.pairs)
+    assert (g == h) == (rg.pairs == rh.pairs)
+    assert g != h or hash(g) == hash(h)
+    assert (g < h) == (rg.pairs < rh.pairs)
+    assert (h < g) == (rh.pairs < rg.pairs)
+    assert g.shifted(delta).items() == rg.shifted(delta).pairs
+    assert g.shifted(delta) == st.AngularFunction(rg.shifted(delta).pairs)
+    inner = ", ".join(f"{a}:{v}" for a, v in rg.pairs)
+    assert repr(g) == f"AngularFunction({inner})"
+
+
+def test_frames_are_shared_and_sorted():
+    g = st.AngularFunction({"b0": 1, "a0": 2})
+    assert g.frame is st.AngularFunction({"a0": 0, "b0": 0}).frame
+    assert g.frame.names == ("a0", "b0") and g.vector == (2, 1)
+    renamed = st.AngularFunction({"a0": 2, "c0": 1})
+    assert g.vector == renamed.vector and g != renamed and g < renamed
+    with pytest.raises(ValueError, match="sorted"):
+        st.AngleFrame.of(("b0", "a0"))
+
+
+def move_graph_oracle(dec):
+    """The move graph built move by move: every movable (state, edge), its
+    ``mov_e`` image looked up among the states."""
+    q = dec.quiver
+    index = {g: i for i, g in enumerate(dec.states)}
+    return sorted((i, index[st.mov_e(q, g, e)], e)
+                  for i, g in enumerate(dec.states) for e in q.vertices
+                  if st.is_e_movable(q, g, e))
+
+
+@SETTINGS
+@given(hs.data())
+def test_move_graph_matches_move_by_move_oracle(data):
+    pmap = data.draw(shadows(max_per_position=2))
+    kauffman = kauffman_weight(diagram_of(pmap))
+    omega = data.draw(hs.one_of(
+        hs.just(kauffman),
+        hs.just({c: 2 * v for c, v in kauffman.items()}),
+        summed_weights(pmap)))
+    dec = st.Decoration.of(pmap, omega)
+    assume(len(dec.states) <= 3000)
+    q = dec.quiver
+    assert list(dec.move_graph.edges) == move_graph_oracle(dec)
+    for g in _spread(dec.states, 5):
+        for e in q.vertices:
+            if st.is_e_movable(q, g, e):
+                assert st.mov_e(q, g, e).items() == PairsFunction(
+                    g.items()).shifted(st.delta_chi(q, e)).pairs
+
+
+def test_move_outside_the_state_set_is_an_internal_disagreement(
+        capsys, monkeypatch):
+    path = str(resources.files("medialq").joinpath("corpus", "trefoil.map"))
+    assert cli.main(["move-graph", path]) == 0
+    first = next(line for line in capsys.readouterr().out.splitlines()
+                 if " by " in line)
+    s, _, t, _, e = first.split()
+    s, t = int(s), int(t)
+    s_after = s - (s > t)  # index of the source once state t is gone
+
+    pmap, marked = corpus.load("trefoil")
+    dec = st.Decoration(pmap, kauffman_weight(LinkDiagram(pmap, marked)))
+    dec.states = tuple(g for i, g in enumerate(
+        st.enumerate_compatible(pmap, dec.omega)) if i != t)
+    message = f"move along {e} from state {s_after} leaves the state set"
+    with pytest.raises(AssertionError, match=message):
+        dec.move_graph
+
+    monkeypatch.setattr(st.Decoration, "states", property(
+        lambda self: tuple(g for i, g in enumerate(
+            st.enumerate_compatible(self.pmap, self.omega)) if i != t)))
+    assert cli.main(["move-graph", path]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"medialq: {message}\n"
+
+
+# ----------------------------------------------------------------------
+# Jacobian residuals: derivatives cached per potential against recomputation
+# ----------------------------------------------------------------------
+
+def jacobian_oracle(m, s):
+    """``check_jacobian`` with every cyclic derivative recomputed from the
+    potential's terms, arrow by arrow."""
+    bad = []
+    for arrow in sorted(m.arrows):
+        src, tgt = m.arrows[arrow]
+        residual = Matrix.zeros(m.dims[src], m.dims[tgt])
+        for coeff, path in s.terms:
+            for i, a in enumerate(path):
+                if a == arrow:
+                    rest = path[i + 1:] + path[:i]
+                    residual = residual + reps.evaluate_path(
+                        m, rest, at=tgt).scale(coeff)
+        if not residual.is_zero:
+            bad.append((arrow, residual))
+    return reps.JacobianReport(len(m.arrows), tuple(bad))
+
+
+def single_entry_changes(m):
+    """m with one matrix entry raised by one, for every entry."""
+    for a in sorted(m.arrows):
+        mat = m.mats[a]
+        for i in range(mat.rows):
+            for j in range(mat.cols):
+                yield m.with_entry(a, i, j, mat.data[i][j] + 1)
+
+
+@SETTINGS
+@given(hs.data())
+def test_cached_jacobian_matches_per_arrow_recomputation(data):
+    pmap = data.draw(shadows(max_per_position=2))
+    scale = data.draw(hs.sampled_from((1, 2)))
+    omega = {c: scale * v
+             for c, v in kauffman_weight(diagram_of(pmap)).items()}
+    dec = st.Decoration.of(pmap, omega)
+    s = reps.canonical_potential(pmap, omega)
+    graph = dec.move_graph
+    largest = max(graph.undirected_components(), key=len)
+    lattice = dec.component_lattice(graph.nodes[largest[0]])
+    assume(len(lattice) <= 200)
+    for xi in lattice.elements:
+        m = reps.state_module(pmap, xi)
+        report = reps.check_jacobian(m, s)
+        assert report.ok and report == jacobian_oracle(m, s)
+    for xi in _spread(lattice.elements, 4):
+        for bad in single_entry_changes(reps.state_module(pmap, xi)):
+            assert reps.check_jacobian(bad, s) == jacobian_oracle(bad, s)
+
+
+def test_one_changed_entry_leaves_a_nonzero_residual():
+    """On the shadow of s1^2 s2^2 s1 s2 some single-entry change of a state
+    module is seen; both checks report the same residuals for it.  (Most
+    Kauffman-weight modules are too thin for any one entry to matter.)"""
+    pmap = build_planar_map(*corpus.braid_closure_shadow([1, 1, 2, 2, 1, 2], 3))
+    omega = kauffman_weight(diagram_of(pmap))
+    dec = st.Decoration.of(pmap, omega)
+    s = reps.canonical_potential(pmap, omega)
+    seen = 0
+    for xi in dec.component_lattice(dec.states[0]).elements:
+        for bad in single_entry_changes(reps.state_module(pmap, xi)):
+            report = reps.check_jacobian(bad, s)
+            assert report == jacobian_oracle(bad, s)
+            seen += not report.ok
+    assert seen
