@@ -48,11 +48,22 @@ class InvisibleDimNonZero(ValueError):
 
 @dataclass(frozen=True)
 class BMSState:
-    """(f_plus, f_minus, d); d stored as a sorted tuple for hashability."""
+    """(f_plus, f_minus, d); d stored as a sorted tuple for hashability.
+
+    The hash is computed once, at construction: states are keys of the
+    lattice dictionaries and are looked up many times each.
+    """
 
     f_plus: AngularFunction
     f_minus: AngularFunction
     d: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash",
+                           hash((self.f_plus, self.f_minus, self.d)))
+
+    def __hash__(self):
+        return self._hash
 
     def dims(self):
         return dict(self.d)
@@ -67,6 +78,10 @@ class BMSState:
     def __repr__(self):
         ds = ",".join(f"{e}:{v}" for e, v in self.d)
         return f"BMSState(d={{{ds}}})"
+
+
+# Anti-moves component_minimum makes before it gives up on termination.
+DESCENT_FUEL = 10 ** 6
 
 
 def _d_tuple(d):
@@ -204,6 +219,7 @@ def component_minimum(pmap: PlanarMap, omega, h: AngularFunction,
 
     Raises:
         NotNilpotencyZero: descent is not guaranteed to terminate otherwise.
+        AssertionError: the descent needs more than DESCENT_FUEL anti-moves.
     """
     dec = Decoration.of(pmap, omega)
     dec.require_nilpotency_zero("greedy descent needs nilpotency degree 0")
@@ -213,18 +229,18 @@ def component_minimum(pmap: PlanarMap, omega, h: AngularFunction,
         choose = lambda options: options[0]
     current = h
     d = {e: 0 for e in quiver.vertices}
-    fuel = 10 ** 6
+    fuel = DESCENT_FUEL
     while True:
         options = [e for e in quiver.vertices
                    if is_anti_e_movable(quiver, current, e)]
         if not options:
             break
+        if fuel == 0:  # the nilpotency gate should make this unreachable
+            raise AssertionError("greedy descent did not terminate")
+        fuel -= 1
         e = choose(options)
         current = anti_mov_e(quiver, current, e)
         d[e] += 1
-        fuel -= 1
-        if fuel == 0:  # pragma: no cover - guarded by the nilpotency gate
-            raise RuntimeError("greedy descent did not terminate")
     make_bms(pmap, omega, h, current, d)  # validity assertion
     return current, d
 

@@ -6,6 +6,10 @@ report file identifies what it was computed from.  Exit status is 0 for
 success, 1 when a check found a counterexample or failed to certify (an
 internal disagreement between two methods included), and 2 for unusable
 input.
+
+Each verb imports what it runs: the top of this module loads only the map,
+state and Kauffman layers that every map verb needs, so a state verb never
+pays for the lattice, BMS or representation layers at start-up.
 """
 
 from __future__ import annotations
@@ -13,12 +17,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from importlib import resources
 from itertools import compress
 from pathlib import Path
 
-from . import bms, corpus
-from . import reps
 from . import states as st
 from .kauffman import (
     LinkDiagram,
@@ -28,10 +29,8 @@ from .kauffman import (
     is_prime_diagram,
     kauffman_weight,
 )
-from .lattice import CertificationFailed, FiniteLattice
-from .planar import MapFormatError, cell_key, parse_map_text
-from .reps import CandidateSpaceTooLarge, NotCharacteristicWeight
-from .states import EmptyStateSet, MissingValue, NotNilpotencyZero
+from .planar import cell_key, parse_map_text
+from .states import EmptyStateSet, NotNilpotencyZero
 
 
 class InputError(Exception):
@@ -102,25 +101,29 @@ def _mat_text(m):
     return f"{m.rows}x{m.cols} [{rows}]"
 
 
-def _state_text(x):
-    if isinstance(x, bms.BMSState):
-        return f"d={_dims_text(dict(x.d))} f+={_fun_text(x.f_plus)}"
-    if hasattr(x, "angles"):
-        return "markers=" + ",".join(x.angles)
-    if isinstance(x, st.AngularFunction):
-        return _fun_text(x)
-    if isinstance(x, reps.PrefixFamily):
-        return f"k={_dims_text(dict(x.dims))}"
-    return str(x)
+def _bms_text(xi):
+    """A BMS state by its dimension vector and f_plus."""
+    return f"d={_dims_text(dict(xi.d))} f+={_fun_text(xi.f_plus)}"
 
 
-def _lattice_lines(lat: FiniteLattice):
-    """Elements, covers with move labels, grades, and full join/meet tables."""
+def _family_text(family):
+    """A prefix family by its prefix lengths."""
+    return f"k={_dims_text(dict(family.dims))}"
+
+
+def _markers_text(state):
+    """A Kauffman state by its marker angles."""
+    return "markers=" + ",".join(state.angles)
+
+
+def _lattice_lines(lat, element_text):
+    """Elements (shown by element_text), covers with move labels, grades,
+    and full join/meet tables."""
     order = list(lat.elements)
     index = {x: i for i, x in enumerate(order)}
     out = [f"elements: {len(order)}"]
     for i, x in enumerate(order):
-        out.append(f"  {i}: grade {lat.grade[x]} {_state_text(x)}")
+        out.append(f"  {i}: grade {lat.grade[x]} {element_text(x)}")
     out.append(f"minimum: {index[lat.minimum]}")
     out.append(f"maximum: {index[lat.maximum]}")
     out.append(f"covers: {len(lat.covers)}")
@@ -146,10 +149,12 @@ def _component_lattice(dec):
 
 
 def _top_module(dec):
+    from .reps import state_module
+
     lattice = _component_lattice(dec)
     if lattice is None:
         raise InputError("no compatible angular function, nothing to build")
-    return lattice.maximum, reps.state_module(dec.pmap, lattice.maximum)
+    return lattice.maximum, state_module(dec.pmap, lattice.maximum)
 
 
 # ----------------------------------------------------------------------
@@ -260,11 +265,13 @@ def cmd_bms_lattice(args):
         return 0, lines + [lattice.poset.hasse_dot(
             label=lambda x: _dims_text(dict(x.d))).rstrip("\n")]
     lines.append(f"component covers {len(lattice)} of {len(dec.states)} states")
-    lines.extend(_lattice_lines(lattice))
+    lines.extend(_lattice_lines(lattice, _bms_text))
     return 0, lines
 
 
 def cmd_component(args):
+    from .bms import component_minimum
+
     pmap, marked, raw = _load_map(args.map)
     dec, extra = _decoration(args, pmap, marked)
     graph = dec.move_graph
@@ -272,7 +279,7 @@ def cmd_component(args):
     comps = graph.undirected_components()
     lines.append(f"states: {len(graph.nodes)} components: {len(comps)}")
     for i, comp in enumerate(comps):
-        g0, d = bms.component_minimum(pmap, dec.omega, graph.nodes[comp[0]])
+        g0, d = component_minimum(pmap, dec.omega, graph.nodes[comp[0]])
         lines.append(f"component {i}: size {len(comp)} "
                      f"minimum {_fun_text(g0)} "
                      f"({sum(d.values())} anti-moves down)")
@@ -280,6 +287,8 @@ def cmd_component(args):
 
 
 def cmd_subobjects(args):
+    from .bms import plus_subobjects
+
     pmap, marked, raw = _load_map(args.map)
     dec, extra = _decoration(args, pmap, marked)
     lattice = _component_lattice(dec)
@@ -288,12 +297,12 @@ def cmd_subobjects(args):
         lines.append("no compatible angular functions")
         return 0, lines
     top = lattice.maximum
-    below = bms.plus_subobjects(pmap, dec.omega, top)
-    lines.append(f"subobjects of the maximal state {_state_text(top)}")
+    below = plus_subobjects(pmap, dec.omega, top)
+    lines.append(f"subobjects of the maximal state {_bms_text(top)}")
     if args.format == "dot":
         return 0, lines + [below.poset.hasse_dot(
             label=lambda x: _dims_text(dict(x.d))).rstrip("\n")]
-    lines.extend(_lattice_lines(below))
+    lines.extend(_lattice_lines(below, _bms_text))
     return 0, lines
 
 
@@ -313,7 +322,7 @@ def cmd_clock(args):
             label=lambda x: ",".join(x.angles)).rstrip("\n")]
     lines.append(f"clock lattice of {args.map} "
                  f"(marked edge {diagram.marked_edge})")
-    lines.extend(_lattice_lines(lattice))
+    lines.extend(_lattice_lines(lattice, _markers_text))
     return 0, lines
 
 
@@ -343,7 +352,7 @@ def cmd_module(args):
     dec, extra = _decoration(args, pmap, marked)
     top, module = _top_module(dec)
     lines = _header("module", [(args.map, raw)] + extra, seed=args.seed)
-    lines.append(f"state module of the maximal state {_state_text(top)}")
+    lines.append(f"state module of the maximal state {_bms_text(top)}")
     lines.append("dims: " + " ".join(
         f"{e}:{module.dims[e]}" for e in module.vertices))
     for a in sorted(module.arrows):
@@ -353,6 +362,8 @@ def cmd_module(args):
 
 
 def cmd_jacobian_check(args):
+    from . import reps
+
     pmap, marked, raw = _load_map(args.map)
     dec, extra = _decoration(args, pmap, marked)
     lattice = _component_lattice(dec)
@@ -377,13 +388,15 @@ def cmd_jacobian_check(args):
 
 
 def cmd_endo(args):
+    from .reps import endomorphism_ring
+
     pmap, marked, raw = _load_map(args.map)
     dec, extra = _decoration(args, pmap, marked)
     top, module = _top_module(dec)
-    ring = reps.endomorphism_ring(module)
+    ring = endomorphism_ring(module)
     lines = _header("endo", [(args.map, raw)] + extra, seed=args.seed)
     lines.append(f"endomorphisms of the maximal state module "
-                 f"{_state_text(top)}")
+                 f"{_bms_text(top)}")
     lines.append(f"dimension: {ring.dimension} semisimple rank: "
                  f"{ring.gram_rank} local: {ring.is_local}")
     for i, endo in enumerate(ring.basis):
@@ -394,21 +407,25 @@ def cmd_endo(args):
 
 
 def cmd_subreps(args):
+    from .reps import enumerate_subreps
+
     pmap, marked, raw = _load_map(args.map)
     dec, extra = _decoration(args, pmap, marked)
     top, module = _top_module(dec)
-    found = reps.enumerate_subreps(module, dec.omega)
+    found = enumerate_subreps(module, dec.omega)
     lines = _header("subreps", [(args.map, raw)] + extra, seed=args.seed)
     lines.append(f"subrepresentations of the maximal state module "
-                 f"{_state_text(top)}")
+                 f"{_bms_text(top)}")
     if args.format == "dot":
         return 0, lines + [found.poset.hasse_dot(
             label=lambda x: _dims_text(dict(x.dims))).rstrip("\n")]
-    lines.extend(_lattice_lines(found))
+    lines.extend(_lattice_lines(found, _family_text))
     return 0, lines
 
 
 def cmd_verify_iso(args):
+    from .reps import verify_subrep_isomorphism
+
     pmap, marked, raw = _load_map(args.map)
     dec, extra = _decoration(args, pmap, marked)
     lattice = _component_lattice(dec)
@@ -417,13 +434,13 @@ def cmd_verify_iso(args):
         lines.append("no compatible angular functions")
         return 0, lines
     top = lattice.maximum
-    cert = reps.verify_subrep_isomorphism(pmap, dec.omega, top)
-    lines.append(f"maximal state: {_state_text(top)}")
+    cert = verify_subrep_isomorphism(pmap, dec.omega, top)
+    lines.append(f"maximal state: {_bms_text(top)}")
     lines.append(f"plus-subobjects: {len(cert.bms_lattice)} "
                  f"subrepresentations: {len(cert.subrep_lattice)}")
     for state in cert.bms_lattice.elements:
         lines.append(f"  {_dims_text(dict(state.d))} -> "
-                     f"{_state_text(cert.mapping[state])}")
+                     f"{_family_text(cert.mapping[state])}")
     lines.append(f"order isomorphism: {cert.order_isomorphic} "
                  f"grades match: {cert.grades_match}")
     return (0 if cert.ok else 1), lines
@@ -435,6 +452,8 @@ def cmd_verify_iso(args):
 
 def _check_one_diagram(raw):
     """All certifiable properties of one link diagram; (passed, lines)."""
+    from . import bms, reps
+
     lines = []
     failures = []
 
@@ -528,6 +547,11 @@ def _check_one_diagram(raw):
 
 
 def cmd_check_all(args):
+    from importlib import resources
+
+    from . import corpus
+    from .reps import CandidateSpaceTooLarge
+
     if args.path:
         folder = Path(args.path)
         files = sorted(folder.glob("*.map"))
@@ -545,7 +569,9 @@ def cmd_check_all(args):
         lines.append(f"{name}:")
         try:
             failures, body = _check_one_diagram(raw)
-        except (MapFormatError, ValueError) as exc:
+        except CandidateSpaceTooLarge:
+            raise  # a refusal, reported without the diagram's name
+        except ValueError as exc:
             raise InputError(f"{name}: {exc}") from exc
         lines.extend(body)
         for f in failures:
@@ -607,15 +633,17 @@ def build_parser():
 
 
 def main(argv=None) -> int:
+    """Run one verb.  Exit 1 on a counterexample or an internal disagreement
+    (``lattice.CertificationFailed`` is an ``AssertionError``), exit 2 on
+    unusable input or a refusal (every input error, and
+    ``reps.CandidateSpaceTooLarge``, is a ``ValueError``)."""
     args = build_parser().parse_args(argv)
     try:
         code, lines = args.func(args)
-    except (NotPrime, CertificationFailed, AssertionError) as exc:
+    except (NotPrime, AssertionError) as exc:
         print(f"medialq: {exc}", file=sys.stderr)
         return 1
-    except (InputError, MapFormatError, MissingValue, NotNilpotencyZero,
-            NotCharacteristicWeight, CandidateSpaceTooLarge,
-            ValueError) as exc:
+    except (InputError, ValueError) as exc:
         print(f"medialq: {exc}", file=sys.stderr)
         return 2
     _emit(args, lines)

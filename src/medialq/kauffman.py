@@ -15,11 +15,9 @@ lattice), built and certified here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
-from .lattice import CertificationFailed, FiniteLattice
-from .planar import PlanarMap, parse_map_text
+from .planar import PlanarMap, Record, parse_map_text
 from .states import (
     AngleFrame,
     AngularFunction,
@@ -91,11 +89,10 @@ def kauffman_weight(diagram: LinkDiagram):
     return w
 
 
-@dataclass(frozen=True)
-class KauffmanState:
+class KauffmanState(Record):
     """One marker angle per crossing, given by sorted angle (dart) ids."""
 
-    angles: tuple
+    __slots__ = ("angles",)
 
     @classmethod
     def of(cls, angles):
@@ -287,8 +284,9 @@ def is_prime_diagram(diagram: LinkDiagram) -> bool:
     return diagram.separating_pair is None
 
 
-def clock_lattice(diagram: LinkDiagram) -> FiniteLattice:
-    """The certified lattice of all Kauffman states of a prime diagram.
+def clock_lattice(diagram: LinkDiagram):
+    """The certified ``lattice.FiniteLattice`` of all Kauffman states of a
+    prime diagram.
 
     Certifies that the graph of invisible cycles is connected, grows the
     state lattice from the greedily-found minimum, checks it reaches every
@@ -299,6 +297,8 @@ def clock_lattice(diagram: LinkDiagram) -> FiniteLattice:
         NotPrime: with the separating edge pair as witness.
         CertificationFailed: a theorem-level guarantee failed to verify.
     """
+    from .lattice import CertificationFailed
+
     witness = diagram.separating_pair
     if witness is not None:
         raise NotPrime(witness, f"separating edge pair {witness}")

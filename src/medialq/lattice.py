@@ -18,8 +18,9 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 
-class CertificationFailed(RuntimeError):
-    """Raised by callers that require a certificate but got a counterexample."""
+class CertificationFailed(AssertionError):
+    """Raised by callers that require a certificate but got a counterexample:
+    a guarantee of the theory failed to verify, an internal disagreement."""
 
 
 class FinitePoset:

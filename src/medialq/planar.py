@@ -10,8 +10,8 @@ as arrows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 
 import yaml
 
@@ -36,22 +36,58 @@ class NotSpherical(ValueError):
     """Euler count V - E + F != 2 on some connected component."""
 
 
-@dataclass(frozen=True)
-class Angle:
+class Record:
+    """Immutable record over the fields named in ``__slots__``, given in that
+    order to the constructor; compared, hashed and shown field by field, as
+    a frozen dataclass is, without the cost of importing ``dataclasses``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        get = attrgetter(*cls.__slots__)
+        if len(cls.__slots__) == 1:  # attrgetter of one name gives no tuple
+            cls._fields = lambda self: (get(self),)
+        else:
+            cls._fields = lambda self: get(self)
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes "
+                            f"{len(self.__slots__)} fields, got {len(values)}")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        inner = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in self.__slots__)
+        return f"{type(self).__qualname__}({inner})"
+
+
+class Angle(Record):
     """One angle of a planar map, keyed by its first dart.
 
     The angle sits at ``vertex`` between ``dart`` and its clockwise successor,
     inside ``face``.  As an arrow of the medial quiver it points from
     ``source_edge`` (the edge of ``dart``) to ``target_edge`` (the edge of the
-    successor dart).
+    successor dart); ``dart_pair`` is (``dart``, successor).
     """
 
-    dart: str
-    vertex: str
-    face: str
-    source_edge: str
-    target_edge: str
-    dart_pair: tuple[str, str]
+    __slots__ = ("dart", "vertex", "face", "source_edge", "target_edge",
+                 "dart_pair")
 
 
 class PlanarMap:
@@ -262,14 +298,8 @@ def angles_of(pmap: PlanarMap) -> list[Angle]:
     out = []
     for d in pmap.darts:
         s = pmap.sigma[d]
-        out.append(Angle(
-            dart=d,
-            vertex=pmap.vertex_of[d],
-            face=pmap.face_of[s],
-            source_edge=pmap.edge_of[d],
-            target_edge=pmap.edge_of[s],
-            dart_pair=(d, s),
-        ))
+        out.append(Angle(d, pmap.vertex_of[d], pmap.face_of[s],
+                         pmap.edge_of[d], pmap.edge_of[s], (d, s)))
     return out
 
 

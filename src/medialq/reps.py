@@ -39,7 +39,7 @@ class NotCharacteristicWeight(ValueError):
     """An operation needing weight values in {0, 1} got something else."""
 
 
-class CandidateSpaceTooLarge(RuntimeError):
+class CandidateSpaceTooLarge(ValueError):
     """Subrepresentation search refused: a premise that makes its prefix
     families complete (a Jordan block at every supported vertex, a nilpotent
     module) could not be certified."""

@@ -436,11 +436,6 @@ class StateGraph:
             range(len(self.nodes)), ((s, t) for s, t, _ in self.edges))
 
 
-def build_L_graph(pmap: PlanarMap, omega) -> StateGraph:
-    """Move graph on all compatible angular functions."""
-    return Decoration.of(pmap, omega).move_graph
-
-
 # ----------------------------------------------------------------------
 # angular cycles
 # ----------------------------------------------------------------------
@@ -480,16 +475,6 @@ def lambda_omega(quiver: MedialQuiver, cycle, g: AngularFunction) -> int:
 # ----------------------------------------------------------------------
 # invisible cycles, nilpotency, and the graph of invisible cycles
 # ----------------------------------------------------------------------
-
-def invisible_subgraph(pmap: PlanarMap, omega) -> frozenset:
-    """Arrows lying on a directed cycle inside the zero set of a compatible
-    function (any one: the answer does not depend on the choice).
-
-    Raises:
-        EmptyStateSet: no compatible angular function exists.
-    """
-    return Decoration.of(pmap, omega).invisible_arrows
-
 
 def invisible_edge_set(quiver: MedialQuiver, invisible_arrows):
     """Map edges (quiver vertices) lying on some invisible cycle."""

@@ -33,7 +33,7 @@ TRIANGLE_WEIGHT = {"v0": 1, "v1": 1, "v2": 2, "f0": 2, "f1": 2}
 
 def _component_lattices(pmap, omega, quiver):
     """One certified lattice per move-graph component."""
-    graph = st.build_L_graph(pmap, omega)
+    graph = st.Decoration.of(pmap, omega).move_graph
     out = []
     for comp in graph.undirected_components():
         g0, _ = bms.component_minimum(pmap, omega, graph.nodes[comp[0]])
@@ -51,7 +51,7 @@ def test_criterion_1_hopf_two_isolated_states(corpus_maps):
     pmap, _ = corpus_maps["hopf"]
     functions = st.enumerate_compatible(pmap, HOPF_ISOLATED)
     assert len(functions) == 2
-    graph = st.build_L_graph(pmap, HOPF_ISOLATED)
+    graph = st.Decoration.of(pmap, HOPF_ISOLATED).move_graph
     assert graph.edges == ()
     assert graph.undirected_components() == [[0], [1]]
     assert st.gamma_inv_connected(pmap, HOPF_ISOLATED) == (False, 2)
@@ -82,7 +82,7 @@ def test_criterion_3_clock_lattices_with_full_tables(corpus_maps):
         diagram = LinkDiagram(pmap, marked)
         # count fixed beforehand by the dual-checked enumeration
         assert len(enumerate_kauffman_states(diagram)) == expected
-        graph = st.build_L_graph(pmap, kauffman_weight(diagram))
+        graph = st.Decoration.of(pmap, kauffman_weight(diagram)).move_graph
         assert len(graph.undirected_components()) == 1  # connected
         lattice = clock_lattice(diagram)
         assert len(lattice) == expected
@@ -197,7 +197,7 @@ def test_criterion_7_oracle_equivalence(corpus_maps):
         # move along e replaces the two markers sitting on the angles keyed
         # by e's darts with the two angles pointing into e
         from medialq.kauffman import chi_inv
-        graph = st.build_L_graph(pmap, omega)
+        graph = st.Decoration.of(pmap, omega).move_graph
         via_functions = {
             (chi_inv(diagram, graph.nodes[s]).angles,
              chi_inv(diagram, graph.nodes[t]).angles, e)

@@ -74,6 +74,18 @@ def test_figure_eight_lattice(figure_eight_setup):
     assert lat.certificate.join_table is not None
 
 
+def test_state_hash_is_the_hash_of_its_fields(figure_eight_setup):
+    """The hash kept at construction is the frozen dataclass's hash of
+    (f_plus, f_minus, d), and equality still compares the fields."""
+    pmap, omega, quiver, states = figure_eight_setup
+    lat = lattice_from_bottom(pmap, omega, quiver, states)
+    for xi in lat.elements:
+        assert hash(xi) == hash((xi.f_plus, xi.f_minus, xi.d))
+        twin = bms.BMSState(xi.f_plus, xi.f_minus, xi.d)
+        assert twin == xi and hash(twin) == hash(xi)
+    assert len(set(lat.elements)) == len(lat) == 5
+
+
 def test_lattice_laws(figure_eight_setup):
     pmap, omega, quiver, states = figure_eight_setup
     lat = lattice_from_bottom(pmap, omega, quiver, states)
@@ -140,7 +152,7 @@ def test_moves_blocked_on_invisible_edges(trefoil_setup):
     pmap, omega, quiver, states = trefoil_setup
     lat = lattice_from_bottom(pmap, omega, quiver, states)
     inv_edges = st.invisible_edge_set(
-        quiver, st.invisible_subgraph(pmap, omega))
+        quiver, st.Decoration.of(pmap, omega).invisible_arrows)
     assert inv_edges
     for xi in lat.elements:
         for e in sorted(inv_edges):
@@ -230,7 +242,7 @@ def test_component_reconstruction_across_corpus(corpus_maps):
     for name, (pmap, marked) in sorted(corpus_maps.items()):
         omega = kauffman_like_weight(pmap, marked)
         quiver = medial_quiver(pmap)
-        graph = st.build_L_graph(pmap, omega)
+        graph = st.Decoration.of(pmap, omega).move_graph
         directed = {}
         for s, t, lab in graph.edges:
             directed.setdefault(s, set()).add((t, lab))

@@ -285,12 +285,86 @@ def test_internal_disagreement_exits_1_without_traceback(capsys, maps,
                    "3 via functions, 2 direct\n")
 
 
+def test_certification_failure_exits_1(capsys, maps, monkeypatch):
+    from medialq import cli
+    from medialq.lattice import CertificationFailed
+
+    def fail(args):
+        raise CertificationFailed("lattice reaches 2 of 3 states")
+
+    monkeypatch.setattr(cli, "cmd_nilpotency", fail)
+    code, out, err = run(capsys, "nilpotency", maps["trefoil"])
+    assert (code, out) == (1, "")
+    assert err == "medialq: lattice reaches 2 of 3 states\n"
+
+
+def test_candidate_space_refusal_exits_2(capsys, maps, monkeypatch):
+    from medialq import cli, reps
+
+    def refuse(*args):
+        raise reps.CandidateSpaceTooLarge("module is not nilpotent")
+
+    monkeypatch.setattr(cli, "cmd_subreps", refuse)
+    monkeypatch.setattr(reps, "verify_subrep_isomorphism", refuse)
+    for argv in (("subreps", maps["trefoil"]), ("check-all",)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "medialq: module is not nilpotent\n"  # no map name
+
+
+def test_endless_descent_exits_1_without_traceback(capsys, maps,
+                                                   monkeypatch):
+    from medialq import bms
+
+    monkeypatch.setattr(bms, "DESCENT_FUEL", 0)  # the figure eight needs 1
+    code, out, err = run(capsys, "component", maps["figure_eight"])
+    assert (code, out) == (1, "")
+    assert err == "medialq: greedy descent did not terminate\n"
+
+
 def test_cli_import_leaves_networkx_out():
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, medialq.cli; print('networkx' in sys.modules)"],
         capture_output=True, text=True, check=True)
     assert proc.stdout == "False\n"
+
+
+# Modules a verb must not load: the representation layer (and the exact
+# rationals behind it) everywhere below, and for the verbs that build no
+# lattice also the lattice and BMS layers and dataclasses.
+REPS = ("medialq.reps", "medialq.linalg", "fractions")
+LATTICES = ("medialq.lattice", "medialq.bms", "dataclasses")
+BUDGETS = [
+    ("states", "trefoil", REPS + LATTICES),
+    ("move-graph", "trefoil", REPS + LATTICES),
+    ("invisible", "trefoil", REPS + LATTICES),
+    ("nilpotency", "trefoil", REPS + LATTICES),
+    ("prime-check", "trefoil_sum", REPS + LATTICES),
+    ("kauffman-states", "trefoil", REPS + LATTICES),
+    ("medial", "trefoil", REPS + LATTICES),
+    ("--help", None, REPS + LATTICES),
+    ("component", "figure_eight", REPS),
+]
+
+
+@pytest.mark.parametrize("verb, name, unloaded", BUDGETS,
+                         ids=[verb for verb, _, _ in BUDGETS])
+def test_verb_loads_only_what_it_runs(maps, verb, name, unloaded):
+    probe = ("import sys\n"
+             "from medialq.cli import main\n"
+             "try:\n"
+             "    main(sys.argv[1:])\n"
+             "except SystemExit:\n"  # --help
+             "    pass\n"
+             "print(*sorted(sys.modules), file=sys.stderr)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, verb] + ([str(maps[name])] if name else []),
+        capture_output=True, text=True, check=True)
+    assert proc.stdout  # the verb ran and reported
+    loaded = set(proc.stderr.split())
+    assert "medialq.cli" in loaded
+    assert loaded.isdisjoint(unloaded), sorted(loaded & set(unloaded))
 
 
 def test_networkx_is_not_a_runtime_dependency():

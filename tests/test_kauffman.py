@@ -196,3 +196,25 @@ def test_from_text_roundtrip(diagrams):
     assert again.pmap.canonical_form() == diag.pmap.canonical_form()
     with pytest.raises(ValueError, match="marked_edge"):
         kf.LinkDiagram.from_text(dump_map_text(diag.pmap))
+
+
+def test_records_match_frozen_dataclasses(diagrams):
+    """Angles and Kauffman states compare, hash and print as the frozen
+    dataclasses they replace, and refuse assignment and deletion."""
+    from dataclasses import make_dataclass
+
+    diag = diagrams["figure_eight"]
+    records = (list(diag.pmap.quiver.angles.values())
+               + kf.enumerate_kauffman_states(diag))
+    assert len(set(records)) == len(records)
+    for x in records:
+        cls, names = type(x), type(x).__slots__
+        oracle = make_dataclass(cls.__name__, names, frozen=True)
+        values = [getattr(x, name) for name in names]
+        assert repr(x) == repr(oracle(*values))
+        assert hash(x) == hash(oracle(*values))
+        assert x == cls(*values) and x != oracle(*values)
+        with pytest.raises(AttributeError):
+            setattr(x, names[0], None)
+        with pytest.raises(AttributeError):
+            delattr(x, names[0])

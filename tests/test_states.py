@@ -39,7 +39,7 @@ def test_digon_mutual_moves(digon):
     assert values(h) == (0, 1, 0, 1)
     assert st.mov_e(q, h, "e1") == g
     assert st.anti_mov_e(q, h, "e0") == g
-    graph = st.build_L_graph(digon, DIGON_WEIGHT)
+    graph = st.Decoration.of(digon, DIGON_WEIGHT).move_graph
     assert graph.edges == ((0, 1, "e1"), (1, 0, "e0"))
     assert graph.undirected_components() == [[0, 1]]
 
@@ -103,11 +103,11 @@ def test_hopf_frozen_component_structure(corpus_maps):
     pmap, _ = corpus_maps["hopf"]
     L = st.enumerate_compatible(pmap, HOPF_WEIGHT)
     assert len(L) == 2
-    graph = st.build_L_graph(pmap, HOPF_WEIGHT)
+    graph = st.Decoration.of(pmap, HOPF_WEIGHT).move_graph
     assert graph.edges == ()
     assert graph.undirected_components() == [[0], [1]]
     assert st.nilpotency_degree(pmap, HOPF_WEIGHT) == 0
-    inv = st.invisible_subgraph(pmap, HOPF_WEIGHT)
+    inv = st.Decoration.of(pmap, HOPF_WEIGHT).invisible_arrows
     assert sorted(inv) == ["c1nw", "c1se", "c2nw", "c2se"]
     assert st.gamma_inv_connected(pmap, HOPF_WEIGHT) == (False, 2)
     assert st.gamma_inv_components_bruteforce(pmap, HOPF_WEIGHT) == 2
@@ -119,7 +119,7 @@ def test_invisible_subgraph_state_independent(corpus_maps):
 
     pmap, _ = corpus_maps["hopf"]
     q = medial_quiver(pmap)
-    reference = st.invisible_subgraph(pmap, HOPF_WEIGHT)
+    reference = st.Decoration.of(pmap, HOPF_WEIGHT).invisible_arrows
     for g in st.enumerate_compatible(pmap, HOPF_WEIGHT):
         zero = [a for a in q.arrow_ids if g[a] == 0]
         dg = nx.DiGraph()
@@ -145,7 +145,7 @@ def test_empty_state_set(corpus_maps):
     assert st.validate_weight(pmap, omega)
     assert st.enumerate_compatible(pmap, omega) == []
     with pytest.raises(st.EmptyStateSet):
-        st.invisible_subgraph(pmap, omega)
+        st.Decoration.of(pmap, omega).invisible_arrows
     with pytest.raises(st.EmptyStateSet):
         st.nilpotency_degree(pmap, omega)
 
