@@ -1,11 +1,10 @@
 """Command-line interface: one verb per construction in the library.
 
-Reports are plain deterministic text: same input, same seed, same bytes.
-Every report starts with the sha256 of its inputs and the seed in use, so a
-report file identifies what it was computed from.  Exit status is 0 for
-success, 1 when a check found a counterexample or failed to certify (an
-internal disagreement between two methods included), and 2 for unusable
-input.
+Reports are plain deterministic text: same input, same bytes.  Every
+report starts with its verb and the sha256 of its inputs, so a report file
+identifies what it was computed from.  Exit status is 0 for success, 1 when
+a check found a counterexample or failed to certify (an internal
+disagreement between two methods included), and 2 for unusable input.
 
 Each verb imports what it runs: the top of this module loads only the map,
 state and Kauffman layers that every map verb needs, so a state verb never
@@ -48,37 +47,46 @@ def _read_bytes(path):
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_map(path):
-    raw = _read_bytes(path)
+def _header(args, inputs):
+    """The report's first lines: its verb, then each input file's sha256."""
+    return [f"# medialq {args.verb}"] + [
+        f"# input {name}: sha256 {hashlib.sha256(raw).hexdigest()}"
+        for name, raw in inputs]
+
+
+def _load_map(args):
+    """(map, marked edge or None, the map file as an input)."""
+    raw = _read_bytes(args.map)
     pmap, marked = parse_map_text(raw.decode("utf-8"))
-    return pmap, marked, raw
+    return pmap, marked, [(args.map, raw)]
 
 
-def _decoration(args, pmap, marked):
-    """The map decorated by the explicit --weight file, else by the Kauffman
-    weight of the marked edge; with the weight file as an extra input."""
-    if getattr(args, "weight", None):
+def _decoration(args):
+    """The map decorated by the --weight file, else by the Kauffman weight
+    of its marked edge; with the report header naming every input."""
+    pmap, marked, inputs = _load_map(args)
+    if args.weight:
         raw = _read_bytes(args.weight)
         omega = st.parse_weight_text(raw.decode("utf-8"))
-        return st.Decoration.of(pmap, omega), [(args.weight, raw)]
-    if marked is not None:
+        inputs.append((args.weight, raw))
+    elif marked is not None:
         omega = kauffman_weight(LinkDiagram(pmap, marked))
-        return st.Decoration.of(pmap, omega), []
-    raise InputError("no --weight given and the map has no marked_edge")
+    else:
+        raise InputError("no --weight given and the map has no marked_edge")
+    return st.Decoration.of(pmap, omega), _header(args, inputs)
 
 
-def _header(verb, inputs, seed=None):
-    lines = [f"# medialq {verb}"]
-    for name, raw in inputs:
-        lines.append(f"# input {name}: sha256 {hashlib.sha256(raw).hexdigest()}")
-    if seed is not None:
-        lines.append(f"# seed {seed}")
-    return lines
+def _diagram(args):
+    """The link diagram of the map, with the report header."""
+    pmap, marked, inputs = _load_map(args)
+    if marked is None:
+        raise InputError("this verb needs a link diagram with marked_edge")
+    return LinkDiagram(pmap, marked), _header(args, inputs)
 
 
 def _emit(args, lines):
     text = "\n".join(lines) + "\n"
-    if getattr(args, "out", None):
+    if args.out:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
@@ -91,8 +99,9 @@ def _fun_text(g):
     return inner or "0"
 
 
-def _dims_text(d):
-    inner = ",".join(f"{e}:{v}" for e, v in sorted(d.items()) if v)
+def _dims_text(pairs):
+    """edge:value for the nonzero (edge, value) pairs, in edge order."""
+    inner = ",".join(f"{e}:{v}" for e, v in sorted(pairs) if v)
     return inner or "0"
 
 
@@ -103,12 +112,12 @@ def _mat_text(m):
 
 def _bms_text(xi):
     """A BMS state by its dimension vector and f_plus."""
-    return f"d={_dims_text(dict(xi.d))} f+={_fun_text(xi.f_plus)}"
+    return f"d={_dims_text(xi.d)} f+={_fun_text(xi.f_plus)}"
 
 
 def _family_text(family):
     """A prefix family by its prefix lengths."""
-    return f"k={_dims_text(dict(family.dims))}"
+    return f"k={_dims_text(family.dims)}"
 
 
 def _markers_text(state):
@@ -143,18 +152,31 @@ def _lattice_lines(lat, element_text):
     return out
 
 
-def _component_lattice(dec):
-    """Lattice of the component of the first compatible function, or None."""
-    return None if dec.first is None else dec.component_lattice(dec.first)
+def _hasse(lines, lattice, label):
+    """The report: lines, then the lattice's Hasse diagram in DOT."""
+    return 0, lines + [lattice.poset.hasse_dot(label=label).rstrip("\n")]
 
 
-def _top_module(dec):
+def _component(args):
+    """(decoration, lattice of its first compatible function's component,
+    header); without compatible functions the lattice is None and the header
+    ends by saying so."""
+    dec, lines = _decoration(args)
+    if dec.first is None:
+        return dec, None, lines + ["no compatible angular functions"]
+    return dec, dec.component_lattice(dec.first), lines
+
+
+def _top_module(args):
+    """(decoration, maximal state of the component lattice, its state
+    module, header)."""
     from .reps import state_module
 
-    lattice = _component_lattice(dec)
+    dec, lattice, lines = _component(args)
     if lattice is None:
         raise InputError("no compatible angular function, nothing to build")
-    return lattice.maximum, state_module(dec.pmap, lattice.maximum)
+    top = lattice.maximum
+    return dec, top, state_module(dec.pmap, top), lines
 
 
 # ----------------------------------------------------------------------
@@ -162,18 +184,18 @@ def _top_module(dec):
 # ----------------------------------------------------------------------
 
 def cmd_medial(args):
-    pmap, marked, raw = _load_map(args.map)
+    pmap, _, inputs = _load_map(args)
     quiver = pmap.quiver
+    lines = _header(args, inputs)
     if args.format == "dot":
-        lines = ["digraph medial {"]
+        lines.append("digraph medial {")
         for e in quiver.vertices:
             lines.append(f'  "{e}";')
         for a in quiver.arrow_ids:
             s, t = quiver.arrows[a]
             lines.append(f'  "{s}" -> "{t}" [label="{a}"];')
         lines.append("}")
-        return 0, _header("medial", [(args.map, raw)]) + lines
-    lines = _header("medial", [(args.map, raw)])
+        return 0, lines
     lines.append(f"vertices: {len(pmap.vertices)} edges: {len(pmap.edges)} "
                  f"faces: {len(pmap.faces)}")
     for f in sorted(pmap.faces, key=cell_key):
@@ -188,10 +210,8 @@ def cmd_medial(args):
 
 
 def cmd_states(args):
-    pmap, marked, raw = _load_map(args.map)
-    dec, extra = _decoration(args, pmap, marked)
+    dec, lines = _decoration(args)
     functions = dec.states
-    lines = _header("states", [(args.map, raw)] + extra)
     lines.append(f"compatible angular functions: {len(functions)}")
     for i, g in enumerate(functions):
         lines.append(f"  {i}: {_fun_text(g)}")
@@ -199,18 +219,16 @@ def cmd_states(args):
 
 
 def cmd_move_graph(args):
-    pmap, marked, raw = _load_map(args.map)
-    dec, extra = _decoration(args, pmap, marked)
+    dec, lines = _decoration(args)
     graph = dec.move_graph
     if args.format == "dot":
-        lines = ["digraph moves {"]
+        lines.append("digraph moves {")
         for i, g in enumerate(graph.nodes):
             lines.append(f'  n{i} [label="{_fun_text(g)}"];')
         for s, t, e in graph.edges:
             lines.append(f'  n{s} -> n{t} [label="{e}"];')
         lines.append("}")
-        return 0, _header("move-graph", [(args.map, raw)] + extra) + lines
-    lines = _header("move-graph", [(args.map, raw)] + extra)
+        return 0, lines
     lines.append(f"states: {len(graph.nodes)} moves: {len(graph.edges)}")
     for i, g in enumerate(graph.nodes):
         lines.append(f"  {i}: {_fun_text(g)}")
@@ -222,9 +240,7 @@ def cmd_move_graph(args):
 
 
 def cmd_invisible(args):
-    pmap, marked, raw = _load_map(args.map)
-    dec, extra = _decoration(args, pmap, marked)
-    lines = _header("invisible", [(args.map, raw)] + extra)
+    dec, lines = _decoration(args)
     try:
         arrows = dec.invisible_arrows
     except EmptyStateSet:
@@ -234,7 +250,7 @@ def cmd_invisible(args):
     edges = dec.invisible_edges
     lines.append(f"invisible edges: {' '.join(sorted(edges)) or 'none'}")
     try:
-        connected, ncomp = st.gamma_inv_connected(pmap, dec.omega)
+        connected, ncomp = st.gamma_inv_connected(dec.pmap, dec.omega)
         lines.append(f"invisible cycle graph components: {ncomp} "
                      f"(connected: {connected})")
     except NotNilpotencyZero:
@@ -243,9 +259,7 @@ def cmd_invisible(args):
 
 
 def cmd_nilpotency(args):
-    pmap, marked, raw = _load_map(args.map)
-    dec, extra = _decoration(args, pmap, marked)
-    lines = _header("nilpotency", [(args.map, raw)] + extra)
+    dec, lines = _decoration(args)
     try:
         lines.append(f"nilpotency degree: {dec.nilpotency}")
     except EmptyStateSet:
@@ -254,16 +268,11 @@ def cmd_nilpotency(args):
 
 
 def cmd_bms_lattice(args):
-    pmap, marked, raw = _load_map(args.map)
-    dec, extra = _decoration(args, pmap, marked)
-    lattice = _component_lattice(dec)
-    lines = _header("bms-lattice", [(args.map, raw)] + extra, seed=args.seed)
+    dec, lattice, lines = _component(args)
     if lattice is None:
-        lines.append("no compatible angular functions")
         return 0, lines
     if args.format == "dot":
-        return 0, lines + [lattice.poset.hasse_dot(
-            label=lambda x: _dims_text(dict(x.d))).rstrip("\n")]
+        return _hasse(lines, lattice, lambda x: _dims_text(x.d))
     lines.append(f"component covers {len(lattice)} of {len(dec.states)} states")
     lines.extend(_lattice_lines(lattice, _bms_text))
     return 0, lines
@@ -272,14 +281,12 @@ def cmd_bms_lattice(args):
 def cmd_component(args):
     from .bms import component_minimum
 
-    pmap, marked, raw = _load_map(args.map)
-    dec, extra = _decoration(args, pmap, marked)
+    dec, lines = _decoration(args)
     graph = dec.move_graph
-    lines = _header("component", [(args.map, raw)] + extra)
     comps = graph.undirected_components()
     lines.append(f"states: {len(graph.nodes)} components: {len(comps)}")
     for i, comp in enumerate(comps):
-        g0, d = component_minimum(pmap, dec.omega, graph.nodes[comp[0]])
+        g0, d = component_minimum(dec.pmap, dec.omega, graph.nodes[comp[0]])
         lines.append(f"component {i}: size {len(comp)} "
                      f"minimum {_fun_text(g0)} "
                      f"({sum(d.values())} anti-moves down)")
@@ -289,37 +296,23 @@ def cmd_component(args):
 def cmd_subobjects(args):
     from .bms import plus_subobjects
 
-    pmap, marked, raw = _load_map(args.map)
-    dec, extra = _decoration(args, pmap, marked)
-    lattice = _component_lattice(dec)
-    lines = _header("subobjects", [(args.map, raw)] + extra, seed=args.seed)
+    dec, lattice, lines = _component(args)
     if lattice is None:
-        lines.append("no compatible angular functions")
         return 0, lines
     top = lattice.maximum
-    below = plus_subobjects(pmap, dec.omega, top)
+    below = plus_subobjects(dec.pmap, dec.omega, top)
     lines.append(f"subobjects of the maximal state {_bms_text(top)}")
     if args.format == "dot":
-        return 0, lines + [below.poset.hasse_dot(
-            label=lambda x: _dims_text(dict(x.d))).rstrip("\n")]
+        return _hasse(lines, below, lambda x: _dims_text(x.d))
     lines.extend(_lattice_lines(below, _bms_text))
     return 0, lines
 
 
-def _diagram(args):
-    pmap, marked, raw = _load_map(args.map)
-    if marked is None:
-        raise InputError("this verb needs a link diagram with marked_edge")
-    return LinkDiagram(pmap, marked), raw
-
-
 def cmd_clock(args):
-    diagram, raw = _diagram(args)
-    lines = _header("clock", [(args.map, raw)], seed=args.seed)
+    diagram, lines = _diagram(args)
     lattice = clock_lattice(diagram)
     if args.format == "dot":
-        return 0, lines + [lattice.poset.hasse_dot(
-            label=lambda x: ",".join(x.angles)).rstrip("\n")]
+        return _hasse(lines, lattice, lambda x: ",".join(x.angles))
     lines.append(f"clock lattice of {args.map} "
                  f"(marked edge {diagram.marked_edge})")
     lines.extend(_lattice_lines(lattice, _markers_text))
@@ -327,8 +320,7 @@ def cmd_clock(args):
 
 
 def cmd_prime_check(args):
-    diagram, raw = _diagram(args)
-    lines = _header("prime-check", [(args.map, raw)])
+    diagram, lines = _diagram(args)
     witness = diagram.separating_pair
     if witness is None:
         lines.append("prime: yes (no separating edge pair)")
@@ -338,9 +330,8 @@ def cmd_prime_check(args):
 
 
 def cmd_kauffman_states(args):
-    diagram, raw = _diagram(args)
+    diagram, lines = _diagram(args)
     states = enumerate_kauffman_states(diagram)
-    lines = _header("kauffman-states", [(args.map, raw)])
     lines.append(f"kauffman states: {len(states)}")
     for i, state in enumerate(states):
         lines.append(f"  {i}: " + ",".join(state.angles))
@@ -348,10 +339,7 @@ def cmd_kauffman_states(args):
 
 
 def cmd_module(args):
-    pmap, marked, raw = _load_map(args.map)
-    dec, extra = _decoration(args, pmap, marked)
-    top, module = _top_module(dec)
-    lines = _header("module", [(args.map, raw)] + extra, seed=args.seed)
+    _, top, module, lines = _top_module(args)
     lines.append(f"state module of the maximal state {_bms_text(top)}")
     lines.append("dims: " + " ".join(
         f"{e}:{module.dims[e]}" for e in module.vertices))
@@ -364,21 +352,17 @@ def cmd_module(args):
 def cmd_jacobian_check(args):
     from . import reps
 
-    pmap, marked, raw = _load_map(args.map)
-    dec, extra = _decoration(args, pmap, marked)
-    lattice = _component_lattice(dec)
-    lines = _header("jacobian-check", [(args.map, raw)] + extra,
-                    seed=args.seed)
+    dec, lattice, lines = _component(args)
     if lattice is None:
-        lines.append("no compatible angular functions")
         return 0, lines
-    potential = reps.canonical_potential(pmap, dec.omega)
+    potential = reps.canonical_potential(dec.pmap, dec.omega)
     lines.append(f"potential terms: {len(potential.terms)}")
     bad = 0
     for i, state in enumerate(lattice.elements):
-        report = reps.check_jacobian(reps.state_module(pmap, state), potential)
+        report = reps.check_jacobian(reps.state_module(dec.pmap, state),
+                                     potential)
         verdict = "ok" if report.ok else "NONZERO RESIDUAL"
-        lines.append(f"state {i} ({_dims_text(dict(state.d))}): "
+        lines.append(f"state {i} ({_dims_text(state.d)}): "
                      f"{report.arrows_checked} derivatives {verdict}")
         for arrow, residual in report.nonzero:
             bad += 1
@@ -390,11 +374,8 @@ def cmd_jacobian_check(args):
 def cmd_endo(args):
     from .reps import endomorphism_ring
 
-    pmap, marked, raw = _load_map(args.map)
-    dec, extra = _decoration(args, pmap, marked)
-    top, module = _top_module(dec)
+    _, top, module, lines = _top_module(args)
     ring = endomorphism_ring(module)
-    lines = _header("endo", [(args.map, raw)] + extra, seed=args.seed)
     lines.append(f"endomorphisms of the maximal state module "
                  f"{_bms_text(top)}")
     lines.append(f"dimension: {ring.dimension} semisimple rank: "
@@ -409,16 +390,12 @@ def cmd_endo(args):
 def cmd_subreps(args):
     from .reps import enumerate_subreps
 
-    pmap, marked, raw = _load_map(args.map)
-    dec, extra = _decoration(args, pmap, marked)
-    top, module = _top_module(dec)
+    dec, top, module, lines = _top_module(args)
     found = enumerate_subreps(module, dec.omega)
-    lines = _header("subreps", [(args.map, raw)] + extra, seed=args.seed)
     lines.append(f"subrepresentations of the maximal state module "
                  f"{_bms_text(top)}")
     if args.format == "dot":
-        return 0, lines + [found.poset.hasse_dot(
-            label=lambda x: _dims_text(dict(x.dims))).rstrip("\n")]
+        return _hasse(lines, found, lambda x: _dims_text(x.dims))
     lines.extend(_lattice_lines(found, _family_text))
     return 0, lines
 
@@ -426,20 +403,16 @@ def cmd_subreps(args):
 def cmd_verify_iso(args):
     from .reps import verify_subrep_isomorphism
 
-    pmap, marked, raw = _load_map(args.map)
-    dec, extra = _decoration(args, pmap, marked)
-    lattice = _component_lattice(dec)
-    lines = _header("verify-iso", [(args.map, raw)] + extra, seed=args.seed)
+    dec, lattice, lines = _component(args)
     if lattice is None:
-        lines.append("no compatible angular functions")
         return 0, lines
     top = lattice.maximum
-    cert = verify_subrep_isomorphism(pmap, dec.omega, top)
+    cert = verify_subrep_isomorphism(dec.pmap, dec.omega, top)
     lines.append(f"maximal state: {_bms_text(top)}")
     lines.append(f"plus-subobjects: {len(cert.bms_lattice)} "
                  f"subrepresentations: {len(cert.subrep_lattice)}")
     for state in cert.bms_lattice.elements:
-        lines.append(f"  {_dims_text(dict(state.d))} -> "
+        lines.append(f"  {_dims_text(state.d)} -> "
                      f"{_family_text(cert.mapping[state])}")
     lines.append(f"order isomorphism: {cert.order_isomorphic} "
                  f"grades match: {cert.grades_match}")
@@ -451,7 +424,7 @@ def cmd_verify_iso(args):
 # ----------------------------------------------------------------------
 
 def _check_one_diagram(raw):
-    """All certifiable properties of one link diagram; (passed, lines)."""
+    """All certifiable properties of one link diagram; (failures, lines)."""
     from . import bms, reps
 
     lines = []
@@ -463,9 +436,8 @@ def _check_one_diagram(raw):
         except Exception as exc:  # honest reporting beats early exit here
             failures.append(f"{label}: {type(exc).__name__}: {exc}")
             lines.append(f"  {label}: ERROR {type(exc).__name__}: {exc}")
-            return None
-        lines.append(f"  {label}: {outcome}")
-        return outcome
+        else:
+            lines.append(f"  {label}: {outcome}")
 
     diagram = LinkDiagram.from_text(raw.decode("utf-8"))
     pmap = diagram.pmap
@@ -477,13 +449,8 @@ def _check_one_diagram(raw):
     lines.append(f"  kauffman states (dual enumeration agrees): {len(states)}")
 
     check("nilpotency degree", lambda: dec.nilpotency)
-    ncomp = check("invisible cycle graph components",
-                  lambda: st.gamma_inv_components(pmap, omega))
-    if len(quiver.arrow_ids) <= 12:
-        brute = check("  same by brute force",
-                      lambda: st.gamma_inv_components_bruteforce(pmap, omega))
-        if brute is not None and ncomp is not None and brute != ncomp:
-            failures.append(f"invisible component mismatch {ncomp} vs {brute}")
+    check("invisible cycle graph components",
+          lambda: st.gamma_inv_components(pmap, omega))
 
     graph = dec.move_graph
     comps = graph.undirected_components()
@@ -529,8 +496,8 @@ def _check_one_diagram(raw):
     module = reps.state_module(pmap, top)
     if not reps.is_nilpotent(module):
         failures.append("maximal state module is not nilpotent")
-    verdict = check("maximal module indecomposable (methods agree)",
-                    lambda: reps.is_indecomposable(module, omega))
+    check("maximal module indecomposable (methods agree)",
+          lambda: reps.is_indecomposable(module, omega))
     anti = frozenset(e for e in quiver.vertices
                      if bms.is_bms_anti_movable(quiver, top, e))
     if reps.simple_quotients(module) != anti:
@@ -563,7 +530,7 @@ def cmd_check_all(args):
         sources = [(f"builtin:{name}",
                     folder.joinpath(f"{name}.map").read_bytes())
                    for name in corpus.names()]
-    lines = _header("check-all", sources, seed=args.seed)
+    lines = _header(args, sources)
     total_failures = []
     for name, raw in sources:
         lines.append(f"{name}:")
@@ -593,7 +560,7 @@ def build_parser():
                     "representations")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add(name, fn, *, weight=False, fmt=False, seed=False, map_arg=True):
+    def add(name, fn, *, weight=False, fmt=False, map_arg=True):
         p = sub.add_parser(name)
         if map_arg:
             p.add_argument("map", help="rotation-system input file")
@@ -604,8 +571,6 @@ def build_parser():
         if fmt:
             p.add_argument("--format", choices=("dump", "dot"),
                            default="dump")
-        if seed:
-            p.add_argument("--seed", type=int, default=0)
         p.set_defaults(func=fn)
         return p
 
@@ -614,18 +579,18 @@ def build_parser():
     add("move-graph", cmd_move_graph, weight=True, fmt=True)
     add("invisible", cmd_invisible, weight=True)
     add("nilpotency", cmd_nilpotency, weight=True)
-    add("bms-lattice", cmd_bms_lattice, weight=True, fmt=True, seed=True)
+    add("bms-lattice", cmd_bms_lattice, weight=True, fmt=True)
     add("component", cmd_component, weight=True)
-    add("subobjects", cmd_subobjects, weight=True, fmt=True, seed=True)
-    add("clock", cmd_clock, fmt=True, seed=True)
+    add("subobjects", cmd_subobjects, weight=True, fmt=True)
+    add("clock", cmd_clock, fmt=True)
     add("prime-check", cmd_prime_check)
     add("kauffman-states", cmd_kauffman_states)
-    add("module", cmd_module, weight=True, seed=True)
-    add("jacobian-check", cmd_jacobian_check, weight=True, seed=True)
-    add("endo", cmd_endo, weight=True, seed=True)
-    add("subreps", cmd_subreps, weight=True, fmt=True, seed=True)
-    add("verify-iso", cmd_verify_iso, weight=True, seed=True)
-    allp = add("check-all", cmd_check_all, seed=True, map_arg=False)
+    add("module", cmd_module, weight=True)
+    add("jacobian-check", cmd_jacobian_check, weight=True)
+    add("endo", cmd_endo, weight=True)
+    add("subreps", cmd_subreps, weight=True, fmt=True)
+    add("verify-iso", cmd_verify_iso, weight=True)
+    allp = add("check-all", cmd_check_all, map_arg=False)
     allp.add_argument("path", nargs="?",
                       help="directory of .map files (default: built-in corpus)")
 

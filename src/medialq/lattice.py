@@ -248,6 +248,11 @@ def _birkhoff(poset: FinitePoset):
     strict down-set lies in m gives a mask, so from the minimum's empty mask
     the image reaches every down-set.  (d) There are as many such additions
     as covers, so the covers map onto those of the down-set lattice.
+
+    (c) and (d) do not imply (a): an 8-element graded poset fails (a) alone
+    (``test_equal_masks_alone_caught``).  No graded poset with a unique
+    minimum and maximum and at most 10 elements fails (b) alone, which
+    stays as a cheap guard.
     """
     below = poset._below
     irreducibles = [i for i in poset._topo if len(below[i]) == 1]

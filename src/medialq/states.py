@@ -66,13 +66,14 @@ def is_characteristic(omega) -> bool:
 
 
 def parse_weight_text(text):
-    """Parse a weight file: a YAML mapping from vertex/face ids to integers."""
+    """Parse a weight file: a YAML mapping from vertex/face ids to integers
+    (YAML's true and false are not integers here, though Python's bools are)."""
     doc = load_yaml(text, MissingValue)
     if not isinstance(doc, dict):
         raise MissingValue("weight file must be a mapping of cell ids to integers")
     out = {}
     for key, val in doc.items():
-        if not isinstance(val, int):
+        if not isinstance(val, int) or isinstance(val, bool):
             raise MissingValue(f"weight value for {key!r} is not an integer")
         out[str(key)] = val
     return out
@@ -549,29 +550,3 @@ def gamma_inv_connected(pmap: PlanarMap, omega):
     """(is_connected, component_count) for the graph of invisible cycles."""
     n = gamma_inv_components(pmap, omega)
     return n == 1, n
-
-
-def gamma_inv_components_bruteforce(pmap: PlanarMap, omega, max_arrows=12) -> int:
-    """Oracle: enumerate simple cycles in the zero set and glue along shared vertices."""
-    dec = Decoration.of(pmap, omega)
-    q = dec.quiver
-    if len(q.arrow_ids) > max_arrows:
-        raise ValueError(f"brute-force oracle limited to {max_arrows} arrows")
-    g0 = dec.require_first()
-    succ = {e: set() for e in q.vertices}
-    for a in q.arrow_ids:
-        if g0[a] == 0:
-            succ[q.source(a)].add(q.target(a))
-    cycles = []
-    for start in q.vertices:  # each simple cycle once, from its least vertex
-        paths = [[start]]
-        while paths:
-            path = paths.pop()
-            for w in succ[path[-1]]:
-                if w == start:
-                    cycles.append(frozenset(path))
-                elif w > start and w not in path:
-                    paths.append(path + [w])
-    links = [(i, j) for i in range(len(cycles)) for j in range(i)
-             if cycles[i] & cycles[j]]
-    return len(connected_components(range(len(cycles)), links))

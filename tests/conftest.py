@@ -3,8 +3,8 @@ from itertools import product
 import pytest
 
 from medialq import corpus
-from medialq.planar import build_planar_map
-from medialq.states import AngularFunction
+from medialq.planar import PlanarMap, build_planar_map
+from medialq.states import AngularFunction, Decoration, connected_components
 
 
 # Triangle: three degree-2 vertices in a cycle.  Face f0 = {a0, a1, a2} is the
@@ -52,3 +52,29 @@ def compatible_functions(pmap, omega):
             found.append(AngularFunction(g))
     found.sort(key=lambda g: tuple(v for _, v in g.items()))
     return found
+
+
+def gamma_inv_components_bruteforce(pmap: PlanarMap, omega, max_arrows=12) -> int:
+    """Oracle: enumerate simple cycles in the zero set and glue along shared vertices."""
+    dec = Decoration.of(pmap, omega)
+    q = dec.quiver
+    if len(q.arrow_ids) > max_arrows:
+        raise ValueError(f"brute-force oracle limited to {max_arrows} arrows")
+    g0 = dec.require_first()
+    succ = {e: set() for e in q.vertices}
+    for a in q.arrow_ids:
+        if g0[a] == 0:
+            succ[q.source(a)].add(q.target(a))
+    cycles = []
+    for start in q.vertices:  # each simple cycle once, from its least vertex
+        paths = [[start]]
+        while paths:
+            path = paths.pop()
+            for w in succ[path[-1]]:
+                if w == start:
+                    cycles.append(frozenset(path))
+                elif w > start and w not in path:
+                    paths.append(path + [w])
+    links = [(i, j) for i in range(len(cycles)) for j in range(i)
+             if cycles[i] & cycles[j]]
+    return len(connected_components(range(len(cycles)), links))

@@ -21,7 +21,8 @@ from medialq.kauffman import (
     kauffman_weight,
 )
 from medialq.planar import build_planar_map, medial_quiver
-from conftest import TRIANGLE_PAIR, TRIANGLE_ROT
+from conftest import (TRIANGLE_PAIR, TRIANGLE_ROT,
+                      gamma_inv_components_bruteforce)
 
 # The Hopf-link decoration with zero weight on two opposite faces: the two
 # compatible functions admit no moves at all.
@@ -219,7 +220,7 @@ def test_criterion_7_oracle_equivalence(corpus_maps):
         if len(quiver.arrow_ids) <= 12:
             small += 1
             assert (st.gamma_inv_components(pmap, omega)
-                    == st.gamma_inv_components_bruteforce(pmap, omega))
+                    == gamma_inv_components_bruteforce(pmap, omega))
     assert small >= 2  # hopf and trefoil at least
     print("PASS 7: dual Kauffman enumerations agree state-for-state and "
           f"move-for-move on all diagrams; invisible-component counts match "

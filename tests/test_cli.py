@@ -2,9 +2,10 @@
 
 Each verb is exercised in-process through ``main(argv)`` so exit codes and
 report text are both observable.  Reports must be byte-identical across runs
-with the same seed.
+on the same input.
 """
 
+import hashlib
 import subprocess
 import sys
 
@@ -12,7 +13,11 @@ import pytest
 
 from medialq import corpus
 from medialq.cli import main
-from medialq.planar import dump_map_text
+from medialq.kauffman import LinkDiagram, kauffman_weight
+from medialq.planar import build_planar_map, dump_map_text
+from medialq.states import dump_weight_text
+
+from conftest import DIGON_PAIR, DIGON_ROT
 
 
 @pytest.fixture(scope="module")
@@ -34,13 +39,20 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_report_header_names_input_and_seed(capsys, maps):
-    code, out, _ = run(capsys, "bms-lattice", maps["trefoil"])
+def test_report_header_is_verb_and_inputs(capsys, maps, tmp_path):
+    """The header is the verb line, then one line per input file, in
+    argument order, and nothing else."""
+    weight = tmp_path / "w.yaml"
+    weight.write_text(dump_weight_text(
+        kauffman_weight(LinkDiagram(*corpus.load("trefoil")))))
+    code, out, _ = run(capsys, "bms-lattice", maps["trefoil"],
+                       "--weight", weight)
     assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "# medialq bms-lattice"
-    assert lines[1].startswith("# input ") and "sha256" in lines[1]
-    assert lines[2] == "# seed 0"
+    header = [line for line in out.splitlines() if line.startswith("#")]
+    assert header == ["# medialq bms-lattice"] + [
+        f"# input {path}: sha256 {hashlib.sha256(path.read_bytes()).hexdigest()}"
+        for path in (maps["trefoil"], weight)]
+    assert out.splitlines()[:3] == header
 
 
 def test_medial_dump_lists_quiver(capsys, maps):
@@ -233,6 +245,18 @@ def test_invalid_weight_file_exits_2(capsys, maps, tmp_path):
     code, _, err = run(capsys, "states", maps["trefoil"],
                        "--weight", weight)
     assert code == 2
+
+
+def test_boolean_weight_values_exit_2(capsys, tmp_path):
+    """YAML's true is a Python bool, and so an int; a weight file must
+    still give integers."""
+    path = tmp_path / "digon.map"
+    path.write_text(dump_map_text(build_planar_map(DIGON_ROT, DIGON_PAIR)))
+    weight = tmp_path / "w.yaml"
+    weight.write_text("v0: true\nv1: 1\nf0: 1\nf1: true\n")
+    code, out, err = run(capsys, "states", path, "--weight", weight)
+    assert (code, out) == (2, "")
+    assert err == "medialq: weight value for 'v0' is not an integer\n"
 
 
 def test_malformed_yaml_exits_2(capsys, maps, tmp_path):

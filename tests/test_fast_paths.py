@@ -38,7 +38,7 @@ from medialq.lattice import (FiniteLattice, FinitePoset,
 from medialq.linalg import Matrix
 from medialq.planar import build_planar_map, dump_map_text
 
-from conftest import compatible_functions
+from conftest import compatible_functions, gamma_inv_components_bruteforce
 
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
                     database=None,
@@ -214,7 +214,7 @@ def test_gamma_inv_matches_bruteforce(data):
     omega = data.draw(summed_weights(pmap))
     dec = st.Decoration.of(pmap, omega)
     assume(dec.nilpotency == 0)
-    brute = st.gamma_inv_components_bruteforce(pmap, omega)
+    brute = gamma_inv_components_bruteforce(pmap, omega)
     assert st.gamma_inv_components(pmap, omega) == brute
     assert _glued_cycle_components(dec.quiver, dec.first) == brute
 
@@ -573,9 +573,13 @@ def test_verify_iso_on_the_torus_2_18_chain(tmp_path, capsys):
     assert len(chain.covers) == 17
 
 
-@pytest.mark.parametrize("verb", ["subreps", "verify-iso", "check-all"])
-@pytest.mark.parametrize("flag", ["--bound-candidates", "--bound-lattice"])
-def test_removed_bound_flags_exit_2(verb, flag, capsys):
+@pytest.mark.parametrize("flag, verb", [
+    (flag, verb) for flag in ("--bound-candidates", "--bound-lattice")
+    for verb in ("check-all", "subreps", "verify-iso")] + [
+    ("--seed", verb) for verb in (
+        "bms-lattice", "subobjects", "clock", "module", "jacobian-check",
+        "endo", "subreps", "verify-iso", "check-all")])
+def test_removed_bound_flags_exit_2(flag, verb, capsys):
     path = resources.files("medialq").joinpath("corpus", "trefoil.map")
     argv = [verb, flag, "5"] + ([] if verb == "check-all" else [str(path)])
     with pytest.raises(SystemExit) as info:

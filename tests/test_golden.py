@@ -10,12 +10,18 @@ invalid and an incomplete weight.  Inputs are written under fixed relative
 names because every report header names its input files.
 
 Digests are the first 16 hex digits of the sha256.  To re-record after a
-deliberate change of output, run every case in a folder filled by
-``write_inputs`` and paste the new table.
+deliberate change of output, run ``PYTHONPATH=src python
+tests/test_golden.py --write``; without ``--write`` it prints the table.
 """
 
 import hashlib
+import io
+import os
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -106,10 +112,26 @@ def _sha(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-def _digest(argv, capsys):
-    code = main(argv)
-    out, err = capsys.readouterr()
-    return code, _sha(out), _sha(err)
+def _digest(argv):
+    """(exit code, stdout digest, stderr digest) of one run of the CLI."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, _sha(out.getvalue()), _sha(err.getvalue())
+
+
+def golden_table():
+    """The source of the GOLDEN table, recorded from the current code."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as folder:
+        write_inputs(Path(folder))
+        os.chdir(folder)
+        try:
+            rows = [f"    {case!r}: {_digest(CASES[case])!r},"
+                    for case in sorted(CASES)]
+        finally:
+            os.chdir(cwd)
+    return "GOLDEN = {\n" + "\n".join(rows) + "\n}\n"
 
 
 def test_every_case_has_a_recorded_digest():
@@ -117,52 +139,52 @@ def test_every_case_has_a_recorded_digest():
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_report_is_byte_identical(case, workdir, capsys, monkeypatch):
+def test_report_is_byte_identical(case, workdir, monkeypatch):
     monkeypatch.chdir(workdir)
-    assert _digest(CASES[case], capsys) == GOLDEN[case]
+    assert _digest(CASES[case]) == GOLDEN[case]
 
 
 GOLDEN = {
     'bms-lattice-dot/digon+digon': (2, 'e3b0c44298fc1c14', '29e8eab610431100'),
     'bms-lattice-dot/digon+missing': (2, 'e3b0c44298fc1c14', '9d3709bff7ca4e5b'),
     'bms-lattice-dot/digon+unequal': (2, 'e3b0c44298fc1c14', '4941d5f6c07b716a'),
-    'bms-lattice-dot/figure_eight': (0, '145df351541e6fed', 'e3b0c44298fc1c14'),
-    'bms-lattice-dot/hopf': (0, '9b8dec79a39f3cb1', 'e3b0c44298fc1c14'),
-    'bms-lattice-dot/hopf+hopf': (0, '95f9bcc2920a74da', 'e3b0c44298fc1c14'),
-    'bms-lattice-dot/torus_2_4': (0, '45d0f69034db1478', 'e3b0c44298fc1c14'),
-    'bms-lattice-dot/torus_2_5': (0, 'feb7b15d81450317', 'e3b0c44298fc1c14'),
-    'bms-lattice-dot/torus_2_6': (0, '5f9e8679ddb41219', 'e3b0c44298fc1c14'),
-    'bms-lattice-dot/trefoil': (0, 'abc566a979d1dd6f', 'e3b0c44298fc1c14'),
-    'bms-lattice-dot/trefoil+empty': (0, '6c63945f54f28111', 'e3b0c44298fc1c14'),
-    'bms-lattice-dot/trefoil_sum': (0, '7685be3bf132e0f0', 'e3b0c44298fc1c14'),
+    'bms-lattice-dot/figure_eight': (0, '2946b16c7f8cf417', 'e3b0c44298fc1c14'),
+    'bms-lattice-dot/hopf': (0, '879bac34ffd9744c', 'e3b0c44298fc1c14'),
+    'bms-lattice-dot/hopf+hopf': (0, '99ebd222dbb61342', 'e3b0c44298fc1c14'),
+    'bms-lattice-dot/torus_2_4': (0, '41c29135d6bf8e1f', 'e3b0c44298fc1c14'),
+    'bms-lattice-dot/torus_2_5': (0, 'ca2b20c776012d47', 'e3b0c44298fc1c14'),
+    'bms-lattice-dot/torus_2_6': (0, '7a367917216e8134', 'e3b0c44298fc1c14'),
+    'bms-lattice-dot/trefoil': (0, '2b5f643c1641fb10', 'e3b0c44298fc1c14'),
+    'bms-lattice-dot/trefoil+empty': (0, 'dc1bfccdd2fa953e', 'e3b0c44298fc1c14'),
+    'bms-lattice-dot/trefoil_sum': (0, '537d5db96d5121e2', 'e3b0c44298fc1c14'),
     'bms-lattice-dot/triangle+triangle': (2, 'e3b0c44298fc1c14', '29e8eab610431100'),
     'bms-lattice/digon+digon': (2, 'e3b0c44298fc1c14', '29e8eab610431100'),
     'bms-lattice/digon+missing': (2, 'e3b0c44298fc1c14', '9d3709bff7ca4e5b'),
     'bms-lattice/digon+unequal': (2, 'e3b0c44298fc1c14', '4941d5f6c07b716a'),
-    'bms-lattice/figure_eight': (0, '3a93de7392bf9c2a', 'e3b0c44298fc1c14'),
-    'bms-lattice/hopf': (0, 'c0a943886e820f92', 'e3b0c44298fc1c14'),
-    'bms-lattice/hopf+hopf': (0, 'ed9d3a5aa65fa0e9', 'e3b0c44298fc1c14'),
-    'bms-lattice/torus_2_4': (0, '49fb0b942081eda7', 'e3b0c44298fc1c14'),
-    'bms-lattice/torus_2_5': (0, 'fed75f7f57305803', 'e3b0c44298fc1c14'),
-    'bms-lattice/torus_2_6': (0, 'd89d4615cb6b4827', 'e3b0c44298fc1c14'),
-    'bms-lattice/trefoil': (0, 'dccdec60f2dc7c06', 'e3b0c44298fc1c14'),
-    'bms-lattice/trefoil+empty': (0, '6c63945f54f28111', 'e3b0c44298fc1c14'),
-    'bms-lattice/trefoil_sum': (0, 'e25ed0a8d4d2458f', 'e3b0c44298fc1c14'),
+    'bms-lattice/figure_eight': (0, 'cc67932fab7774d8', 'e3b0c44298fc1c14'),
+    'bms-lattice/hopf': (0, '247829f6d4b593e6', 'e3b0c44298fc1c14'),
+    'bms-lattice/hopf+hopf': (0, '5d5f59e150933413', 'e3b0c44298fc1c14'),
+    'bms-lattice/torus_2_4': (0, 'e45f64745236dee3', 'e3b0c44298fc1c14'),
+    'bms-lattice/torus_2_5': (0, '39a30e86144fc490', 'e3b0c44298fc1c14'),
+    'bms-lattice/torus_2_6': (0, '2f2c61c2fc741ab4', 'e3b0c44298fc1c14'),
+    'bms-lattice/trefoil': (0, 'b036449d62982364', 'e3b0c44298fc1c14'),
+    'bms-lattice/trefoil+empty': (0, 'dc1bfccdd2fa953e', 'e3b0c44298fc1c14'),
+    'bms-lattice/trefoil_sum': (0, '10c3f5f9372104ff', 'e3b0c44298fc1c14'),
     'bms-lattice/triangle+triangle': (2, 'e3b0c44298fc1c14', '29e8eab610431100'),
-    'check-all': (0, '9cecd1b80cdc5476', 'e3b0c44298fc1c14'),
-    'clock-dot/figure_eight': (0, 'c12e22f09467f9a6', 'e3b0c44298fc1c14'),
-    'clock-dot/hopf': (0, '680d74f2f205bdad', 'e3b0c44298fc1c14'),
-    'clock-dot/torus_2_4': (0, 'b88985a49a995745', 'e3b0c44298fc1c14'),
-    'clock-dot/torus_2_5': (0, '5c1652ddc171f4af', 'e3b0c44298fc1c14'),
-    'clock-dot/torus_2_6': (0, '59c2741ad3f764d7', 'e3b0c44298fc1c14'),
-    'clock-dot/trefoil': (0, '46a6f68f8c3e7122', 'e3b0c44298fc1c14'),
+    'check-all': (0, 'f3d35af071f7c596', 'e3b0c44298fc1c14'),
+    'clock-dot/figure_eight': (0, 'c86fd0d31bef28ee', 'e3b0c44298fc1c14'),
+    'clock-dot/hopf': (0, 'a4d20979cc730883', 'e3b0c44298fc1c14'),
+    'clock-dot/torus_2_4': (0, '61e4ba0514484532', 'e3b0c44298fc1c14'),
+    'clock-dot/torus_2_5': (0, '6e8c6f3f099c56c0', 'e3b0c44298fc1c14'),
+    'clock-dot/torus_2_6': (0, '9da8a52fba3f2934', 'e3b0c44298fc1c14'),
+    'clock-dot/trefoil': (0, '5ed91537c2de9626', 'e3b0c44298fc1c14'),
     'clock-dot/trefoil_sum': (1, 'e3b0c44298fc1c14', '3bf1bc5eeee8a413'),
-    'clock/figure_eight': (0, '818bb47785383ee0', 'e3b0c44298fc1c14'),
-    'clock/hopf': (0, '38f71c0887d16e55', 'e3b0c44298fc1c14'),
-    'clock/torus_2_4': (0, 'aa6d07d040404e67', 'e3b0c44298fc1c14'),
-    'clock/torus_2_5': (0, '3f9ea9e548a2925a', 'e3b0c44298fc1c14'),
-    'clock/torus_2_6': (0, 'e05e530137a6f992', 'e3b0c44298fc1c14'),
-    'clock/trefoil': (0, '2c1f9e8f433ed2fd', 'e3b0c44298fc1c14'),
+    'clock/figure_eight': (0, 'ee9b02d34519acf7', 'e3b0c44298fc1c14'),
+    'clock/hopf': (0, 'febcb533994b6a99', 'e3b0c44298fc1c14'),
+    'clock/torus_2_4': (0, 'fbaf3308e26bb62a', 'e3b0c44298fc1c14'),
+    'clock/torus_2_5': (0, 'f51dbfb39edc9a50', 'e3b0c44298fc1c14'),
+    'clock/torus_2_6': (0, 'de5c6437ed11e4a3', 'e3b0c44298fc1c14'),
+    'clock/trefoil': (0, '79e36d8cf1582b90', 'e3b0c44298fc1c14'),
     'clock/trefoil_sum': (1, 'e3b0c44298fc1c14', '3bf1bc5eeee8a413'),
     'component/digon+digon': (2, 'e3b0c44298fc1c14', '29e8eab610431100'),
     'component/digon+missing': (2, 'e3b0c44298fc1c14', '9d3709bff7ca4e5b'),
@@ -180,15 +202,15 @@ GOLDEN = {
     'endo/digon+digon': (2, 'e3b0c44298fc1c14', '29e8eab610431100'),
     'endo/digon+missing': (2, 'e3b0c44298fc1c14', '9d3709bff7ca4e5b'),
     'endo/digon+unequal': (2, 'e3b0c44298fc1c14', '4941d5f6c07b716a'),
-    'endo/figure_eight': (0, '0ae5c19a91faea7b', 'e3b0c44298fc1c14'),
-    'endo/hopf': (0, 'e2cb90afac9c911c', 'e3b0c44298fc1c14'),
-    'endo/hopf+hopf': (0, '7b1f2d2cae03787f', 'e3b0c44298fc1c14'),
-    'endo/torus_2_4': (0, 'e767083dbc75a703', 'e3b0c44298fc1c14'),
-    'endo/torus_2_5': (0, '641f75340c79df02', 'e3b0c44298fc1c14'),
-    'endo/torus_2_6': (0, 'ed2dc569b1edc1c1', 'e3b0c44298fc1c14'),
-    'endo/trefoil': (0, '1ebdf21b2e595c14', 'e3b0c44298fc1c14'),
+    'endo/figure_eight': (0, '00b9e9ad223a19fe', 'e3b0c44298fc1c14'),
+    'endo/hopf': (0, '3220a9913681f044', 'e3b0c44298fc1c14'),
+    'endo/hopf+hopf': (0, 'd50b124a824dce81', 'e3b0c44298fc1c14'),
+    'endo/torus_2_4': (0, '4fb7f1b0c6dd05e5', 'e3b0c44298fc1c14'),
+    'endo/torus_2_5': (0, 'ee41e5164e5aafc3', 'e3b0c44298fc1c14'),
+    'endo/torus_2_6': (0, '1d8ddcde61837610', 'e3b0c44298fc1c14'),
+    'endo/trefoil': (0, 'f7d62c4f0b5c8a46', 'e3b0c44298fc1c14'),
     'endo/trefoil+empty': (2, 'e3b0c44298fc1c14', '21727b44776599aa'),
-    'endo/trefoil_sum': (0, 'c6a8e463fd1a7826', 'e3b0c44298fc1c14'),
+    'endo/trefoil_sum': (0, '47c54196cec0fa9f', 'e3b0c44298fc1c14'),
     'endo/triangle+triangle': (2, 'e3b0c44298fc1c14', '29e8eab610431100'),
     'invisible/digon+digon': (0, 'd25208df8b0fbeec', 'e3b0c44298fc1c14'),
     'invisible/digon+missing': (2, 'e3b0c44298fc1c14', '9d3709bff7ca4e5b'),
@@ -206,15 +228,15 @@ GOLDEN = {
     'jacobian-check/digon+digon': (2, 'e3b0c44298fc1c14', '29e8eab610431100'),
     'jacobian-check/digon+missing': (2, 'e3b0c44298fc1c14', '9d3709bff7ca4e5b'),
     'jacobian-check/digon+unequal': (2, 'e3b0c44298fc1c14', '4941d5f6c07b716a'),
-    'jacobian-check/figure_eight': (0, '6d5198ad8c51c3d9', 'e3b0c44298fc1c14'),
-    'jacobian-check/hopf': (0, '215ca3cd1b21438c', 'e3b0c44298fc1c14'),
-    'jacobian-check/hopf+hopf': (0, 'badd4c248344b7d2', 'e3b0c44298fc1c14'),
-    'jacobian-check/torus_2_4': (0, '032daa990f12fc95', 'e3b0c44298fc1c14'),
-    'jacobian-check/torus_2_5': (0, 'fd607623e885fa76', 'e3b0c44298fc1c14'),
-    'jacobian-check/torus_2_6': (0, 'e421899e698b6e88', 'e3b0c44298fc1c14'),
-    'jacobian-check/trefoil': (0, 'bfff75b930403473', 'e3b0c44298fc1c14'),
-    'jacobian-check/trefoil+empty': (0, '0efb41714cd9965c', 'e3b0c44298fc1c14'),
-    'jacobian-check/trefoil_sum': (0, '4865d7a9f2ae4445', 'e3b0c44298fc1c14'),
+    'jacobian-check/figure_eight': (0, '8664d4574d6b2b7f', 'e3b0c44298fc1c14'),
+    'jacobian-check/hopf': (0, '9542a3c67c500614', 'e3b0c44298fc1c14'),
+    'jacobian-check/hopf+hopf': (0, '6f0ae705cd61d625', 'e3b0c44298fc1c14'),
+    'jacobian-check/torus_2_4': (0, 'b1c14771812505e3', 'e3b0c44298fc1c14'),
+    'jacobian-check/torus_2_5': (0, '51580f44cf55ce49', 'e3b0c44298fc1c14'),
+    'jacobian-check/torus_2_6': (0, '8733095f2b8a34c3', 'e3b0c44298fc1c14'),
+    'jacobian-check/trefoil': (0, '638f8928161c2fd9', 'e3b0c44298fc1c14'),
+    'jacobian-check/trefoil+empty': (0, 'bd929136f135501f', 'e3b0c44298fc1c14'),
+    'jacobian-check/trefoil_sum': (0, 'da0d8be61ce6cc23', 'e3b0c44298fc1c14'),
     'jacobian-check/triangle+triangle': (2, 'e3b0c44298fc1c14', '29e8eab610431100'),
     'kauffman-states/figure_eight': (0, '6a1fccc77f8a6993', 'e3b0c44298fc1c14'),
     'kauffman-states/hopf': (0, 'd21bd956cdb4c01f', 'e3b0c44298fc1c14'),
@@ -240,15 +262,15 @@ GOLDEN = {
     'module/digon+digon': (2, 'e3b0c44298fc1c14', '29e8eab610431100'),
     'module/digon+missing': (2, 'e3b0c44298fc1c14', '9d3709bff7ca4e5b'),
     'module/digon+unequal': (2, 'e3b0c44298fc1c14', '4941d5f6c07b716a'),
-    'module/figure_eight': (0, '53dbe27f3c7ab998', 'e3b0c44298fc1c14'),
-    'module/hopf': (0, 'e006f409db08efba', 'e3b0c44298fc1c14'),
-    'module/hopf+hopf': (0, 'd85352f2b02c4322', 'e3b0c44298fc1c14'),
-    'module/torus_2_4': (0, 'c9bd749b13d9b883', 'e3b0c44298fc1c14'),
-    'module/torus_2_5': (0, '1f41eb2d69f9d0f2', 'e3b0c44298fc1c14'),
-    'module/torus_2_6': (0, 'b39cb826f6cc4abf', 'e3b0c44298fc1c14'),
-    'module/trefoil': (0, 'f02e84b0315658fc', 'e3b0c44298fc1c14'),
+    'module/figure_eight': (0, 'dff122ff9a9a0976', 'e3b0c44298fc1c14'),
+    'module/hopf': (0, '5404219f01b54928', 'e3b0c44298fc1c14'),
+    'module/hopf+hopf': (0, 'ebf641f96a01990e', 'e3b0c44298fc1c14'),
+    'module/torus_2_4': (0, '67ee3eadb44c4b9f', 'e3b0c44298fc1c14'),
+    'module/torus_2_5': (0, '353cfaa00f419676', 'e3b0c44298fc1c14'),
+    'module/torus_2_6': (0, 'd7385428745f8b91', 'e3b0c44298fc1c14'),
+    'module/trefoil': (0, '37b0fdefd2475403', 'e3b0c44298fc1c14'),
     'module/trefoil+empty': (2, 'e3b0c44298fc1c14', '21727b44776599aa'),
-    'module/trefoil_sum': (0, 'c66898a27bf7c247', 'e3b0c44298fc1c14'),
+    'module/trefoil_sum': (0, 'a19ce52033627fc4', 'e3b0c44298fc1c14'),
     'module/triangle+triangle': (2, 'e3b0c44298fc1c14', '29e8eab610431100'),
     'move-graph-dot/digon+digon': (0, 'eab4ba05f91a064b', 'e3b0c44298fc1c14'),
     'move-graph-dot/digon+missing': (2, 'e3b0c44298fc1c14', '9d3709bff7ca4e5b'),
@@ -312,66 +334,78 @@ GOLDEN = {
     'subobjects-dot/digon+digon': (2, 'e3b0c44298fc1c14', '29e8eab610431100'),
     'subobjects-dot/digon+missing': (2, 'e3b0c44298fc1c14', '9d3709bff7ca4e5b'),
     'subobjects-dot/digon+unequal': (2, 'e3b0c44298fc1c14', '4941d5f6c07b716a'),
-    'subobjects-dot/figure_eight': (0, '42db77bae14c43e2', 'e3b0c44298fc1c14'),
-    'subobjects-dot/hopf': (0, '562f67a00ad7cca4', 'e3b0c44298fc1c14'),
-    'subobjects-dot/hopf+hopf': (0, '97732eb2fb0817e0', 'e3b0c44298fc1c14'),
-    'subobjects-dot/torus_2_4': (0, '45cab82421fcef59', 'e3b0c44298fc1c14'),
-    'subobjects-dot/torus_2_5': (0, '8b3b2a5493d5171e', 'e3b0c44298fc1c14'),
-    'subobjects-dot/torus_2_6': (0, 'cf1fab94335b9c70', 'e3b0c44298fc1c14'),
-    'subobjects-dot/trefoil': (0, 'ef204d694e3bba16', 'e3b0c44298fc1c14'),
-    'subobjects-dot/trefoil+empty': (0, '12b3d9b0586518ec', 'e3b0c44298fc1c14'),
-    'subobjects-dot/trefoil_sum': (0, '121001659e883eef', 'e3b0c44298fc1c14'),
+    'subobjects-dot/figure_eight': (0, '78bf2cb430b486dd', 'e3b0c44298fc1c14'),
+    'subobjects-dot/hopf': (0, 'a8d64bfe71d70c7e', 'e3b0c44298fc1c14'),
+    'subobjects-dot/hopf+hopf': (0, 'f05029b68d9be88d', 'e3b0c44298fc1c14'),
+    'subobjects-dot/torus_2_4': (0, '83a5a1e7583de4a4', 'e3b0c44298fc1c14'),
+    'subobjects-dot/torus_2_5': (0, 'b214c9416781146b', 'e3b0c44298fc1c14'),
+    'subobjects-dot/torus_2_6': (0, '3b44517db13a9b6a', 'e3b0c44298fc1c14'),
+    'subobjects-dot/trefoil': (0, 'dbdf6e28a2fb4e45', 'e3b0c44298fc1c14'),
+    'subobjects-dot/trefoil+empty': (0, '90e8f6840830a6b4', 'e3b0c44298fc1c14'),
+    'subobjects-dot/trefoil_sum': (0, '42c8aa3557599d0c', 'e3b0c44298fc1c14'),
     'subobjects-dot/triangle+triangle': (2, 'e3b0c44298fc1c14', '29e8eab610431100'),
     'subobjects/digon+digon': (2, 'e3b0c44298fc1c14', '29e8eab610431100'),
     'subobjects/digon+missing': (2, 'e3b0c44298fc1c14', '9d3709bff7ca4e5b'),
     'subobjects/digon+unequal': (2, 'e3b0c44298fc1c14', '4941d5f6c07b716a'),
-    'subobjects/figure_eight': (0, '082d00baf289cd04', 'e3b0c44298fc1c14'),
-    'subobjects/hopf': (0, '4f135579d4c9e9bd', 'e3b0c44298fc1c14'),
-    'subobjects/hopf+hopf': (0, '92d30fc6aeb67da0', 'e3b0c44298fc1c14'),
-    'subobjects/torus_2_4': (0, '4143cac25ba05f40', 'e3b0c44298fc1c14'),
-    'subobjects/torus_2_5': (0, '2ab0ef72f38b6a86', 'e3b0c44298fc1c14'),
-    'subobjects/torus_2_6': (0, '58620bf35108d5f5', 'e3b0c44298fc1c14'),
-    'subobjects/trefoil': (0, 'f8781f610ab8e49d', 'e3b0c44298fc1c14'),
-    'subobjects/trefoil+empty': (0, '12b3d9b0586518ec', 'e3b0c44298fc1c14'),
-    'subobjects/trefoil_sum': (0, '366eb7edc2c7e20a', 'e3b0c44298fc1c14'),
+    'subobjects/figure_eight': (0, '803498d6d62f2d0a', 'e3b0c44298fc1c14'),
+    'subobjects/hopf': (0, 'a579f92f9d23dc02', 'e3b0c44298fc1c14'),
+    'subobjects/hopf+hopf': (0, 'a10f76b3c8b49d2c', 'e3b0c44298fc1c14'),
+    'subobjects/torus_2_4': (0, 'dbf03fbf57bd4e4c', 'e3b0c44298fc1c14'),
+    'subobjects/torus_2_5': (0, '741a8b4bcdccfe88', 'e3b0c44298fc1c14'),
+    'subobjects/torus_2_6': (0, '598d527a19f1f37d', 'e3b0c44298fc1c14'),
+    'subobjects/trefoil': (0, '1dbf1e4e16c73f8c', 'e3b0c44298fc1c14'),
+    'subobjects/trefoil+empty': (0, '90e8f6840830a6b4', 'e3b0c44298fc1c14'),
+    'subobjects/trefoil_sum': (0, '4a7e21bb041a283c', 'e3b0c44298fc1c14'),
     'subobjects/triangle+triangle': (2, 'e3b0c44298fc1c14', '29e8eab610431100'),
     'subreps-dot/digon+digon': (2, 'e3b0c44298fc1c14', '29e8eab610431100'),
     'subreps-dot/digon+missing': (2, 'e3b0c44298fc1c14', '9d3709bff7ca4e5b'),
     'subreps-dot/digon+unequal': (2, 'e3b0c44298fc1c14', '4941d5f6c07b716a'),
-    'subreps-dot/figure_eight': (0, '0bff6171814e2a9e', 'e3b0c44298fc1c14'),
-    'subreps-dot/hopf': (0, '7a713a3d076dbb7a', 'e3b0c44298fc1c14'),
-    'subreps-dot/hopf+hopf': (0, '0ea12fc2bbc3bc80', 'e3b0c44298fc1c14'),
-    'subreps-dot/torus_2_4': (0, '4b938ec8a3fe5f70', 'e3b0c44298fc1c14'),
-    'subreps-dot/torus_2_5': (0, 'df3306ce1f0cc610', 'e3b0c44298fc1c14'),
-    'subreps-dot/torus_2_6': (0, '58fa205cab63c677', 'e3b0c44298fc1c14'),
-    'subreps-dot/trefoil': (0, '0f12cf4b26162efa', 'e3b0c44298fc1c14'),
+    'subreps-dot/figure_eight': (0, 'b609422daa6f37d3', 'e3b0c44298fc1c14'),
+    'subreps-dot/hopf': (0, '66f2e92739911fcb', 'e3b0c44298fc1c14'),
+    'subreps-dot/hopf+hopf': (0, 'cf9df33a02b81cd1', 'e3b0c44298fc1c14'),
+    'subreps-dot/torus_2_4': (0, '798f08c6c8daf589', 'e3b0c44298fc1c14'),
+    'subreps-dot/torus_2_5': (0, '6bb29fef8a369c73', 'e3b0c44298fc1c14'),
+    'subreps-dot/torus_2_6': (0, 'f7f9ac9efc952835', 'e3b0c44298fc1c14'),
+    'subreps-dot/trefoil': (0, '99fab59f9c6fca28', 'e3b0c44298fc1c14'),
     'subreps-dot/trefoil+empty': (2, 'e3b0c44298fc1c14', '21727b44776599aa'),
-    'subreps-dot/trefoil_sum': (0, 'b4980b57ec426491', 'e3b0c44298fc1c14'),
+    'subreps-dot/trefoil_sum': (0, 'd7cf6782aab513d2', 'e3b0c44298fc1c14'),
     'subreps-dot/triangle+triangle': (2, 'e3b0c44298fc1c14', '29e8eab610431100'),
     'subreps/digon+digon': (2, 'e3b0c44298fc1c14', '29e8eab610431100'),
     'subreps/digon+missing': (2, 'e3b0c44298fc1c14', '9d3709bff7ca4e5b'),
     'subreps/digon+unequal': (2, 'e3b0c44298fc1c14', '4941d5f6c07b716a'),
-    'subreps/figure_eight': (0, 'c9fc770e0cf9d71c', 'e3b0c44298fc1c14'),
-    'subreps/hopf': (0, '01ab9968c9974cbd', 'e3b0c44298fc1c14'),
-    'subreps/hopf+hopf': (0, 'd8c812072b666e6b', 'e3b0c44298fc1c14'),
-    'subreps/torus_2_4': (0, 'b3c54a1428869372', 'e3b0c44298fc1c14'),
-    'subreps/torus_2_5': (0, '47238e4f8b9c6cc3', 'e3b0c44298fc1c14'),
-    'subreps/torus_2_6': (0, '6cb4a8c7855c5ac2', 'e3b0c44298fc1c14'),
-    'subreps/trefoil': (0, '05b8684d370b5cb0', 'e3b0c44298fc1c14'),
+    'subreps/figure_eight': (0, '02d1cc010ab2012d', 'e3b0c44298fc1c14'),
+    'subreps/hopf': (0, '882f2bbb6d7a67cd', 'e3b0c44298fc1c14'),
+    'subreps/hopf+hopf': (0, 'ece735d8ba0d2065', 'e3b0c44298fc1c14'),
+    'subreps/torus_2_4': (0, '67702185003b3675', 'e3b0c44298fc1c14'),
+    'subreps/torus_2_5': (0, 'b373805cf0b9184e', 'e3b0c44298fc1c14'),
+    'subreps/torus_2_6': (0, 'a3583a227491597c', 'e3b0c44298fc1c14'),
+    'subreps/trefoil': (0, 'dc068f0146aee45c', 'e3b0c44298fc1c14'),
     'subreps/trefoil+empty': (2, 'e3b0c44298fc1c14', '21727b44776599aa'),
-    'subreps/trefoil_sum': (0, '74e0e684aca98ff8', 'e3b0c44298fc1c14'),
+    'subreps/trefoil_sum': (0, '5e83f85f57c1b0be', 'e3b0c44298fc1c14'),
     'subreps/triangle+triangle': (2, 'e3b0c44298fc1c14', '29e8eab610431100'),
     'verify-iso/digon+digon': (2, 'e3b0c44298fc1c14', '29e8eab610431100'),
     'verify-iso/digon+missing': (2, 'e3b0c44298fc1c14', '9d3709bff7ca4e5b'),
     'verify-iso/digon+unequal': (2, 'e3b0c44298fc1c14', '4941d5f6c07b716a'),
-    'verify-iso/figure_eight': (0, '0b82162f7e446a84', 'e3b0c44298fc1c14'),
-    'verify-iso/hopf': (0, '7f5d8463341f1f13', 'e3b0c44298fc1c14'),
-    'verify-iso/hopf+hopf': (0, '41cab40e09a41839', 'e3b0c44298fc1c14'),
-    'verify-iso/torus_2_4': (0, '73389076d738d5f4', 'e3b0c44298fc1c14'),
-    'verify-iso/torus_2_5': (0, '98cb45f930828647', 'e3b0c44298fc1c14'),
-    'verify-iso/torus_2_6': (0, '59f8b5f7148c630f', 'e3b0c44298fc1c14'),
-    'verify-iso/trefoil': (0, '4832079e7dab580a', 'e3b0c44298fc1c14'),
-    'verify-iso/trefoil+empty': (0, '90735e0b158c0af2', 'e3b0c44298fc1c14'),
-    'verify-iso/trefoil_sum': (0, '81adf8fdc8e24994', 'e3b0c44298fc1c14'),
+    'verify-iso/figure_eight': (0, 'a64a27e2750eb4b4', 'e3b0c44298fc1c14'),
+    'verify-iso/hopf': (0, '12a9759d70b0d88a', 'e3b0c44298fc1c14'),
+    'verify-iso/hopf+hopf': (0, '11e0ecec1691d4c3', 'e3b0c44298fc1c14'),
+    'verify-iso/torus_2_4': (0, '2a2464763388af8e', 'e3b0c44298fc1c14'),
+    'verify-iso/torus_2_5': (0, '2319ca2a49b6c77f', 'e3b0c44298fc1c14'),
+    'verify-iso/torus_2_6': (0, '77e93714e54040e2', 'e3b0c44298fc1c14'),
+    'verify-iso/trefoil': (0, 'c475c81e7c48b441', 'e3b0c44298fc1c14'),
+    'verify-iso/trefoil+empty': (0, '52d07cf961ed10d4', 'e3b0c44298fc1c14'),
+    'verify-iso/trefoil_sum': (0, 'a16e243764f58239', 'e3b0c44298fc1c14'),
     'verify-iso/triangle+triangle': (2, 'e3b0c44298fc1c14', '29e8eab610431100'),
 }
+
+
+if __name__ == "__main__":
+    table = golden_table()
+    if sys.argv[1:] == ["--write"]:
+        path = Path(__file__)
+        text = path.read_text()
+        start = text.index("\nGOLDEN = {") + 1
+        end = text.index("\n}\n", start) + 3
+        path.write_text(text[:start] + table + text[end:])
+    else:
+        sys.stdout.write(table)

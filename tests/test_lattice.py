@@ -90,6 +90,24 @@ def test_pentagon_not_graded():
     assert bad.witness == ("y", "1")
 
 
+def test_equal_masks_alone_caught():
+    """Birkhoff's check (a), distinct masks, is not implied by the others.
+
+    x and y both cover a and b, so a and b have no join, yet (b), (c) and
+    (d) of ``_birkhoff`` hold: the masks over J = {a, b, u, v} are
+    {}, {a}, {b}, {a,b} twice, {a,b,u}, {a,b,v} and J, every down-set of J
+    among them, and the 10 one-bit extensions match the 10 covers.  An
+    exhaustive search finds no smaller graded poset with a unique minimum
+    and maximum on which (a) alone fails.
+    """
+    p = FinitePoset("0abxyuv1", [
+        ("0", "a"), ("0", "b"), ("a", "x"), ("b", "x"), ("a", "y"),
+        ("b", "y"), ("x", "u"), ("y", "v"), ("u", "1"), ("v", "1")])
+    bad = certify_graded_distributive_lattice(p)
+    assert not bad.ok and bad.law == "join"
+    assert bad.witness == ("a", "b")
+
+
 def test_missing_join_detected():
     #   a   b      two maximal elements over a shared bottom
     p = FinitePoset("0ab", [("0", "a"), ("0", "b")])

@@ -13,7 +13,7 @@ from medialq import corpus
 from medialq import states as st
 from medialq.planar import build_planar_map, medial_quiver
 
-from conftest import compatible_functions
+from conftest import compatible_functions, gamma_inv_components_bruteforce
 
 
 def values(g):
@@ -110,7 +110,7 @@ def test_hopf_frozen_component_structure(corpus_maps):
     inv = st.Decoration.of(pmap, HOPF_WEIGHT).invisible_arrows
     assert sorted(inv) == ["c1nw", "c1se", "c2nw", "c2se"]
     assert st.gamma_inv_connected(pmap, HOPF_WEIGHT) == (False, 2)
-    assert st.gamma_inv_components_bruteforce(pmap, HOPF_WEIGHT) == 2
+    assert gamma_inv_components_bruteforce(pmap, HOPF_WEIGHT) == 2
 
 
 def test_invisible_subgraph_state_independent(corpus_maps):
