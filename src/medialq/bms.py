@@ -15,10 +15,8 @@ checks the forgetful projection onto plain angular functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .lattice import FiniteLattice, grown_lattice
-from .planar import MedialQuiver, PlanarMap
+from .planar import MedialQuiver, PlanarMap, Record
 from .states import (
     AngularFunction,
     Decoration,
@@ -46,21 +44,19 @@ class InvisibleDimNonZero(ValueError):
         self.edge = edge
 
 
-@dataclass(frozen=True)
-class BMSState:
+class BMSState(Record):
     """(f_plus, f_minus, d); d stored as a sorted tuple for hashability.
 
-    The hash is computed once, at construction: states are keys of the
-    lattice dictionaries and are looked up many times each.
+    The hash of (f_plus, f_minus, d) is computed once, at construction, and
+    kept as a fourth field: states are keys of the lattice dictionaries and
+    are looked up many times each.
     """
 
-    f_plus: AngularFunction
-    f_minus: AngularFunction
-    d: tuple
+    __slots__ = ("f_plus", "f_minus", "d", "_hash")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash",
-                           hash((self.f_plus, self.f_minus, self.d)))
+    def __init__(self, f_plus: AngularFunction, f_minus: AngularFunction,
+                 d: tuple):
+        super().__init__(f_plus, f_minus, d, hash((f_plus, f_minus, d)))
 
     def __hash__(self):
         return self._hash
@@ -278,18 +274,12 @@ def plus_subobjects(pmap: PlanarMap, omega, xi: BMSState) -> FiniteLattice:
     return grown_lattice(root, upper, key=lambda s: s.d)
 
 
-@dataclass
-class ProjectionReport:
+class ProjectionReport(Record):
     """Outcome of checking the forgetful projection onto f_plus."""
 
-    total_states: int
-    image_size: int
-    injective: bool
-    is_morphism: bool
-    out_degrees_match: bool
-    graph_size: int
-    components_touched: int
-    components_fully_covered: int
+    __slots__ = ("total_states", "image_size", "injective", "is_morphism",
+                 "out_degrees_match", "graph_size", "components_touched",
+                 "components_fully_covered")
 
     @property
     def ok(self):

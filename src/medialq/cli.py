@@ -359,8 +359,7 @@ def cmd_jacobian_check(args):
     lines.append(f"potential terms: {len(potential.terms)}")
     bad = 0
     for i, state in enumerate(lattice.elements):
-        report = reps.check_jacobian(reps.state_module(dec.pmap, state),
-                                     potential)
+        report = reps.state_jacobian(dec.pmap, state, potential)
         verdict = "ok" if report.ok else "NONZERO RESIDUAL"
         lines.append(f"state {i} ({_dims_text(state.d)}): "
                      f"{report.arrows_checked} derivatives {verdict}")
@@ -476,9 +475,8 @@ def _check_one_diagram(raw):
     violations = 0
     for lattice in lattices:
         for state in lattice.elements:
-            report = reps.check_jacobian(
-                reps.state_module(pmap, state), potential)
-            violations += len(report.nonzero)
+            violations += len(
+                reps.state_jacobian(pmap, state, potential).nonzero)
     if violations:
         failures.append(f"{violations} nonzero cyclic-derivative residuals")
     lines.append(f"  cyclic-derivative residuals: {violations}")

@@ -14,8 +14,7 @@ breadth-first cover steps from its minimum and certifies it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from .planar import Record
 
 
 class CertificationFailed(AssertionError):
@@ -125,34 +124,26 @@ class FinitePoset:
         return "\n".join(lines) + "\n"
 
 
-@dataclass
-class Certificate:
+class Certificate(Record):
     """Evidence that a poset is a graded distributive lattice.
 
     ``masks[i]`` holds one bit per join-irreducible below element i, bit k
     standing for ``join_irreducibles[k]``; ``index_of_mask`` inverts it.
-    The join and meet tables are built from the masks when first read.
+    The join and meet tables are built from the masks on each read.
     """
 
-    minimum: object
-    maximum: object
-    size: int
-    grade_range: tuple
-    grade: dict
-    elements: tuple = field(repr=False)
-    join_irreducibles: tuple
-    masks: tuple = field(repr=False)
-    index_of_mask: dict = field(repr=False)
+    __slots__ = ("minimum", "maximum", "size", "grade_range", "grade",
+                 "elements", "join_irreducibles", "masks", "index_of_mask")
 
     ok = True
     sampled = False  # exact at every size; reports still print the flag
 
-    @cached_property
+    @property
     def join_table(self):
         """{(x, y): x join y} over all pairs of distinct elements."""
         return self._table(int.__or__)
 
-    @cached_property
+    @property
     def meet_table(self):
         return self._table(int.__and__)
 
@@ -163,11 +154,10 @@ class Certificate:
                 for y, my in zip(xs, self.masks) if x != y}
 
 
-@dataclass
-class Counterexample:
-    law: str
-    witness: tuple
-    message: str
+class Counterexample(Record):
+    """The law a poset breaks, the elements that break it, and a message."""
+
+    __slots__ = ("law", "witness", "message")
 
     ok = False
 
@@ -312,8 +302,7 @@ def require_certificate(result):
     return result
 
 
-@dataclass
-class FiniteLattice:
+class FiniteLattice(Record):
     """A certified graded distributive lattice with its evidence.
 
     `labels` optionally tags each cover (x, y) with the datum that produced
@@ -321,9 +310,11 @@ class FiniteLattice:
     meets are unions and intersections of the certificate's masks.
     """
 
-    poset: FinitePoset
-    certificate: Certificate
-    labels: dict | None = None
+    __slots__ = ("poset", "certificate", "labels")
+
+    def __init__(self, poset: FinitePoset, certificate: Certificate,
+                 labels: dict | None = None):
+        super().__init__(poset, certificate, labels)
 
     @property
     def elements(self):
@@ -370,8 +361,8 @@ class FiniteLattice:
         new, cert = {x: rename(x) for x in self.elements}, self.certificate
         poset = FinitePoset(new.values(),
                             [(new[a], new[b]) for a, b in self.covers])
-        cert = replace(
-            cert, minimum=new[cert.minimum], maximum=new[cert.maximum],
+        cert = cert._replace(
+            minimum=new[cert.minimum], maximum=new[cert.maximum],
             grade={new[x]: g for x, g in cert.grade.items()},
             elements=poset.elements,
             join_irreducibles=tuple(new[j] for j in cert.join_irreducibles))

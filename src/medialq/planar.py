@@ -37,9 +37,10 @@ class NotSpherical(ValueError):
 
 
 class Record:
-    """Immutable record over the fields named in ``__slots__``, given in that
-    order to the constructor; compared, hashed and shown field by field, as
-    a frozen dataclass is, without the cost of importing ``dataclasses``."""
+    """Immutable record over the fields named in ``__slots__``, given to the
+    constructor in that order or by name; compared, hashed and shown field
+    by field, as a frozen dataclass is, without the cost of importing
+    ``dataclasses``."""
 
     __slots__ = ()
 
@@ -50,12 +51,20 @@ class Record:
         else:
             cls._fields = lambda self: get(self)
 
-    def __init__(self, *values):
-        if len(values) != len(self.__slots__):
-            raise TypeError(f"{type(self).__name__} takes "
-                            f"{len(self.__slots__)} fields, got {len(values)}")
-        for name, value in zip(self.__slots__, values):
+    def __init__(self, *values, **named):
+        names = self.__slots__
+        values += tuple(named.pop(n) for n in names[len(values):]
+                        if n in named)
+        if named or len(values) != len(names):
+            raise TypeError(f"{type(self).__name__} takes the fields "
+                            f"{', '.join(names)}")
+        for name, value in zip(names, values):
             object.__setattr__(self, name, value)
+
+    def _replace(self, **changes):
+        """A copy with the named fields changed."""
+        fields = dict(zip(self.__slots__, self._fields()), **changes)
+        return type(self)(**fields)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

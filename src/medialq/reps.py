@@ -17,18 +17,17 @@ provides them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm
 
 from .bms import BMSState, plus_subobjects
 from .lattice import (CertificationFailed, FiniteLattice, grown_lattice,
                       verify_order_isomorphism)
 from .linalg import Matrix, ShapeMismatch, hstack_all
-from .planar import MedialQuiver, PlanarMap
-from .states import (Decoration, NotACycle, connected_components,
-                     is_characteristic)
+from .planar import MedialQuiver, PlanarMap, Record
+from .states import (AngleFrame, Decoration, NotACycle, check_cycle,
+                     connected_components, is_characteristic)
 
 
 class EmptySupport(ValueError):
@@ -160,12 +159,29 @@ def direct_sum(a: QuiverRep, b: QuiverRep) -> QuiverRep:
     return QuiverRep(a.vertices, a.arrows, dims, mats, cycles)
 
 
-@dataclass(frozen=True)
 class Potential:
     """A rational combination of directed cycles, each with a chosen base
-    point; all rotations of a cycle give the same cyclic derivatives."""
+    point; all rotations of a cycle give the same cyclic derivatives.
 
-    terms: tuple
+    Compared, hashed and shown by its terms.  The cyclic derivatives, and
+    the terms compiled for each quiver (``shifts``), are computed once and
+    kept.
+    """
+
+    def __init__(self, terms):
+        self.terms = terms
+        self._shifts = {}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(self.terms)
+
+    def __repr__(self):
+        return f"Potential(terms={self.terms!r})"
 
     def __add__(self, other):
         return Potential(self.terms + other.terms)
@@ -179,6 +195,35 @@ class Potential:
             for i, a in enumerate(path):
                 out.setdefault(a, []).append((coeff, path[i + 1:] + path[:i]))
         return out
+
+    def shifts(self, quiver: MedialQuiver):
+        """The terms compiled for ``state_jacobian`` on `quiver`, kept per
+        quiver: (frame of the quiver's arrows, source of each arrow in frame
+        order, terms).  A term is (coefficient, arrow positions in the
+        frame, shifts seen so far); every coefficient is scaled by one
+        positive integer that clears the denominators, so sums of them
+        cancel exactly when the rational ones do, and terms with
+        coefficient zero are left out.  The last entry is filled by
+        ``state_jacobian``: what the term adds to the residuals, for each
+        tuple of arrow shifts met so far.
+
+        Raises:
+            NotACycle: a term is not a directed cycle of the quiver.
+        """
+        program = self._shifts.get(quiver)
+        if program is not None:
+            return program
+        frame = AngleFrame.of(quiver.arrow_ids)
+        scale = lcm(*(Fraction(c).denominator for c, _ in self.terms))
+        terms = []
+        for coeff, path in self.terms:
+            check_cycle(quiver, path)
+            if coeff:
+                terms.append((int(Fraction(coeff) * scale),
+                              tuple(frame.position[a] for a in path), {}))
+        sources = tuple(quiver.source(a) for a in frame.names)
+        program = self._shifts[quiver] = (frame, sources, tuple(terms))
+        return program
 
 
 def make_potential(quiver: MedialQuiver, terms) -> Potential:
@@ -261,36 +306,117 @@ def evaluate_path(m: QuiverRep, path, at=None) -> Matrix:
     return acc
 
 
-@dataclass
-class JacobianReport:
+class JacobianReport(Record):
     """Cyclic-derivative residuals of a representation against a potential."""
 
-    arrows_checked: int
-    nonzero: tuple
+    __slots__ = ("arrows_checked", "nonzero")
 
     @property
     def ok(self):
         return not self.nonzero
 
 
+def _residual(m: QuiverRep, s: Potential, arrow) -> Matrix:
+    """The cyclic derivative of `s` along `arrow`, evaluated on `m`: a sum
+    of paths from target(arrow) back to source(arrow), so a
+    dims(source) x dims(target) matrix."""
+    src, tgt = m.arrows[arrow]
+    residual = Matrix.zeros(m.dims[src], m.dims[tgt])
+    for coeff, path in s.derivatives.get(arrow, ()):
+        residual = residual + evaluate_path(m, path, at=tgt).scale(coeff)
+    return residual
+
+
 def check_jacobian(m: QuiverRep, s: Potential) -> JacobianReport:
     """Evaluate every cyclic derivative of `s` on `m`; all must vanish.
 
-    The derivative along arrow a is a sum of paths from target(a) back to
-    source(a), so each residual is a dims(source) x dims(target) matrix.
+    This is the dense check, for any representation; a state module is
+    checked without its matrices by ``state_jacobian``.
     """
     bad = []
-    checked = 0
     for arrow in sorted(m.arrows):
-        terms = s.derivatives.get(arrow, ())
-        src, tgt = m.arrows[arrow]
-        residual = Matrix.zeros(m.dims[src], m.dims[tgt])
-        for coeff, path in terms:
-            residual = residual + evaluate_path(m, path, at=tgt).scale(coeff)
-        checked += 1
+        residual = _residual(m, s, arrow)
         if not residual.is_zero:
             bad.append((arrow, residual))
-    return JacobianReport(checked, tuple(bad))
+    return JacobianReport(len(m.arrows), tuple(bad))
+
+
+def _term_shifts(c, path, windows):
+    """What the rotations of one term add to the residuals (see
+    ``state_jacobian``): ((arrow position, offset, end), c) for each
+    rotation that acts as a nonzero partial shift, where windows[j] is the
+    shift (k, d) of path[j], or None where that arrow acts by zero."""
+    k, d = zip(*(w or (0, 0) for w in windows))
+    # The empty composite is left unbounded: a cycle of a medial quiver has
+    # two arrows or more, so every rotation has an arrow to bound it.
+    o, end = 0, inf
+    prefixes = [(o, end)]  # prefixes[j]: the composite of path[:j]
+    for kj, dj in zip(k[:-1], d[:-1]):
+        o, end = o + kj, min(end, o + dj)
+        prefixes.append((o, end))
+    out = []
+    o, end = 0, inf  # the composite of path[j + 1:]
+    for j in reversed(range(len(path))):
+        po, pend = prefixes[j]
+        stop = min(end, o + pend)
+        if o + po < stop:
+            out.append(((path[j], o + po, stop), c))
+        o, end = o + k[j], min(d[j], k[j] + end)
+    return tuple(out)
+
+
+def state_jacobian(pmap: PlanarMap, xi: BMSState,
+                   s: Potential) -> JacobianReport:
+    """``check_jacobian(state_module(pmap, xi), s)``, decided from the
+    exponents and dimensions of xi, with no matrices.
+
+    Lemma.  Write (o, h) for the partial shift e_j -> e_{j-o} on the
+    window o <= j < h, zero elsewhere.  Arrow a: u -> v acts as
+    (+)^c(-)^k with k = f_minus(a), which is the partial shift (k, d(u));
+    it is zero when k >= d(u), which by the angle relation is when
+    c = f_plus(a) >= d(v).  (o, h) followed by (o', h') is
+    (o + o', min(h, o + h')), again a partial shift whose window starts at
+    its offset.  So a path acts as one partial shift, found in O(1) per
+    arrow, and each rotation of a term, a suffix of the term followed by a
+    prefix, comes from its prefix and suffix composites: O(length) per
+    term.  A residual is a signed sum of partial shifts, and its entry
+    (j - o, j) is the sum of the coefficients of the shifts (o, h) with
+    h > j.  So it vanishes exactly when, for every offset o and end h, the
+    coefficients of the shifts (o, h) sum to zero: at the largest h where
+    they do not, entry (h - 1 - o, h - 1) is that sum.
+
+    What a term adds depends only on the shifts of its arrows, so it is
+    worked out once per tuple of shifts and kept with the term (see
+    ``Potential.shifts``).  Only for an arrow whose residual is nonzero is
+    the module built and that residual evaluated densely, so the report,
+    matrices included, is the dense one.
+
+    Raises:
+        NotACycle: a term of the potential is not a directed cycle of the
+            quiver.
+    """
+    frame, sources, terms = s.shifts(pmap.quiver)
+    f_minus = xi.f_minus
+    k = (f_minus.vector if f_minus.frame is frame
+         else [f_minus[a] for a in frame.names])
+    dims = dict(xi.d)
+    windows = [(ki, di) if ki < di else None
+               for ki, di in zip(k, (dims.get(e, 0) for e in sources))]
+    sums = {}  # (arrow position, offset, end) -> sum of the coefficients
+    get = sums.get
+    for c, path, seen in terms:
+        local = tuple(map(windows.__getitem__, path))
+        added = seen.get(local)
+        if added is None:
+            added = seen[local] = _term_shifts(c, path, local)
+        for key, coeff in added:
+            sums[key] = get(key, 0) + coeff
+    bad = sorted({i for (i, _, _), total in sums.items() if total})
+    if not bad:
+        return JacobianReport(len(frame.names), ())
+    m = state_module(pmap, xi)
+    return JacobianReport(len(frame.names), tuple(
+        (frame.names[i], _residual(m, s, frame.names[i])) for i in bad))
 
 
 def is_nilpotent(m: QuiverRep) -> bool:
@@ -314,8 +440,7 @@ def is_nilpotent(m: QuiverRep) -> bool:
         spans, total = new, new_total
 
 
-@dataclass
-class EndRing:
+class EndRing(Record):
     """Basis of the endomorphism algebra plus a locality verdict.
 
     `basis` holds tuples of per-vertex matrices spanning all solutions of
@@ -325,10 +450,7 @@ class EndRing:
     `gram_rank`, and the ring is local exactly when that is 1.
     """
 
-    basis: tuple
-    dimension: int
-    gram_rank: int
-    is_local: bool
+    __slots__ = ("basis", "dimension", "gram_rank", "is_local")
 
 
 def endomorphism_ring(m: QuiverRep) -> EndRing:
@@ -431,11 +553,10 @@ def simple_quotients(m: QuiverRep) -> frozenset:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class PrefixFamily:
+class PrefixFamily(Record):
     """A choice, per vertex, of the span of the first k_e coordinates."""
 
-    dims: tuple
+    __slots__ = ("dims",)
 
     @classmethod
     def of(cls, mapping):
@@ -523,15 +644,11 @@ def _prefix_closed(m, k, arrow):
                for j in range(k[s]) for i in range(k[t], m.dims[t]))
 
 
-@dataclass
-class SubrepIsoCertificate:
+class SubrepIsoCertificate(Record):
     """Evidence that plus-subobjects and prefix subrepresentations agree."""
 
-    bms_lattice: FiniteLattice
-    subrep_lattice: FiniteLattice
-    mapping: dict
-    order_isomorphic: bool
-    grades_match: bool
+    __slots__ = ("bms_lattice", "subrep_lattice", "mapping",
+                 "order_isomorphic", "grades_match")
 
     @property
     def ok(self):

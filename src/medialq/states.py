@@ -197,9 +197,15 @@ class Decoration:
 
         Raises:
             MissingValue: some vertex or face has no weight.
-            ValueError: the weight is invalid, or the map is not connected.
+            ValueError: the weight names something that is no vertex or
+                face, is invalid, or the map is not connected.
         """
         key = tuple(omega.get(c) for c in pmap.cells)
+        if len(omega) != len(key) or None in key:  # not exactly the cells
+            unknown = sorted(map(repr, set(omega).difference(pmap.cells)))
+            if unknown:
+                raise ValueError(f"weight names {', '.join(unknown)}, "
+                                 "which is no vertex or face of the map")
         dec = pmap.decorations.get(key)
         if dec is None:
             if not validate_weight(pmap, omega):

@@ -354,21 +354,29 @@ def test_cli_import_leaves_networkx_out():
     assert proc.stdout == "False\n"
 
 
-# Modules a verb must not load: the representation layer (and the exact
-# rationals behind it) everywhere below, and for the verbs that build no
-# lattice also the lattice and BMS layers and dataclasses.
-REPS = ("medialq.reps", "medialq.linalg", "fractions")
-LATTICES = ("medialq.lattice", "medialq.bms", "dataclasses")
+# Modules a verb must not load: dataclasses everywhere; the representation
+# layer (and the exact rationals behind it) in the verbs that build no
+# module; and for the verbs that build no lattice also the lattice and BMS
+# layers.
+NEVER = ("dataclasses",)
+REPS = NEVER + ("medialq.reps", "medialq.linalg", "fractions")
+LATTICES = REPS + ("medialq.lattice", "medialq.bms")
 BUDGETS = [
-    ("states", "trefoil", REPS + LATTICES),
-    ("move-graph", "trefoil", REPS + LATTICES),
-    ("invisible", "trefoil", REPS + LATTICES),
-    ("nilpotency", "trefoil", REPS + LATTICES),
-    ("prime-check", "trefoil_sum", REPS + LATTICES),
-    ("kauffman-states", "trefoil", REPS + LATTICES),
-    ("medial", "trefoil", REPS + LATTICES),
-    ("--help", None, REPS + LATTICES),
+    ("states", "trefoil", LATTICES),
+    ("move-graph", "trefoil", LATTICES),
+    ("invisible", "trefoil", LATTICES),
+    ("nilpotency", "trefoil", LATTICES),
+    ("prime-check", "trefoil_sum", LATTICES),
+    ("kauffman-states", "trefoil", LATTICES),
+    ("medial", "trefoil", LATTICES),
+    ("--help", None, LATTICES),
     ("component", "figure_eight", REPS),
+    ("bms-lattice", "trefoil", REPS),
+    ("clock", "trefoil", REPS),
+    ("verify-iso", "figure_eight", NEVER),
+    ("subreps", "figure_eight", NEVER),
+    ("jacobian-check", "figure_eight", NEVER),
+    ("check-all", None, NEVER),  # the built-in corpus
 ]
 
 
@@ -389,6 +397,45 @@ def test_verb_loads_only_what_it_runs(maps, verb, name, unloaded):
     loaded = set(proc.stderr.split())
     assert "medialq.cli" in loaded
     assert loaded.isdisjoint(unloaded), sorted(loaded & set(unloaded))
+
+
+def test_check_all_builds_no_module_per_lattice_element(
+        tmp_path, capsys, monkeypatch):
+    """The Jacobian relations of the 121 states of (s1 s2)^5 are decided
+    without their modules: check-all builds the maximal state's module and
+    the one the subrepresentation check builds, no more."""
+    from medialq import reps
+
+    pmap = build_planar_map(*corpus.braid_closure_shadow([1, 2] * 5, 3))
+    marked = next(e for e in sorted(pmap.edges)
+                  if len(set(pmap.edge_faces(e))) == 2)
+    (tmp_path / "braid.map").write_text(dump_map_text(pmap, marked))
+    built = []
+    real = reps.state_module
+    monkeypatch.setattr(reps, "state_module",
+                        lambda *args: built.append(args) or real(*args))
+    code, out, _ = run(capsys, "check-all", tmp_path)
+    assert code == 0
+    assert "certified component lattices: 121\n" in out
+    assert "cyclic-derivative residuals: 0\n" in out
+    assert len(built) <= 2
+
+
+@pytest.mark.parametrize("extra, name", [("zz: -1\n", "'zz'"),
+                                         ("on: 1\n", "'True'")])
+def test_weight_keys_that_name_no_cell_exit_2(capsys, tmp_path, extra, name):
+    """A misspelt cell, or YAML's `on` (the key True), is refused by name;
+    the same weight without it is valid."""
+    path = tmp_path / "digon.map"
+    path.write_text(dump_map_text(build_planar_map(DIGON_ROT, DIGON_PAIR)))
+    weight = tmp_path / "w.yaml"
+    weight.write_text("v0: 1\nv1: 1\nf0: 1\nf1: 1\n")
+    assert run(capsys, "states", path, "--weight", weight)[0] == 0
+    weight.write_text("v0: 1\nv1: 1\nf0: 1\nf1: 1\n" + extra)
+    code, out, err = run(capsys, "states", path, "--weight", weight)
+    assert (code, out) == (2, "")
+    assert err == (f"medialq: weight names {name}, which is no vertex or "
+                   "face of the map\n")
 
 
 def test_networkx_is_not_a_runtime_dependency():

@@ -12,8 +12,10 @@ closure check replaced.  Subobject and subrepresentation lattices grown by
 cover steps are checked against the scans of the whole box of dimension
 vectors that they replaced.  Angular functions stored as value vectors are
 checked against sorted (angle, value) pairs, the move graph built by index
-arithmetic against the one built move by move, and Jacobian residuals from
-derivatives cached on the potential against a per-arrow recomputation.
+arithmetic against the one built move by move, Jacobian residuals from
+derivatives cached on the potential against a per-arrow recomputation, and
+the closed-form residuals of state modules against the dense check, at the
+canonical potential and at perturbed ones.
 """
 
 import sys
@@ -833,4 +835,95 @@ def test_one_changed_entry_leaves_a_nonzero_residual():
             report = reps.check_jacobian(bad, s)
             assert report == jacobian_oracle(bad, s)
             seen += not report.ok
+    assert seen
+
+
+# ----------------------------------------------------------------------
+# Jacobian residuals of state modules: closed form against the dense check
+# ----------------------------------------------------------------------
+
+@hs.composite
+def thick_shadows(draw):
+    """A closure of a 3-braid with each generator three times, sometimes
+    summed with a smaller shadow.  Its state modules are thick enough for
+    vertex and face paths to act: on closures with two of each generator
+    no added vertex or face term changes any residual (scanned)."""
+    word = draw(hs.permutations([1, 1, 1, 2, 2, 2]))
+    rot, pair = corpus.braid_closure_shadow(word, 3, prefix="x")
+    if draw(hs.booleans()):
+        word2, strands2 = draw(braid_words(2))
+        rot2, pair2 = corpus.braid_closure_shadow(word2, strands2, prefix="y")
+        rot, pair = corpus.connected_sum(
+            rot, pair, rot2, pair2,
+            draw(hs.integers(0, len(pair) - 1)),
+            draw(hs.integers(0, len(pair2) - 1)))
+    return build_planar_map(rot, pair)
+
+
+@hs.composite
+def perturbed_potentials(draw, pmap, omega):
+    """The canonical potential plus a rational multiple of about half of
+    the vertex and face cycles, of any weight (zero included), each from a
+    random base point and some squared."""
+    q = pmap.quiver
+    cycles = ([q.vertex_cycles[v] for v in sorted(pmap.vertices)]
+              + [q.face_cycles[f] for f in sorted(pmap.faces)])
+    terms = []
+    for cycle in cycles:
+        if draw(hs.booleans()):
+            turn = draw(hs.integers(0, len(cycle) - 1))
+            coeff = Fraction(draw(hs.sampled_from((-3, -2, -1, 1, 2, 3))),
+                             draw(hs.integers(1, 3)))
+            power = draw(hs.integers(1, 2))
+            terms.append((coeff, (cycle[turn:] + cycle[:turn]) * power))
+    return (reps.canonical_potential(pmap, omega)
+            + reps.make_potential(q, terms))
+
+
+def component_states(pmap, omega):
+    """The elements of every component lattice, as check-all visits them."""
+    dec = st.Decoration.of(pmap, omega)
+    graph = dec.move_graph
+    return [xi for comp in graph.undirected_components()
+            for xi in dec.component_lattice(graph.nodes[comp[0]]).elements]
+
+
+@SETTINGS
+@given(hs.data())
+def test_state_jacobian_matches_the_dense_check(data):
+    """Equal reports, residual matrices included; about half of the
+    examples have nonzero residuals at the perturbed potential."""
+    pmap = data.draw(hs.one_of(shadows(max_per_position=2), thick_shadows()))
+    scale = data.draw(hs.sampled_from((1, 2)))
+    omega = {c: scale * v
+             for c, v in kauffman_weight(diagram_of(pmap)).items()}
+    states = component_states(pmap, omega)
+    assume(len(states) <= 150)
+    canonical = reps.canonical_potential(pmap, omega)
+    perturbed = data.draw(perturbed_potentials(pmap, omega))
+    for xi in states:
+        m = reps.state_module(pmap, xi)
+        assert reps.state_jacobian(pmap, xi, canonical) == (
+            reps.check_jacobian(m, canonical))
+        assert reps.state_jacobian(pmap, xi, perturbed) == (
+            reps.check_jacobian(m, perturbed))
+
+
+def test_state_jacobian_reports_the_dense_residuals():
+    """Doubling a vertex term of the canonical potential on the shadow of
+    (s1 s2)^3 breaks the relations at some states (around v3 and v4); both
+    checks name the same arrows with the same residual matrices."""
+    pmap = build_planar_map(*corpus.braid_closure_shadow([1, 2] * 3, 3))
+    omega = kauffman_weight(diagram_of(pmap))
+    q = pmap.quiver
+    states = component_states(pmap, omega)
+    seen = 0
+    for v in sorted(pmap.vertices):
+        s = (reps.canonical_potential(pmap, omega)
+             + reps.make_potential(q, [(1, q.vertex_cycles[v])]))
+        for xi in states:
+            report = reps.state_jacobian(pmap, xi, s)
+            assert report == reps.check_jacobian(
+                reps.state_module(pmap, xi), s)
+            seen += len(report.nonzero)
     assert seen

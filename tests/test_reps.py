@@ -135,6 +135,16 @@ def test_potential_validation():
     assert ok.terms == ((Fraction(1), ("a0", "b2")),)
 
 
+def test_state_jacobian_refuses_terms_off_the_quiver(trefoil_setup):
+    pmap, _, quiver, lattice = trefoil_setup
+    a, b = next((a, b) for a in quiver.arrow_ids for b in quiver.arrow_ids
+                if quiver.target(a) != quiver.source(b))
+    for path in (("a", "b", "c"), (a, b)):
+        s = reps.Potential(((Fraction(1), path),))
+        with pytest.raises(NotACycle):
+            reps.state_jacobian(pmap, lattice.maximum, s)
+
+
 def test_state_module_trefoil_max(trefoil_setup):
     pmap, omega, quiver, lattice = trefoil_setup
     top = top_state(lattice)

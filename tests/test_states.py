@@ -253,6 +253,21 @@ def test_invalid_weight_is_refused(digon):
         st.Decoration.of(digon, unequal)
 
 
+def test_weight_keys_that_name_no_cell_are_refused(digon):
+    """Checked before the memo is consulted: a weight whose cell values are
+    already decorated is still refused, naming every stray key, and so is
+    one that also misses a cell."""
+    st.Decoration.of(digon, DIGON_WEIGHT)
+    message = "which is no vertex or face of the map"
+    with pytest.raises(ValueError, match=f"^weight names 'zz', {message}$"):
+        st.Decoration.of(digon, dict(DIGON_WEIGHT, zz=-1))
+    with pytest.raises(ValueError, match=f"names 'True', 'zz', {message}"):
+        st.enumerate_compatible(digon, {**DIGON_WEIGHT, "zz": 0, "True": 1})
+    missing = {"v0": 1, "v1": 1, "f0": 1, "zz": 1}
+    with pytest.raises(ValueError, match=f"names 'zz', {message}"):
+        st.Decoration.of(digon, missing)
+
+
 def test_decoration_is_memoized_on_the_map(triangle):
     dec = st.Decoration.of(triangle, TRIANGLE_WEIGHT)
     assert st.Decoration.of(triangle, dict(TRIANGLE_WEIGHT)) is dec
