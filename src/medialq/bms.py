@@ -15,12 +15,15 @@ checks the forgetful projection onto plain angular functions.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from .lattice import FiniteLattice, grown_lattice
 from .planar import MedialQuiver, PlanarMap, Record
 from .states import (
     AngularFunction,
     Decoration,
     NotMovable,
+    UnknownEdge,
     anti_mov_e,
     is_anti_e_movable,
     is_e_movable,
@@ -45,7 +48,7 @@ class InvisibleDimNonZero(ValueError):
 
 
 class BMSState(Record):
-    """(f_plus, f_minus, d); d stored as a sorted tuple for hashability.
+    """(f_plus, f_minus, d), d the sorted (edge, value) pairs of all edges.
 
     The hash of (f_plus, f_minus, d) is computed once, at construction, and
     kept as a fourth field: states are keys of the lattice dictionaries and
@@ -80,10 +83,6 @@ class BMSState(Record):
 DESCENT_FUEL = 10 ** 6
 
 
-def _d_tuple(d):
-    return tuple(sorted(d.items()))
-
-
 def _check_compatible(dec: Decoration, g, name):
     quiver = dec.quiver
     for v, cycle in quiver.vertex_cycles.items():
@@ -102,12 +101,17 @@ def make_bms(pmap: PlanarMap, omega, f_plus, f_minus, d) -> BMSState:
     Raises:
         RelationViolated: some arrow breaks the angle relation.
         InvisibleDimNonZero: d is nonzero on an invisible-cycle edge.
+        UnknownEdge: d names something that is no edge of the map.
         ValueError: a function is not compatible, or d has negative entries.
     """
     dec = Decoration.of(pmap, omega)
     quiver = dec.quiver
     _check_compatible(dec, f_plus, "f_plus")
     _check_compatible(dec, f_minus, "f_minus")
+    unknown = sorted(map(repr, set(d).difference(quiver.outgoing)))
+    if unknown:
+        raise UnknownEdge(f"dimension vector names {', '.join(unknown)}, "
+                          "which is no edge of the map")
     d = {e: d.get(e, 0) for e in quiver.vertices}
     if any(not isinstance(v, int) or v < 0 for v in d.values()):
         raise ValueError("dimension vector must be non-negative integers")
@@ -121,15 +125,21 @@ def make_bms(pmap: PlanarMap, omega, f_plus, f_minus, d) -> BMSState:
         if d[e] != 0:
             raise InvisibleDimNonZero(
                 e, f"dimension {d[e]} on invisible-cycle edge {e}")
-    return BMSState(f_plus, f_minus, _d_tuple(d))
+    return BMSState(f_plus, f_minus, tuple(d.items()))  # in edge order
+
+
+def _raised(d, e, by):
+    """The pairs d with the value at e raised by `by`."""
+    i = bisect_left(d, (e,))
+    if i == len(d) or d[i][0] != e:
+        raise ValueError(f"d has no pair for {e}; a state's d has every edge")
+    return d[:i] + ((e, d[i][1] + by),) + d[i + 1:]
 
 
 def bms_mov_e(quiver: MedialQuiver, xi: BMSState, e) -> BMSState:
     """Move along e: (mov_e(f_plus), f_minus, d + chi_e)."""
     new_plus = mov_e(quiver, xi.f_plus, e)  # NotMovable propagates
-    d = xi.dims()
-    d[e] = d.get(e, 0) + 1
-    return BMSState(new_plus, xi.f_minus, _d_tuple(d))
+    return BMSState(new_plus, xi.f_minus, _raised(xi.d, e, 1))
 
 
 def is_bms_anti_movable(quiver: MedialQuiver, xi: BMSState, e) -> bool:
@@ -140,9 +150,15 @@ def is_bms_anti_movable(quiver: MedialQuiver, xi: BMSState, e) -> bool:
 def bms_anti_mov_e(quiver: MedialQuiver, xi: BMSState, e) -> BMSState:
     if not is_bms_anti_movable(quiver, xi, e):
         raise NotMovable(f"state is not anti-movable along {e}")
-    d = xi.dims()
-    d[e] -= 1
-    return BMSState(anti_mov_e(quiver, xi.f_plus, e), xi.f_minus, _d_tuple(d))
+    return BMSState(anti_mov_e(quiver, xi.f_plus, e), xi.f_minus,
+                    _raised(xi.d, e, -1))
+
+
+def _moves(quiver: MedialQuiver, xi: BMSState):
+    """(e, bms_mov_e of xi along e) for every edge e along which xi moves."""
+    for e in quiver.vertices:
+        if is_e_movable(quiver, xi.f_plus, e):
+            yield e, bms_mov_e(quiver, xi, e)
 
 
 def bms_plus_lattice(pmap: PlanarMap, omega, g: AngularFunction) -> FiniteLattice:
@@ -158,14 +174,8 @@ def bms_plus_lattice(pmap: PlanarMap, omega, g: AngularFunction) -> FiniteLattic
     dec = Decoration.of(pmap, omega)
     dec.require_nilpotency_zero("lattice construction needs nilpotency degree 0")
     quiver = dec.quiver
-
-    def upper(xi):
-        for e in quiver.vertices:
-            if is_e_movable(quiver, xi.f_plus, e):
-                yield e, bms_mov_e(quiver, xi, e)
-
-    lattice = grown_lattice(make_bms(pmap, omega, g, g, {}), upper,
-                            key=lambda xi: xi.d)
+    lattice = grown_lattice(make_bms(pmap, omega, g, g, {}),
+                            lambda xi: _moves(quiver, xi), key=lambda xi: xi.d)
     _check_pointwise_closure(lattice)
     return lattice
 
@@ -196,12 +206,12 @@ def _check_pointwise_closure(lattice: FiniteLattice):
                 f"join-irreducibles moved along {e} do not form a chain")
 
 
-def _reconstruct_plus(quiver, f_minus, d):
-    """f_minus + d(target) - d(source) on every angle of f_minus."""
-    frame, arrows = f_minus.frame, quiver.arrows
-    return AngularFunction.from_vector(frame, tuple(
-        v + d[arrows[a][1]] - d[arrows[a][0]]
-        for a, v in zip(frame.names, f_minus.vector)))
+def _reconstruct_plus(quiver, below, e):
+    """`below` with d' raised by one at e: its ``bms_mov_e``, or None where
+    f_plus would turn negative (see ``plus_subobjects``)."""
+    if is_e_movable(quiver, below.f_plus, e):
+        return bms_mov_e(quiver, below, e)
+    return None
 
 
 def component_minimum(pmap: PlanarMap, omega, h: AngularFunction,
@@ -244,33 +254,36 @@ def component_minimum(pmap: PlanarMap, omega, h: AngularFunction,
 def plus_subobjects(pmap: PlanarMap, omega, xi: BMSState) -> FiniteLattice:
     """The lattice of states below xi: same f_minus, d' pointwise below d.
 
-    Grown up from (f_minus, f_minus, 0) by unit steps of d' inside d.  A
-    candidate d' qualifies exactly when f_minus + (d'(t) - d'(s)) stays
-    non-negative; the angle sums are then automatic, so the candidate is a
-    valid state.  The growth reaches every state below xi: for d' != 0 let
-    S be the edges where d' is largest.  If no edge of S were anti-movable,
-    f_minus would vanish on a directed cycle inside S; that cycle would be
-    invisible, and d, hence d', is zero on invisible edges.  So d' minus one
-    at some edge of S is again a state.
+    xi is validated once, on entry, and with it the root (f_minus, f_minus,
+    0).  Every other element is reached from the root by steps raising d' by
+    one at an edge e where d' is below d, and each step is a move: raising
+    d' at e changes f_plus = f_minus + d'(t) - d'(s) only on the four arrows
+    at e, lowering it by one on the two leaving e and raising it by one on
+    the two entering e.  So the candidate is a state exactly when f_plus is
+    e-movable, and it is then ``bms_mov_e`` of the state below it.  The
+    growth reaches every state below xi: for d' != 0 let S be the edges
+    where d' is largest.  If no edge of S were anti-movable, f_minus would
+    vanish on a directed cycle inside S; that cycle would be invisible, and
+    d, hence d', is zero on invisible edges.  So d' minus one at some edge
+    of S is again a state.
 
     Raises:
         NotNilpotencyZero.
+        ValueError: xi is not a valid state (see ``make_bms``).
     """
     dec = Decoration.of(pmap, omega)
     dec.require_nilpotency_zero("subobject lattice needs nilpotency degree 0")
     quiver = dec.quiver
-    top = xi.dims()
+    xi = make_bms(pmap, omega, xi.f_plus, xi.f_minus, dict(xi.d))
 
     def upper(below):
-        for e in quiver.vertices:
-            d = below.dims()
-            if d[e] < top[e]:
-                d[e] += 1
-                f_plus = _reconstruct_plus(quiver, xi.f_minus, d)
-                if min(f_plus.vector, default=0) >= 0:
-                    yield e, make_bms(pmap, omega, f_plus, xi.f_minus, d)
+        for e, (_, cap), (_, v) in zip(quiver.vertices, xi.d, below.d):
+            if v < cap:
+                moved = _reconstruct_plus(quiver, below, e)
+                if moved is not None:
+                    yield e, moved
 
-    root = make_bms(pmap, omega, xi.f_minus, xi.f_minus, {})
+    root = BMSState(xi.f_minus, xi.f_minus, tuple((e, 0) for e, _ in xi.d))
     return grown_lattice(root, upper, key=lambda s: s.d)
 
 
@@ -303,16 +316,10 @@ def forgetful_projection(pmap: PlanarMap, omega, states) -> ProjectionReport:
     is_morphism = True
     degrees_match = True
     for xi in states:
-        i = index[xi.f_plus]
-        bms_out = []
-        for e in quiver.vertices:
-            if is_e_movable(quiver, xi.f_plus, e):
-                nxt = bms_mov_e(quiver, xi, e)
-                bms_out.append((index[nxt.f_plus], e))
-                if (index[nxt.f_plus], e) not in out_of[i]:
-                    is_morphism = False
-        if len(bms_out) != len(out_of[i]):
-            degrees_match = False
+        graph_out = out_of[index[xi.f_plus]]
+        bms_out = [(index[nxt.f_plus], e) for e, nxt in _moves(quiver, xi)]
+        is_morphism = is_morphism and graph_out.issuperset(bms_out)
+        degrees_match = degrees_match and len(bms_out) == len(graph_out)
 
     comps = graph.undirected_components()
     image_idx = {index[g] for g in image}

@@ -87,7 +87,10 @@ def _diagram(args):
 def _emit(args, lines):
     text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out}: {exc.strerror}")
     else:
         sys.stdout.write(text)
 
@@ -603,13 +606,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code, lines = args.func(args)
+        _emit(args, lines)
     except (NotPrime, AssertionError) as exc:
         print(f"medialq: {exc}", file=sys.stderr)
         return 1
     except (InputError, ValueError) as exc:
         print(f"medialq: {exc}", file=sys.stderr)
         return 2
-    _emit(args, lines)
     return code
 
 

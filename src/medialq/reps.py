@@ -26,8 +26,8 @@ from .lattice import (CertificationFailed, FiniteLattice, grown_lattice,
                       verify_order_isomorphism)
 from .linalg import Matrix, ShapeMismatch, hstack_all
 from .planar import MedialQuiver, PlanarMap, Record
-from .states import (AngleFrame, Decoration, NotACycle, check_cycle,
-                     connected_components, is_characteristic)
+from .states import (AngleFrame, Decoration, check_cycle, connected_components,
+                     is_characteristic)
 
 
 class EmptySupport(ValueError):
@@ -134,7 +134,7 @@ def state_module(pmap: PlanarMap, xi: BMSState) -> QuiverRep:
     so construction never fails on a valid state.
     """
     quiver = pmap.quiver
-    dims = {e: xi.dim(e) for e in quiver.vertices}
+    dims = dict(xi.d)
     mats = {}
     for a, (s, t) in quiver.arrows.items():
         mats[a] = plus_minus_matrix(
@@ -235,15 +235,7 @@ def make_potential(quiver: MedialQuiver, terms) -> Potential:
     out = []
     for coeff, path in terms:
         path = tuple(path)
-        if not path:
-            raise NotACycle("empty path in a potential")
-        for arr in path:
-            if arr not in quiver.arrows:
-                raise NotACycle(f"unknown arrow {arr}")
-        for i, arr in enumerate(path):
-            nxt = path[(i + 1) % len(path)]
-            if quiver.target(arr) != quiver.source(nxt):
-                raise NotACycle(f"path does not close up at {arr}")
+        check_cycle(quiver, path)
         out.append((Fraction(coeff), path))
     return Potential(tuple(out))
 
@@ -672,8 +664,7 @@ def verify_subrep_isomorphism(pmap: PlanarMap, omega,
     below = plus_subobjects(pmap, omega, xi)
     module = state_module(pmap, xi)
     subreps = enumerate_subreps(module, omega)
-    mapping = {s: PrefixFamily.of({e: s.dim(e) for e in pmap.quiver.vertices})
-               for s in below.elements}
+    mapping = {s: PrefixFamily(s.d) for s in below.elements}
     iso = verify_order_isomorphism(below.poset, subreps.poset, mapping)
     grades = all(below.grade[s] == subreps.grade[mapping[s]]
                  for s in below.elements) if iso else False

@@ -144,20 +144,6 @@ class AngularFunction:
         """(angle, value) pairs in sorted angle order."""
         return tuple(zip(self.frame.names, self.vector))
 
-    def shifted(self, delta):
-        """New function with delta[a] added, starting from 0 where a is
-        absent (no sign checks)."""
-        position = self.frame.position
-        if not all(a in position for a in delta):
-            vals = dict(self.items())
-            for a, dv in delta.items():
-                vals[a] = vals.get(a, 0) + dv
-            return AngularFunction(vals)
-        vec = list(self.vector)
-        for a, dv in delta.items():
-            vec[position[a]] += dv
-        return AngularFunction.from_vector(self.frame, tuple(vec))
-
     def __eq__(self, other):
         return (isinstance(other, AngularFunction) and self.frame is other.frame
                 and self.vector == other.vector)
@@ -417,18 +403,29 @@ def is_anti_e_movable(quiver: MedialQuiver, g: AngularFunction, e) -> bool:
     return all(g[a] > 0 for a in quiver.incoming[e])
 
 
+def _moved(g: AngularFunction, lose, gain) -> AngularFunction:
+    """g with a unit moved from each angle of `lose` to each of `gain`."""
+    position, vec = g.frame.position, list(g.vector)
+    for a in lose:
+        vec[position[a]] -= 1
+    for a in gain:
+        vec[position[a]] += 1
+    return AngularFunction.from_vector(g.frame, tuple(vec))
+
+
 def mov_e(quiver: MedialQuiver, g: AngularFunction, e) -> AngularFunction:
-    """Counterclockwise move along e.  Raises NotMovable if g is not e-movable."""
+    """Counterclockwise move along e: a unit from each angle leaving e to
+    each angle entering it.  Raises NotMovable if g is not e-movable."""
     if not is_e_movable(quiver, g, e):
         raise NotMovable(f"function is not movable along {e}")
-    return g.shifted(delta_chi(quiver, e))
+    return _moved(g, quiver.outgoing[e], quiver.incoming[e])
 
 
 def anti_mov_e(quiver: MedialQuiver, g: AngularFunction, e) -> AngularFunction:
     """Clockwise move along e, the inverse of mov_e."""
     if not is_anti_e_movable(quiver, g, e):
         raise NotMovable(f"function is not anti-movable along {e}")
-    return g.shifted({a: -dv for a, dv in delta_chi(quiver, e).items()})
+    return _moved(g, quiver.incoming[e], quiver.outgoing[e])
 
 
 class StateGraph:

@@ -183,6 +183,9 @@ def test_make_bms_validation(trefoil_setup):
     with pytest.raises(ValueError):
         bms.make_bms(pmap, omega, bad, g, {})
 
+    with pytest.raises(st.UnknownEdge, match="names 'e99', 'zz', which"):
+        bms.make_bms(pmap, omega, g, g, {"zz": 3, "e99": 1})
+
 
 def test_mov_updates_exactly_one_dimension(trefoil_setup):
     pmap, omega, quiver, states = trefoil_setup
@@ -193,6 +196,10 @@ def test_mov_updates_exactly_one_dimension(trefoil_setup):
         assert b.d_tot == a.d_tot + 1
         assert b.f_minus == a.f_minus
         assert bms.bms_anti_mov_e(quiver, b, e) == a
+    partial = bms.BMSState(a.f_plus, a.f_minus,
+                           tuple(p for p in a.d if p[0] != e))
+    with pytest.raises(ValueError, match=f"no pair for {e}"):
+        bms.bms_mov_e(quiver, partial, e)
 
 
 def test_nilpotency_gate():
@@ -221,6 +228,32 @@ def test_plus_subobjects(trefoil_setup):
         ideal = bms.plus_subobjects(pmap, omega, xi)
         assert set(ideal.elements) <= set(lat.elements)
         assert all(lat.leq(s, xi) for s in ideal.elements)
+
+
+def test_plus_subobjects_validates_the_state_it_is_given(trefoil_setup):
+    pmap, omega, quiver, states = trefoil_setup
+    top = lattice_from_bottom(pmap, omega, quiver, states).maximum
+    unrelated = bms.BMSState(top.f_minus, top.f_minus, top.d)
+    with pytest.raises(bms.RelationViolated):
+        bms.plus_subobjects(pmap, omega, unrelated)
+    negative = bms.BMSState(top.f_minus, top.f_minus,
+                            tuple((e, -1) for e in quiver.vertices))
+    with pytest.raises(ValueError, match="non-negative"):
+        bms.plus_subobjects(pmap, omega, negative)
+
+
+def test_plus_subobjects_validates_only_root_and_state(figure_eight_setup,
+                                                        monkeypatch):
+    """Every element past the root is a move, so nothing is revalidated."""
+    pmap, omega, quiver, states = figure_eight_setup
+    top = lattice_from_bottom(pmap, omega, quiver, states).maximum
+    calls = []
+    real = bms.make_bms
+    monkeypatch.setattr(bms, "make_bms",
+                        lambda *args: calls.append(args) or real(*args))
+    below = bms.plus_subobjects(pmap, omega, top)
+    assert len(below) == 5 and below.maximum == top
+    assert len(calls) <= 2
 
 
 def test_forgetful_projection_covers_component(trefoil_setup):

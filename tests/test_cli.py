@@ -278,12 +278,45 @@ def test_out_writes_file_and_stays_silent(capsys, maps, tmp_path):
     assert "nilpotency degree: 0" in target.read_text()
 
 
+@pytest.mark.parametrize("where, reason", [
+    (lambda tmp: tmp / "missing" / "out.txt", "No such file or directory"),
+    (lambda tmp: tmp, "Is a directory")], ids=["missing-folder", "folder"])
+def test_out_that_cannot_be_written_exits_2(capsys, maps, tmp_path, where,
+                                            reason):
+    target = where(tmp_path)
+    code, out, err = run(capsys, "states", maps["trefoil"], "--out", target)
+    assert (code, out) == (2, "")
+    assert err == f"medialq: cannot write {target}: {reason}\n"
+
+
 def test_reports_are_byte_identical_across_runs(capsys, maps, tmp_path):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     for target in (a, b):
         assert run(capsys, "verify-iso", maps["trefoil"],
                    "--out", target)[0] == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_benchmark_tracer_still_fits_the_library(tmp_path):
+    """The benchmark's traced run of the built-in corpus check-all reports
+    what the untraced run does and finds the steps it counts."""
+    import json
+    from pathlib import Path
+
+    traced = Path(__file__).parents[1] / "perfbench" / "traced_cli.py"
+    trace = tmp_path / "trace.json"
+    plain = subprocess.run([sys.executable, "-m", "medialq", "check-all"],
+                           capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, str(traced), str(trace),
+                           "check-all"], capture_output=True, text=True)
+    assert (proc.returncode, plain.returncode) == (0, 0), proc.stderr
+    assert proc.stdout == plain.stdout
+    counters = json.loads(trace.read_text())["counters"]
+    assert {name: counters.get(name) for name in (
+        "bms.subobject_candidates", "bms.subobjects_kept",
+        "reps.subrep_candidates", "reps.subreps_kept")} == {
+        "bms.subobject_candidates": 61, "bms.subobjects_kept": 34,
+        "reps.subrep_candidates": 61, "reps.subreps_kept": 34}
 
 
 def test_module_entry_point(maps):

@@ -686,8 +686,6 @@ def test_vector_functions_agree_with_sorted_pairs(data):
         angle_values(),  # usually over other angles
         hs.just(dict(x)),
         hs.fixed_dictionaries({a: hs.integers(0, 3) for a in x})))
-    delta = data.draw(hs.dictionaries(hs.sampled_from(ANGLE_NAMES),
-                                      hs.integers(-2, 2)))
     g, h = st.AngularFunction(x), st.AngularFunction(y)
     rg, rh = PairsFunction(x), PairsFunction(y)
     assert g.items() == rg.pairs
@@ -696,8 +694,6 @@ def test_vector_functions_agree_with_sorted_pairs(data):
     assert g != h or hash(g) == hash(h)
     assert (g < h) == (rg.pairs < rh.pairs)
     assert (h < g) == (rh.pairs < rg.pairs)
-    assert g.shifted(delta).items() == rg.shifted(delta).pairs
-    assert g.shifted(delta) == st.AngularFunction(rg.shifted(delta).pairs)
     inner = ", ".join(f"{a}:{v}" for a, v in rg.pairs)
     assert repr(g) == f"AngularFunction({inner})"
 
@@ -737,9 +733,13 @@ def test_move_graph_matches_move_by_move_oracle(data):
     assert list(dec.move_graph.edges) == move_graph_oracle(dec)
     for g in _spread(dec.states, 5):
         for e in q.vertices:
+            delta = st.delta_chi(q, e)
             if st.is_e_movable(q, g, e):
                 assert st.mov_e(q, g, e).items() == PairsFunction(
-                    g.items()).shifted(st.delta_chi(q, e)).pairs
+                    g.items()).shifted(delta).pairs
+            if st.is_anti_e_movable(q, g, e):
+                assert st.anti_mov_e(q, g, e).items() == PairsFunction(
+                    g.items()).shifted({a: -v for a, v in delta.items()}).pairs
 
 
 def test_move_outside_the_state_set_is_an_internal_disagreement(
