@@ -403,13 +403,14 @@ def cmd_subreps(args):
 
 
 def cmd_verify_iso(args):
-    from .reps import verify_subrep_isomorphism
+    from .reps import state_module, verify_subrep_isomorphism
 
     dec, lattice, lines = _component(args)
     if lattice is None:
         return 0, lines
     top = lattice.maximum
-    cert = verify_subrep_isomorphism(dec.pmap, dec.omega, top)
+    cert = verify_subrep_isomorphism(dec.pmap, dec.omega, top,
+                                     state_module(dec.pmap, top))
     lines.append(f"maximal state: {_bms_text(top)}")
     lines.append(f"plus-subobjects: {len(cert.bms_lattice)} "
                  f"subrepresentations: {len(cert.subrep_lattice)}")
@@ -505,7 +506,7 @@ def _check_one_diagram(raw):
         failures.append("simple quotients do not match anti-movable edges")
     lines.append(f"  simple quotients = anti-movable edges: "
                  f"{sorted(anti) or 'none'}")
-    cert = reps.verify_subrep_isomorphism(pmap, omega, top)
+    cert = reps.verify_subrep_isomorphism(pmap, omega, top, module)
     if not cert.ok:
         failures.append("subobject/subrepresentation lattices disagree")
     lines.append(f"  subrep lattice isomorphism: ok={cert.ok} "

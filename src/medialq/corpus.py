@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from importlib import resources
 
-from .planar import PlanarMap, build_planar_map, parse_map_text, dump_map_text
+from .planar import PlanarMap, build_planar_map, parse_map_text
 
 
 def braid_closure_shadow(word, strands, prefix=""):
@@ -125,15 +125,3 @@ def load(name) -> tuple[PlanarMap, str]:
     if marked is None:
         raise ValueError(f"corpus file {name} lacks a marked_edge")
     return pmap, marked
-
-
-def regenerate_files(directory):
-    """Write all corpus .map files into ``directory`` (used once, and by tests)."""
-    written = []
-    for name in names():
-        pmap, marked = generate(name)
-        text = dump_map_text(pmap, marked_edge=marked)
-        path = directory / f"{name}.map"
-        path.write_text(text)
-        written.append(path)
-    return written

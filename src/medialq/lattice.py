@@ -75,12 +75,6 @@ class FinitePoset:
     def leq(self, x, y) -> bool:
         return bool(self._down[self._index[y]] >> self._index[x] & 1)
 
-    def lower_covers(self, x):
-        return [self.elements[i] for i in self._below[self._index[x]]]
-
-    def upper_covers(self, x):
-        return [self.elements[i] for i in self._above[self._index[x]]]
-
     def minimal_elements(self):
         return [x for x in self.elements if not self._below[self._index[x]]]
 
@@ -129,7 +123,8 @@ class Certificate(Record):
 
     ``masks[i]`` holds one bit per join-irreducible below element i, bit k
     standing for ``join_irreducibles[k]``; ``index_of_mask`` inverts it.
-    The join and meet tables are built from the masks on each read.
+    A join is the element of the union of two masks, a meet that of their
+    intersection.
     """
 
     __slots__ = ("minimum", "maximum", "size", "grade_range", "grade",
@@ -137,21 +132,6 @@ class Certificate(Record):
 
     ok = True
     sampled = False  # exact at every size; reports still print the flag
-
-    @property
-    def join_table(self):
-        """{(x, y): x join y} over all pairs of distinct elements."""
-        return self._table(int.__or__)
-
-    @property
-    def meet_table(self):
-        return self._table(int.__and__)
-
-    def _table(self, op):
-        xs, index_of = self.elements, self.index_of_mask
-        return {(x, y): xs[index_of[op(mx, my)]]
-                for x, mx in zip(xs, self.masks)
-                for y, my in zip(xs, self.masks) if x != y}
 
 
 class Counterexample(Record):

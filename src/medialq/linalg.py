@@ -54,14 +54,6 @@ class Matrix:
             tuple(Fraction(1 if i == j else 0) for j in range(n))
             for i in range(n)))
 
-    @classmethod
-    def from_rows(cls, data):
-        """Build from a non-empty list of rows (shape read off the data)."""
-        data = tuple(tuple(row) for row in data)
-        if not data:
-            raise ShapeMismatch("from_rows cannot infer the column count")
-        return cls(len(data), len(data[0]), data)
-
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.rows == other.rows
                 and self.cols == other.cols and self.data == other.data)
@@ -113,15 +105,6 @@ class Matrix:
             raise ShapeMismatch("hstack needs equal row counts")
         return Matrix(self.rows, self.cols + other.cols, tuple(
             ra + rb for ra, rb in zip(self.data, other.data)))
-
-    def vstack(self, other):
-        if self.cols != other.cols:
-            raise ShapeMismatch("vstack needs equal column counts")
-        return Matrix(self.rows + other.rows, self.cols,
-                      self.data + other.data)
-
-    def column(self, j):
-        return tuple(row[j] for row in self.data)
 
     def with_entry(self, i, j, value):
         """A copy with entry (i, j) replaced — the mutation-testing hook."""

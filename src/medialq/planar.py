@@ -10,10 +10,9 @@ as arrows.
 
 from __future__ import annotations
 
+import re
 from functools import cached_property
 from operator import attrgetter
-
-import yaml
 
 
 class MapFormatError(ValueError):
@@ -377,28 +376,6 @@ class MedialQuiver:
     def target(self, arrow):
         return self.arrows[arrow][1]
 
-    def is_strongly_connected(self):
-        if not self.vertices:
-            return True
-        succ = {v: [] for v in self.vertices}
-        pred = {v: [] for v in self.vertices}
-        for s, t in self.arrows.values():
-            succ[s].append(t)
-            pred[t].append(s)
-
-        def sweep(adj):
-            seen = {self.vertices[0]}
-            stack = [self.vertices[0]]
-            while stack:
-                v = stack.pop()
-                for w in adj[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            return len(seen) == len(self.vertices)
-
-        return sweep(succ) and sweep(pred)
-
 
 def medial_quiver(pmap: PlanarMap) -> MedialQuiver:
     """Construct the directed medial quiver of a validated planar map."""
@@ -412,7 +389,7 @@ def medial_quiver(pmap: PlanarMap) -> MedialQuiver:
 def parse_map_text(text):
     """Parse the rotation-system input format.
 
-    The format is a small YAML document::
+    The format is a small YAML document, read by ``read_document``::
 
         vertices: [[a1, a2, a3, a4], [b4, b3, b2, b1]]
         edges: [[a1, b1], [a2, b2], [a3, b3], [a4, b4]]
@@ -421,16 +398,14 @@ def parse_map_text(text):
     Returns:
         (PlanarMap, marked_edge or None)
     """
-    doc = load_yaml(text, MapFormatError)
-    if not isinstance(doc, dict):
-        raise MapFormatError("expected a mapping with 'vertices' and 'edges' keys")
+    doc = read_document(text, MapFormatError)
     if "vertices" not in doc or "edges" not in doc:
         raise MapFormatError("missing 'vertices' or 'edges' key")
     rotations = doc["vertices"]
     pairing = doc["edges"]
     if (not isinstance(rotations, list) or not isinstance(pairing, list)
-            or any(not isinstance(c, list) for c in rotations)
-            or any(not isinstance(p, list) for p in pairing)):
+            or any(not isinstance(c, list) or any(isinstance(d, list) for d in c)
+                   for c in rotations + pairing)):
         raise MapFormatError("'vertices' and 'edges' must be lists of dart lists")
     pmap = build_planar_map(rotations, pairing)
     marked = doc.get("marked_edge")
@@ -441,14 +416,92 @@ def parse_map_text(text):
     return pmap, marked
 
 
-def load_yaml(text, error):
-    """The YAML document in text, parsed by libyaml when it is installed;
-    raises error(message) if the text is not YAML."""
-    try:
-        return yaml.load(text, Loader=getattr(yaml, "CSafeLoader",
-                                              yaml.SafeLoader))
-    except yaml.YAMLError as exc:
-        raise error(f"not valid structured text: {exc}") from exc
+# The map and weight formats are a strict subset of YAML, read with YAML's
+# meaning: top-level `key: value` lines, a value being a plain scalar or a
+# flow list `[...]` of scalars and flow lists that may run on over lines; a
+# key may instead be followed by `- value` block items.  A scalar is an int,
+# one of YAML 1.1's 18 bool words, or a word; anything else is refused.
+_TOKEN = re.compile(r"([][,]|[:-](?= |$))|([A-Za-z0-9_.-]+)|(#.*)|([^ ])")
+_SCALAR = re.compile(
+    r"(-?(?:0|[1-9][0-9]*))|(?!(?:null|Null|NULL)$)[A-Za-z_][A-Za-z0-9_.-]*")
+_BOOLS = {w: b for b, words in ((True, "yes true on"), (False, "no false off"))
+          for word in words.split() for w in (word, word.title(), word.upper())}
+
+
+def read_document(text, error):
+    """The mapping YAML's safe loader reads from text in the subset above;
+    raises error(message) on any other text and on a repeated key (which
+    YAML would let overwrite the first)."""
+    def refuse(n, what):
+        raise error(f"not valid structured text: line {n}: {what}")
+
+    lines = text.replace("\r\n", "\n").split("\n")
+    toks = []  # (line, column, kind, scalar)
+    for n, line in enumerate(lines, 1):
+        if not line.isprintable():
+            refuse(n, "unprintable character")
+        for m in _TOKEN.finditer(line):  # skipping spaces
+            punct, word, comment, other = m.groups()
+            scalar = word and _SCALAR.fullmatch(word)
+            if (other or word and not scalar
+                    or comment and line[m.start() - 1:m.start()].strip()):
+                refuse(n, f"unexpected {m[0]!r}")
+            if scalar:
+                toks.append((n, m.start(), "scalar", int(word) if scalar[1]
+                             else _BOOLS.get(word, word)))
+            elif punct:
+                toks.append((n, m.start(), punct, None))
+    toks.append((len(lines) + 1, 0, "end of text", None))
+
+    def value(i):
+        """The value starting at toks[i], which must end its line, and the
+        index after it."""
+        stack, after_item = [[]], False  # the open lists, innermost last
+        while True:
+            n, _, kind, scalar = toks[i]
+            i += 1
+            if kind == "[" and not after_item:
+                stack.append([])
+                continue
+            if kind == "scalar" and not after_item:
+                stack[-1].append(scalar)
+            elif kind == "]" and len(stack) > 1:  # YAML also reads `[a,]`
+                stack[-2].append(stack.pop())
+            elif kind == "," and after_item and len(stack) > 1:
+                after_item = False
+                continue
+            else:
+                refuse(n, f"unexpected {kind}")
+            after_item = True
+            if len(stack) == 1:
+                if toks[i][0] == n:
+                    refuse(n, "expected the end of the line")
+                return stack[0][0], i
+
+    doc, i = {}, 0
+    while toks[i][2] != "end of text":
+        n, col, kind, key = toks[i]
+        colon = toks[i + 1][1]  # YAML wants it within 1024 characters
+        if (col or kind != "scalar" or toks[i + 1][::2] != (n, ":")
+                or colon > 1024):
+            refuse(n, "expected `key:` at the start of the line")
+        name = lines[n - 1][:colon].rstrip()
+        if key in doc:
+            refuse(n, f"duplicate key {name!r}")
+        i += 2
+        if toks[i][0] == n:
+            doc[key], i = value(i)
+            continue
+        doc[key], indent = [], toks[i][1]
+        while toks[i][2] == "-" and toks[i][1] == indent and (
+                toks[i + 1][0] == toks[i][0]):  # a value after the dash
+            item, i = value(i + 1)
+            doc[key].append(item)
+        if not doc[key]:
+            refuse(n, f"no value for {name!r}")
+    if not doc:
+        refuse(1, "empty document")
+    return doc
 
 
 def dump_map_text(pmap: PlanarMap, marked_edge=None):

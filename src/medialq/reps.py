@@ -51,10 +51,12 @@ class QuiverRep:
     assigns each arrow a dims(target) x dims(source) matrix.  `cycles` is
     an optional tuple of composable arrow cycles distinguished by the
     underlying map (vertex and face cycles); the subrepresentation search
-    uses them to certify its completeness premise.
+    uses them to certify its completeness premise.  A module is not changed
+    after it is built (``with_entry`` copies), so ``is_nilpotent`` keeps its
+    verdict on it.
     """
 
-    __slots__ = ("vertices", "arrows", "dims", "mats", "cycles")
+    __slots__ = ("vertices", "arrows", "dims", "mats", "cycles", "_nilpotent")
 
     def __init__(self, vertices, arrows, dims, mats, cycles=()):
         self.vertices = tuple(sorted(vertices))
@@ -62,6 +64,7 @@ class QuiverRep:
         self.dims = {e: int(dims.get(e, 0)) for e in self.vertices}
         self.mats = dict(mats)
         self.cycles = tuple(tuple(c) for c in cycles)
+        self._nilpotent = None
         if any(v < 0 for v in self.dims.values()):
             raise ValueError("negative dimension")
         if sorted(self.mats) != sorted(self.arrows):
@@ -75,10 +78,6 @@ class QuiverRep:
 
     def dim(self, e):
         return self.dims[e]
-
-    @property
-    def total_dim(self):
-        return sum(self.dims.values())
 
     def source(self, arrow):
         return self.arrows[arrow][0]
@@ -142,21 +141,6 @@ def state_module(pmap: PlanarMap, xi: BMSState) -> QuiverRep:
     cycles = tuple(quiver.vertex_cycles[v] for v in sorted(quiver.vertex_cycles))
     cycles += tuple(quiver.face_cycles[f] for f in sorted(quiver.face_cycles))
     return QuiverRep(quiver.vertices, quiver.arrows, dims, mats, cycles)
-
-
-def direct_sum(a: QuiverRep, b: QuiverRep) -> QuiverRep:
-    """Block-diagonal sum of two representations of the same quiver."""
-    if a.vertices != b.vertices or a.arrows != b.arrows:
-        raise ValueError("direct sum needs the same quiver on both sides")
-    dims = {e: a.dims[e] + b.dims[e] for e in a.vertices}
-    mats = {}
-    for arr, (s, t) in a.arrows.items():
-        ma, mb = a.mats[arr], b.mats[arr]
-        top = ma.hstack(Matrix.zeros(ma.rows, mb.cols))
-        bottom = Matrix.zeros(mb.rows, ma.cols).hstack(mb)
-        mats[arr] = top.vstack(bottom)
-    cycles = a.cycles if a.cycles == b.cycles else ()
-    return QuiverRep(a.vertices, a.arrows, dims, mats, cycles)
 
 
 class Potential:
@@ -412,7 +396,14 @@ def state_jacobian(pmap: PlanarMap, xi: BMSState,
 
 
 def is_nilpotent(m: QuiverRep) -> bool:
-    """True iff all long paths act by zero.
+    """True iff all long paths act by zero; decided once per module."""
+    if m._nilpotent is None:
+        m._nilpotent = _paths_vanish(m)
+    return m._nilpotent
+
+
+def _paths_vanish(m: QuiverRep) -> bool:
+    """Do all long paths act by zero?
 
     Tracks, per vertex, the span of images of all length-k paths; the spans
     only shrink, so the chain stabilizes, and nilpotency means it hits zero.
@@ -651,18 +642,18 @@ class SubrepIsoCertificate(Record):
         return len(self.bms_lattice)
 
 
-def verify_subrep_isomorphism(pmap: PlanarMap, omega,
-                              xi: BMSState) -> SubrepIsoCertificate:
+def verify_subrep_isomorphism(pmap: PlanarMap, omega, xi: BMSState,
+                              module: QuiverRep) -> SubrepIsoCertificate:
     """Check that xi' -> (k_e = d'(e)) is an order isomorphism from the
-    plus-subobjects of xi onto the subrepresentation lattice of its module,
-    matching the grading on both sides.
+    plus-subobjects of xi onto the subrepresentation lattice of module, the
+    state module of xi as the caller built it, matching the grading on both
+    sides.
 
     Raises:
         NotNilpotencyZero, NotCharacteristicWeight, CandidateSpaceTooLarge,
         CertificationFailed: propagated from the two lattice constructions.
     """
     below = plus_subobjects(pmap, omega, xi)
-    module = state_module(pmap, xi)
     subreps = enumerate_subreps(module, omega)
     mapping = {s: PrefixFamily(s.d) for s in below.elements}
     iso = verify_order_isomorphism(below.poset, subreps.poset, mapping)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 from functools import cached_property
 
-from .planar import MedialQuiver, PlanarMap, cell_key, load_yaml
+from .planar import MedialQuiver, PlanarMap, cell_key, read_document
 
 
 class MissingValue(ValueError):
@@ -68,9 +68,7 @@ def is_characteristic(omega) -> bool:
 def parse_weight_text(text):
     """Parse a weight file: a YAML mapping from vertex/face ids to integers
     (YAML's true and false are not integers here, though Python's bools are)."""
-    doc = load_yaml(text, MissingValue)
-    if not isinstance(doc, dict):
-        raise MissingValue("weight file must be a mapping of cell ids to integers")
+    doc = read_document(text, MissingValue)
     out = {}
     for key, val in doc.items():
         if not isinstance(val, int) or isinstance(val, bool):
@@ -339,8 +337,11 @@ def _compatible_functions(quiver: MedialQuiver, omega):
         else:
             v, f = vs[i], fs[i]
             bv, bf = budget[v], budget[f]
-            lo = max(bv if closes_v[i] else 0, bf if closes_f[i] else 0)
-            hi = min(bv, bf)
+            # max and min spelt out: builtin calls per node cost more
+            lo = bv if closes_v[i] else 0
+            if closes_f[i] and bf > lo:
+                lo = bf
+            hi = bv if bv < bf else bf
             if lo <= hi:
                 values[i], top[i] = lo, hi
                 budget[v], budget[f] = bv - lo, bf - lo

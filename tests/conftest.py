@@ -3,7 +3,9 @@ from itertools import product
 import pytest
 
 from medialq import corpus
-from medialq.planar import PlanarMap, build_planar_map
+from medialq.linalg import Matrix
+from medialq.planar import PlanarMap, build_planar_map, dump_map_text
+from medialq.reps import QuiverRep
 from medialq.states import AngularFunction, Decoration, connected_components
 
 
@@ -78,3 +80,82 @@ def gamma_inv_components_bruteforce(pmap: PlanarMap, omega, max_arrows=12) -> in
     links = [(i, j) for i in range(len(cycles)) for j in range(i)
              if cycles[i] & cycles[j]]
     return len(connected_components(range(len(cycles)), links))
+
+
+# ----------------------------------------------------------------------
+# helpers over the library's objects that only the tests need
+# ----------------------------------------------------------------------
+
+def regenerate_files(directory):
+    """Write every corpus .map file, as its generator makes it, into
+    ``directory``."""
+    for name in corpus.names():
+        pmap, marked = corpus.generate(name)
+        (directory / f"{name}.map").write_text(
+            dump_map_text(pmap, marked_edge=marked))
+
+
+def is_strongly_connected(quiver):
+    """Does every vertex of the quiver reach every other along arrows?"""
+    succ = {v: [] for v in quiver.vertices}
+    pred = {v: [] for v in quiver.vertices}
+    for s, t in quiver.arrows.values():
+        succ[s].append(t)
+        pred[t].append(s)
+
+    def sweep(adj):
+        seen = set(quiver.vertices[:1])
+        stack = list(seen)
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return len(seen) == len(quiver.vertices)
+
+    return sweep(succ) and sweep(pred)
+
+
+def lower_covers(poset, x):
+    return [a for a, b in poset.covers if b == x]
+
+
+def upper_covers(poset, x):
+    return [b for a, b in poset.covers if a == x]
+
+
+def _table(cert, op):
+    xs, index_of = cert.elements, cert.index_of_mask
+    return {(x, y): xs[index_of[op(mx, my)]]
+            for x, mx in zip(xs, cert.masks)
+            for y, my in zip(xs, cert.masks) if x != y}
+
+
+def join_table(cert):
+    """{(x, y): x join y} over all pairs of distinct elements of a
+    certified lattice, from the certificate's masks."""
+    return _table(cert, int.__or__)
+
+
+def meet_table(cert):
+    return _table(cert, int.__and__)
+
+
+def total_dim(module):
+    return sum(module.dims.values())
+
+
+def direct_sum(a, b):
+    """Block-diagonal sum of two representations of the same quiver."""
+    if a.vertices != b.vertices or a.arrows != b.arrows:
+        raise ValueError("direct sum needs the same quiver on both sides")
+    dims = {e: a.dims[e] + b.dims[e] for e in a.vertices}
+    mats = {}
+    for arr in a.arrows:
+        ma, mb = a.mats[arr], b.mats[arr]
+        top = ma.hstack(Matrix.zeros(ma.rows, mb.cols))
+        bottom = Matrix.zeros(mb.rows, ma.cols).hstack(mb)
+        mats[arr] = Matrix(top.rows + bottom.rows, top.cols,
+                           top.data + bottom.data)
+    cycles = a.cycles if a.cycles == b.cycles else ()
+    return QuiverRep(a.vertices, a.arrows, dims, mats, cycles)

@@ -22,7 +22,8 @@ from medialq.kauffman import (
 )
 from medialq.planar import build_planar_map, medial_quiver
 from conftest import (TRIANGLE_PAIR, TRIANGLE_ROT,
-                      gamma_inv_components_bruteforce)
+                      gamma_inv_components_bruteforce, join_table,
+                      meet_table)
 
 # The Hopf-link decoration with zero weight on two opposite faces: the two
 # compatible functions admit no moves at all.
@@ -91,8 +92,8 @@ def test_criterion_3_clock_lattices_with_full_tables(corpus_maps):
         assert not cert.sampled
         els = lattice.elements
         off_diagonal = {(x, y) for x in els for y in els if x != y}
-        for table, op in ((cert.join_table, lattice.join),
-                          (cert.meet_table, lattice.meet)):
+        for table, op in ((join_table(cert), lattice.join),
+                          (meet_table(cert), lattice.meet)):
             assert table is not None
             assert set(table) == off_diagonal
             assert all(table[p] == op(*p) for p in off_diagonal)
@@ -174,7 +175,7 @@ def test_criterion_6_representation_theorems(corpus_maps):
         anti = frozenset(e for e in quiver.vertices
                          if bms.is_bms_anti_movable(quiver, top, e))
         assert reps.simple_quotients(module) == anti
-        cert = reps.verify_subrep_isomorphism(pmap, omega, top)
+        cert = reps.verify_subrep_isomorphism(pmap, omega, top, module)
         assert cert.ok
         assert len(cert.bms_lattice) == expected
         assert len(cert.subrep_lattice) == expected

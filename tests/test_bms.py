@@ -16,6 +16,8 @@ from medialq.lattice import CertificationFailed
 from medialq.planar import medial_quiver
 from medialq.states import NotMovable, NotNilpotencyZero
 
+from conftest import join_table
+
 
 def kauffman_like_weight(pmap, marked):
     f1, f2 = pmap.edge_faces(marked)
@@ -71,7 +73,7 @@ def test_figure_eight_lattice(figure_eight_setup):
     lat = lattice_from_bottom(pmap, omega, quiver, states)
     assert len(lat) == 5
     assert lat.certificate.grade_range == (0, 3)
-    assert lat.certificate.join_table is not None
+    assert join_table(lat.certificate) is not None
 
 
 def test_state_hash_is_the_hash_of_its_fields(figure_eight_setup):

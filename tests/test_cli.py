@@ -269,6 +269,38 @@ def test_malformed_yaml_exits_2(capsys, maps, tmp_path):
         assert err.startswith("medialq: not valid structured text")
 
 
+def test_nested_darts_exit_2(capsys, tmp_path):
+    """A dart is a name, not a list, however deep the nesting: the map is
+    refused with a message, not a recursion error."""
+    bad = tmp_path / "nested.map"
+    for darts in ("[a0], a1", "[" * 3000 + "a0" + "]" * 3000 + ", a1"):
+        bad.write_text(f"vertices: [[{darts}], [b0, b1]]\n"
+                       "edges: [[a0, b0], [a1, b1]]\n")
+        code, out, err = run(capsys, "medial", bad)
+        assert (code, out) == (2, "")
+        assert err == ("medialq: 'vertices' and 'edges' must be lists of "
+                       "dart lists\n")
+
+
+def test_repeated_key_exits_2(capsys, tmp_path):
+    """A second `vertices:` or `v0:` is refused where it stands, not read
+    over the first."""
+    path = tmp_path / "digon.map"
+    text = dump_map_text(build_planar_map(DIGON_ROT, DIGON_PAIR))
+    path.write_text(text + "vertices: [[a0, a1], [b0, b1]]\n")
+    code, out, err = run(capsys, "states", path)
+    assert (code, out) == (2, "")
+    assert err == ("medialq: not valid structured text: line 3: "
+                   "duplicate key 'vertices'\n")
+    path.write_text(text)
+    weight = tmp_path / "w.yaml"
+    weight.write_text("v0: 1\nv1: 1\nf0: 1\nf1: 1\n# again\nv0: 1\n")
+    code, out, err = run(capsys, "states", path, "--weight", weight)
+    assert (code, out) == (2, "")
+    assert err == ("medialq: not valid structured text: line 6: "
+                   "duplicate key 'v0'\n")
+
+
 def test_out_writes_file_and_stays_silent(capsys, maps, tmp_path):
     target = tmp_path / "report.txt"
     code, out, _ = run(capsys, "nilpotency", maps["trefoil"],
@@ -387,11 +419,11 @@ def test_cli_import_leaves_networkx_out():
     assert proc.stdout == "False\n"
 
 
-# Modules a verb must not load: dataclasses everywhere; the representation
-# layer (and the exact rationals behind it) in the verbs that build no
-# module; and for the verbs that build no lattice also the lattice and BMS
-# layers.
-NEVER = ("dataclasses",)
+# Modules a verb must not load: dataclasses and PyYAML (a test-only
+# dependency) everywhere; the representation layer (and the exact rationals
+# behind it) in the verbs that build no module; and for the verbs that
+# build no lattice also the lattice and BMS layers.
+NEVER = ("dataclasses", "yaml")
 REPS = NEVER + ("medialq.reps", "medialq.linalg", "fractions")
 LATTICES = REPS + ("medialq.lattice", "medialq.bms")
 BUDGETS = [
@@ -435,8 +467,9 @@ def test_verb_loads_only_what_it_runs(maps, verb, name, unloaded):
 def test_check_all_builds_no_module_per_lattice_element(
         tmp_path, capsys, monkeypatch):
     """The Jacobian relations of the 121 states of (s1 s2)^5 are decided
-    without their modules: check-all builds the maximal state's module and
-    the one the subrepresentation check builds, no more."""
+    without their modules: check-all builds the maximal state's module, no
+    more, and decides its nilpotency once for the battery and the
+    subrepresentation check together."""
     from medialq import reps
 
     pmap = build_planar_map(*corpus.braid_closure_shadow([1, 2] * 5, 3))
@@ -447,11 +480,16 @@ def test_check_all_builds_no_module_per_lattice_element(
     real = reps.state_module
     monkeypatch.setattr(reps, "state_module",
                         lambda *args: built.append(args) or real(*args))
+    decided = []
+    vanish = reps._paths_vanish
+    monkeypatch.setattr(reps, "_paths_vanish",
+                        lambda m: decided.append(m) or vanish(m))
     code, out, _ = run(capsys, "check-all", tmp_path)
     assert code == 0
     assert "certified component lattices: 121\n" in out
     assert "cyclic-derivative residuals: 0\n" in out
-    assert len(built) <= 2
+    assert len(built) == 1
+    assert len(decided) == 1
 
 
 @pytest.mark.parametrize("extra, name", [("zz: -1\n", "'zz'"),
@@ -472,12 +510,14 @@ def test_weight_keys_that_name_no_cell_exit_2(capsys, tmp_path, extra, name):
 
 
 def test_networkx_is_not_a_runtime_dependency():
+    """Nor is anything else: networkx and PyYAML are the tests' oracles."""
     from pathlib import Path
 
     tomllib = pytest.importorskip("tomllib")
 
     root = Path(__file__).resolve().parent.parent
     project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
-    assert not any(d.startswith("networkx") for d in project["dependencies"])
-    assert any(d.startswith("networkx")
-               for d in project["optional-dependencies"]["test"])
+    assert project["dependencies"] == []
+    for name in ("networkx", "PyYAML"):
+        assert any(d.startswith(name)
+                   for d in project["optional-dependencies"]["test"])

@@ -18,11 +18,13 @@ the closed-form residuals of state modules against the dense check, at the
 canonical potential and at perturbed ones.
 """
 
+import re
 import sys
 from fractions import Fraction
 from importlib import resources
 from itertools import product
 from math import prod
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -38,9 +40,10 @@ from medialq.lattice import (FiniteLattice, FinitePoset,
                              certify_graded_distributive_lattice,
                              verify_order_isomorphism)
 from medialq.linalg import Matrix
-from medialq.planar import build_planar_map, dump_map_text
+from medialq.planar import build_planar_map, dump_map_text, read_document
 
-from conftest import compatible_functions, gamma_inv_components_bruteforce
+from conftest import (compatible_functions, gamma_inv_components_bruteforce,
+                      join_table, lower_covers)
 
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
                     database=None,
@@ -247,20 +250,136 @@ def test_kauffman_states_need_no_recursion():
     assert len(states) == 200
 
 
-def test_libyaml_and_pure_python_loaders_agree():
-    if not hasattr(yaml, "CSafeLoader"):
-        pytest.skip("PyYAML built without libyaml")
+# ----------------------------------------------------------------------
+# the map and weight reader against PyYAML's safe loader
+# ----------------------------------------------------------------------
+
+BOOL_WORDS = [w for word in ("yes", "no", "true", "false", "on", "off")
+              for w in (word, word.title(), word.upper())]
+WORDS = hs.from_regex(r"[A-Za-z_][A-Za-z0-9_.-]{0,5}", fullmatch=True).filter(
+    lambda w: w not in ("null", "Null", "NULL"))
+SCALARS = hs.one_of(WORDS, hs.integers(-10**6, 10**6).map(str),
+                    hs.sampled_from(BOOL_WORDS + ["0", "-0"]))
+# Whitespace allowed inside a flow list, line breaks and comments included.
+GAPS = hs.sampled_from(["", " ", "  ", "\n", "\n  ", " # note\n   ",
+                        "\n# note\n", "\n\n "])
+
+
+def yaml_reads(text):
+    return yaml.load(text, Loader=yaml.SafeLoader)
+
+
+def same(a, b):
+    """Equal, with bools told apart from ints (True == 1 in Python)."""
+    return repr(a) == repr(b)
+
+
+@hs.composite
+def flow_values(draw, depth=0):
+    """A scalar, or a flow list that may run on over lines."""
+    if depth == 3 or draw(hs.booleans()):
+        return draw(SCALARS)
+    items = [draw(flow_values(depth + 1))
+             for _ in range(draw(hs.integers(0, 3)))]
+    text = "[" + draw(GAPS)
+    for n, item in enumerate(items):
+        text += item + draw(GAPS)
+        if n + 1 < len(items) or draw(hs.booleans()):  # YAML allows [a,]
+            text += "," + draw(GAPS)
+    return text + "]"
+
+
+@hs.composite
+def documents(draw):
+    """Top-level keys with flow values or block items, between blank,
+    comment and spacing variants."""
+    keys = draw(hs.lists(SCALARS, min_size=1, max_size=4, unique_by=yaml_reads))
+    note = hs.sampled_from(["", " # note", "  #"])
+    lines = []
+    for key in keys:
+        lines += draw(hs.lists(hs.sampled_from(["", "  ", "# c", "   # c"]),
+                               max_size=2))
+        colon = key + draw(hs.sampled_from([":", " :"]))
+        if draw(hs.booleans()):
+            space = draw(hs.sampled_from([" ", "   "]))
+            lines.append(colon + space + draw(flow_values()) + draw(note))
+        else:
+            lines.append(colon + draw(note))
+            indent = draw(hs.sampled_from(["", " ", "  ", "    "]))
+            for _ in range(draw(hs.integers(1, 3))):
+                lines.append(indent + draw(hs.sampled_from(["- ", "-  "]))
+                             + draw(flow_values()) + draw(note))
+    return "\n".join(lines) + draw(hs.sampled_from(["", "\n", "\n\n"]))
+
+
+@settings(SETTINGS, max_examples=50)
+@given(documents())
+def test_reader_reads_what_yaml_reads(text):
+    assert same(read_document(text, ValueError), yaml_reads(text))
+
+
+# Characters and words a near miss of the subset inserts ("" deletes).
+NEAR_MISSES = list("[]:,-# \n\tanoyY01._'\"~{") + [
+    "", "null", "NULL", "1.5", "010", "08", "0x1", "+1", "1_0", ": ", "- ",
+    "{a: 1}", "&a", "*a", "!!str", "|", "?", "%", "@", "\r"]
+
+
+@hs.composite
+def mutated_documents(draw):
+    """A generated document with a few characters inserted, dropped or
+    replaced: mostly near misses of the subset."""
+    text = draw(documents())
+    for _ in range(draw(hs.integers(1, 3))):
+        at = draw(hs.integers(0, len(text)))
+        cut = draw(hs.integers(0, 1))
+        text = text[:at] + draw(hs.sampled_from(NEAR_MISSES)) + text[at + cut:]
+    return text
+
+
+@settings(SETTINGS, max_examples=200)
+@given(hs.one_of(hs.text(alphabet="[]:,-# \nanoesyY_019", max_size=24),
+                 mutated_documents()))
+def test_reader_refuses_or_reads_what_yaml_reads(text):
+    try:
+        doc = read_document(text, ValueError)
+    except ValueError as exc:
+        assert str(exc).startswith("not valid structured text: line ")
+        return
+    assert same(doc, yaml_reads(text))
+
+
+@pytest.mark.parametrize("text", [
+    "a: null\n", "a: ~\n", "a: 1.5\n", "a: 010\n", "a: 0x1\n", "a: +1\n",
+    "a: 'x'\n", "a: {b: 1}\n", "a: a#b\n", "a: [b,#c\n d]\n", "a: b c\n",
+    "a: [b\n c]\n", "a: [b []]\n", "a: [b,,c]\n", "a: [b] c\n", "a:\n",
+    "a:\n- b\n  - c\n", "a:\n  - b\n - c\n", "a:\n  - [b,\n] - c\n",
+    "a:\n-\n  b\n", "  a: 1\n", "a: 1\n  b: 2\n", "a: b\n- c\n", "a:\tb\n",
+    "a: 1  # \x00\n", "- a\n",
+    "a:b\n", "a: - b\n", "", "# nothing\n", "a: 1\nA: 2\na: 3\n",
+    "on: 1\nyes: 2\n", "a" * 1025 + ": 1\n"],
+    ids=lambda text: repr(text[:20]))
+def test_reader_refuses_near_misses(text):
+    """Texts just outside the subset, most of which YAML reads as something
+    other than their plain reading (None, 8, 'a#b', 'b c', ...)."""
+    with pytest.raises(ValueError, match="^not valid structured text: line "):
+        read_document(text, ValueError)
+
+
+def test_reader_reads_the_corpus_and_the_readme_as_yaml_does():
     folder = resources.files("medialq").joinpath("corpus")
     texts = [folder.joinpath(f"{name}.map").read_text()
              for name in corpus.names()]
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    examples = re.findall(r"```yaml\n(.*?)```", readme, re.S)
+    assert len(examples) == 2
+    texts += examples
     for word, strands in (([1, 2] * 6, 3), ([1] * 9, 2),
                           ([1, 2, 3, 1, 2, 3], 4)):
         pmap = build_planar_map(*corpus.braid_closure_shadow(word, strands))
         texts.append(dump_map_text(pmap, diagram_of(pmap).marked_edge))
         texts.append(st.dump_weight_text(kauffman_weight(diagram_of(pmap))))
     for text in texts:
-        assert (yaml.load(text, Loader=yaml.CSafeLoader)
-                == yaml.load(text, Loader=yaml.SafeLoader))
+        assert same(read_document(text, ValueError), yaml_reads(text))
 
 
 # ----------------------------------------------------------------------
@@ -342,7 +461,7 @@ def test_birkhoff_certificate_matches_pairwise_certifier(made):
     cert = certify_graded_distributive_lattice(poset)
     assert cert.ok and pairwise_certify(poset) is None
     assert sorted(map(sorted, cert.join_irreducibles)) == sorted(
-        sorted(d) for d in poset.elements if len(poset.lower_covers(d)) == 1)
+        sorted(d) for d in poset.elements if len(lower_covers(poset, d)) == 1)
     assert len(cert.join_irreducibles) == k
     lattice = FiniteLattice(poset, cert)
     n = len(poset.elements)
@@ -350,7 +469,7 @@ def test_birkhoff_certificate_matches_pairwise_certifier(made):
         for j in range(n):
             assert lattice.join_index(i, j) == poset.join_index(i, j)
             assert lattice.meet_index(i, j) == poset.meet_index(i, j)
-    assert cert.join_table == {
+    assert join_table(cert) == {
         (x, y): x | y for x in poset.elements for y in poset.elements
         if x != y}
 

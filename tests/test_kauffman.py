@@ -14,6 +14,8 @@ from medialq import states as st
 from medialq.lattice import CertificationFailed
 from medialq.planar import build_planar_map, dump_map_text, medial_quiver
 
+from conftest import join_table
+
 STATE_COUNTS = {
     "hopf": 2,
     "trefoil": 3,
@@ -136,7 +138,7 @@ def test_clock_lattice_trefoil(diagrams):
     lat = kf.clock_lattice(diagrams["trefoil"])
     assert len(lat) == 3
     assert lat.certificate.grade_range == (0, 2)
-    assert lat.certificate.join_table is not None
+    assert join_table(lat.certificate) is not None
     assert lat.minimum.angles == ("c1ne", "c2se", "c3se")
     assert lat.maximum.angles == ("c1nw", "c2ne", "c3nw")
     assert [lat.labels[c] for c in lat.covers] == ["e5", "e3"]

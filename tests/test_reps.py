@@ -17,7 +17,7 @@ from medialq.planar import build_planar_map, medial_quiver
 from medialq.reps import plus_minus_matrix as pm
 from medialq.states import NotACycle
 
-from conftest import TRIANGLE_PAIR, TRIANGLE_ROT
+from conftest import TRIANGLE_PAIR, TRIANGLE_ROT, direct_sum, total_dim
 
 TRIANGLE_WEIGHT = {"v0": 1, "v1": 1, "v2": 2, "f0": 2, "f1": 2}
 
@@ -150,7 +150,7 @@ def test_state_module_trefoil_max(trefoil_setup):
     top = top_state(lattice)
     module = reps.state_module(pmap, top)
     assert {e: v for e, v in module.dims.items() if v} == {"e3": 1, "e5": 1}
-    assert module.total_dim == 2
+    assert total_dim(module) == 2
     assert sorted(module.support()) == ["e3", "e5"]
     # the one arrow joining the two supported edges carries the identity
     assert module.mats["c3ne"] == Matrix(1, 1, [[1]])
@@ -171,7 +171,7 @@ def test_state_module_trefoil_max(trefoil_setup):
 def test_state_module_of_minimum_is_zero(trefoil_setup):
     pmap, omega, quiver, lattice = trefoil_setup
     module = reps.state_module(pmap, bottom_state(lattice))
-    assert module.total_dim == 0
+    assert total_dim(module) == 0
     assert module.support() == frozenset()
     assert all(m.rows == 0 and m.cols == 0 for m in module.mats.values())
 
@@ -296,13 +296,13 @@ def test_direct_sums(figure_eight_setup):
     ma = reps.state_module(pmap, a)
     mb = reps.state_module(pmap, b)
     # supports {e5} and {e4} with no arrow between them
-    total = reps.direct_sum(ma, mb)
+    total = direct_sum(ma, mb)
     assert sorted(total.support()) == ["e4", "e5"]
     assert not reps.is_indecomposable(total, omega)
     # doubling one state keeps the support connected but breaks locality,
     # and the two criteria disagreeing must not pass silently
     with pytest.raises(CertificationFailed):
-        reps.is_indecomposable(reps.direct_sum(ma, ma), omega)
+        reps.is_indecomposable(direct_sum(ma, ma), omega)
 
 
 def test_non_characteristic_weight_refusals(trefoil_setup):
@@ -393,15 +393,17 @@ def test_subrep_refusals():
 def test_subrep_isomorphism_certificates(trefoil_setup, figure_eight_setup):
     for expected, setup in ((3, trefoil_setup), (5, figure_eight_setup)):
         pmap, omega, quiver, lattice = setup
+        top = top_state(lattice)
         cert = reps.verify_subrep_isomorphism(
-            pmap, omega, top_state(lattice))
+            pmap, omega, top, reps.state_module(pmap, top))
         assert cert.ok
         assert len(cert.bms_lattice) == len(cert.subrep_lattice) == expected
         for state, family in cert.mapping.items():
             assert family.grade == state.d_tot
     pmap, omega, quiver, lattice = trefoil_setup
+    bottom = bottom_state(lattice)
     trivial = reps.verify_subrep_isomorphism(
-        pmap, omega, bottom_state(lattice))
+        pmap, omega, bottom, reps.state_module(pmap, bottom))
     assert trivial.ok and trivial.size == 1
 
 
