@@ -10,7 +10,9 @@ Indicator functions identify Kauffman states with the weight-compatible
 angular functions, moves included: moving along an edge rotates the two
 markers sitting at its endpoints one step counterclockwise.  For prime
 diagrams the move graph is a graded distributive lattice (the clock
-lattice), built and certified here.
+lattice), built and certified here.  Primality, that no pair of edges
+disconnects the map, is read off the faces beside each edge by planar
+duality (``find_separating_pair``).
 """
 
 from __future__ import annotations
@@ -234,49 +236,28 @@ def find_separating_pair(pmap: PlanarMap):
     """A pair of edges whose removal disconnects the map, or None.
 
     The first such pair (e1, e2), e1 before e2, in ``sorted(pmap.edges)``
-    order: for each e1 in turn, one bridge search on the map without e1.
+    order, read off the faces beside each edge.  On a disconnected map
+    every pair separates, and each component has at least two edges (no
+    loops, degree at least 2), so the answer is the first two edges.  On a
+    connected map a minimal edge cut is a cycle of the dual map (Whitney),
+    so a pair separates exactly when one of its edges has the same face on
+    both sides (a bridge, a loop of the dual) or both edges lie between the
+    same two faces (a 2-cycle of the dual).
     """
     edges = sorted(pmap.edges)
-    adj = {v: [] for v in pmap.vertices}
-    for e in edges:
-        u, v = pmap.edge_endpoints(e)
-        adj[u].append((v, e))
-        adj[v].append((u, e))
-    for i, e1 in enumerate(edges[:-1]):
-        bridges = _bridges(adj, e1)
-        later = [e2 for e2 in edges[i + 1:] if bridges is None or e2 in bridges]
-        if later:
-            return (e1, later[0])
-    return None
-
-
-def _bridges(adj, skip):
-    """Bridges of the multigraph ``adj`` without edge ``skip``, or None if
-    that graph is disconnected (iterative Tarjan low-link search)."""
-    root = next(iter(adj))
-    order = {root: 0}
-    low = {root: 0}
-    bridges = set()
-    stack = [(root, None, iter(adj[root]))]
-    while stack:
-        v, via, links = stack[-1]
-        for w, e in links:
-            if e == skip or e == via:
-                continue
-            if w in order:
-                low[v] = min(low[v], order[w])
-            else:
-                order[w] = low[w] = len(order)
-                stack.append((w, e, iter(adj[w])))
-                break
-        else:
-            stack.pop()
-            if stack:
-                u = stack[-1][0]
-                low[u] = min(low[u], low[v])
-                if low[v] > order[u]:
-                    bridges.add(via)
-    return bridges if len(order) == len(adj) else None
+    if not pmap.is_connected():
+        return edges[0], edges[1]
+    first, pairs = {}, []  # faces beside an edge -> its first edge's index
+    for j, e in enumerate(edges):
+        sides = frozenset(pmap.edge_faces(e))
+        if len(sides) == 1:  # a bridge separates with every other edge
+            pairs.append((0, max(j, 1)))
+        elif first.setdefault(sides, j) < j:
+            pairs.append((first[sides], j))
+    if not pairs:
+        return None
+    i, j = min(pairs)
+    return edges[i], edges[j]
 
 
 def is_prime_diagram(diagram: LinkDiagram) -> bool:

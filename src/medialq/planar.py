@@ -110,6 +110,7 @@ class PlanarMap:
         faces: face id -> tuple of darts in face-tracing order.
         cells: vertex ids then face ids, the cells a weight is defined on.
         vertex_of / edge_of / face_of: dart -> incident cell id.
+        component_count: number of connected components.
         decorations: weight values on ``cells`` -> ``states.Decoration``,
             filled by ``Decoration.of`` so the map's lifetime bounds it.
     """
@@ -201,32 +202,20 @@ class PlanarMap:
     # ------------------------------------------------------------------
 
     def _check_euler(self):
-        """Require V - E + F = 2 on every connected component."""
-        parent = {d: d for d in self.darts}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            parent[find(x)] = find(y)
-
-        for d in self.darts:
-            union(d, self.theta[d])
-            union(d, self.sigma[d])
-
-        comp_of_dart = {d: find(d) for d in self.darts}
-        counts = {}
-        for cells, idx in ((self.vertices, 0), (self.edges, 1), (self.faces, 2)):
-            for ds in cells.values():
-                comp = comp_of_dart[ds[0]]
-                counts.setdefault(comp, [0, 0, 0])[idx] += 1
-        for comp, (nv, ne, nf) in sorted(counts.items()):
+        """Require V - E + F = 2 on every connected component, naming a
+        failing component by its smallest dart, and keep the component
+        count for ``is_connected``."""
+        comps = connected_components(
+            self.darts, [(d, n) for d in self.darts
+                         for n in (self.theta[d], self.sigma[d])])
+        self.component_count = len(comps)
+        for comp in comps:
+            nv = len({self.vertex_of[d] for d in comp})
+            ne = len(comp) // 2
+            nf = len({self.face_of[d] for d in comp})
             if nv - ne + nf != 2:
                 raise NotSpherical(
-                    f"component of dart {comp!r} has V-E+F = {nv}-{ne}+{nf} = {nv - ne + nf}, expected 2")
+                    f"component of dart {comp[0]!r} has V-E+F = {nv}-{ne}+{nf} = {nv - ne + nf}, expected 2")
 
     # ------------------------------------------------------------------
     # derived data
@@ -241,17 +230,7 @@ class PlanarMap:
         return len(self.vertices[vid])
 
     def is_connected(self):
-        if not self.darts:
-            return True
-        seen = {self.darts[0]}
-        stack = [self.darts[0]]
-        while stack:
-            d = stack.pop()
-            for n in (self.theta[d], self.sigma[d]):
-                if n not in seen:
-                    seen.add(n)
-                    stack.append(n)
-        return len(seen) == len(self.darts)
+        return self.component_count <= 1
 
     def edge_endpoints(self, eid):
         a, b = self.edges[eid]
@@ -269,6 +248,28 @@ class PlanarMap:
             for cycle in self.vertices.values())
         pairs = sorted(tuple(sorted((order[a], order[b]))) for a, b in self.edges.values())
         return (tuple(rot), tuple(pairs))
+
+
+def connected_components(nodes, links):
+    """Components of the undirected graph (nodes, links), each sorted, in
+    the order of their first node."""
+    adj = {x: [] for x in nodes}
+    for a, b in links:
+        adj[a].append(b)
+        adj[b].append(a)
+    seen, comps = set(), []
+    for x in adj:
+        if x in seen:
+            continue
+        seen.add(x)
+        comp = [x]
+        for y in comp:  # grows while it is scanned: a breadth-first sweep
+            for z in adj[y]:
+                if z not in seen:
+                    seen.add(z)
+                    comp.append(z)
+        comps.append(sorted(comp))
+    return comps
 
 
 def _rotate_min(cycle, order):
@@ -395,10 +396,17 @@ def parse_map_text(text):
         edges: [[a1, b1], [a2, b2], [a3, b3], [a4, b4]]
         marked_edge: e0        # optional, link diagrams only
 
+    Any other key is refused with a ``MapFormatError`` that names it.
+
     Returns:
         (PlanarMap, marked_edge or None)
     """
     doc = read_document(text, MapFormatError)
+    unknown = sorted(repr(str(key)) for key in doc
+                     if key not in ("vertices", "edges", "marked_edge"))
+    if unknown:
+        raise MapFormatError(f"unknown key {', '.join(unknown)}: a map has "
+                             "only vertices, edges and marked_edge")
     if "vertices" not in doc or "edges" not in doc:
         raise MapFormatError("missing 'vertices' or 'edges' key")
     rotations = doc["vertices"]

@@ -25,9 +25,8 @@ from .bms import BMSState, plus_subobjects
 from .lattice import (CertificationFailed, FiniteLattice, grown_lattice,
                       verify_order_isomorphism)
 from .linalg import Matrix, ShapeMismatch, hstack_all
-from .planar import MedialQuiver, PlanarMap, Record
-from .states import (AngleFrame, Decoration, check_cycle, connected_components,
-                     is_characteristic)
+from .planar import MedialQuiver, PlanarMap, Record, connected_components
+from .states import AngleFrame, Decoration, check_cycle, is_characteristic
 
 
 class EmptySupport(ValueError):

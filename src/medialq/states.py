@@ -13,7 +13,8 @@ from __future__ import annotations
 import heapq
 from functools import cached_property
 
-from .planar import MedialQuiver, PlanarMap, cell_key, read_document
+from .planar import (MedialQuiver, PlanarMap, cell_key, connected_components,
+                     read_document)
 
 
 class MissingValue(ValueError):
@@ -284,28 +285,6 @@ class Decoration:
             g0, _ = component_minimum(self.pmap, self.omega, g)
             self._lattices[g] = bms_plus_lattice(self.pmap, self.omega, g0)
         return self._lattices[g]
-
-
-def connected_components(nodes, links):
-    """Components of the undirected graph (nodes, links), each sorted, in
-    the order of their first node."""
-    adj = {x: [] for x in nodes}
-    for a, b in links:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen, comps = set(), []
-    for x in adj:
-        if x in seen:
-            continue
-        seen.add(x)
-        comp = [x]
-        for y in comp:  # grows while it is scanned: a breadth-first sweep
-            for z in adj[y]:
-                if z not in seen:
-                    seen.add(z)
-                    comp.append(z)
-        comps.append(sorted(comp))
-    return comps
 
 
 def _compatible_functions(quiver: MedialQuiver, omega):

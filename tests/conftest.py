@@ -4,9 +4,10 @@ import pytest
 
 from medialq import corpus
 from medialq.linalg import Matrix
-from medialq.planar import PlanarMap, build_planar_map, dump_map_text
+from medialq.planar import (PlanarMap, build_planar_map, connected_components,
+                            dump_map_text)
 from medialq.reps import QuiverRep
-from medialq.states import AngularFunction, Decoration, connected_components
+from medialq.states import AngularFunction, Decoration
 
 
 # Triangle: three degree-2 vertices in a cycle.  Face f0 = {a0, a1, a2} is the

@@ -282,6 +282,19 @@ def test_nested_darts_exit_2(capsys, tmp_path):
                        "dart lists\n")
 
 
+def test_unknown_map_key_exits_2(capsys, tmp_path):
+    """A misspelt `marked_edge` is named by every verb, the map verbs that
+    would not read it included."""
+    pmap, marked = corpus.load("trefoil")
+    path = tmp_path / "trefoil.map"
+    path.write_text(dump_map_text(pmap) + f"marked_egde: {marked}\n")
+    for verb in ("medial", "states", "kauffman-states", "prime-check"):
+        code, out, err = run(capsys, verb, path)
+        assert (code, out) == (2, "")
+        assert err == ("medialq: unknown key 'marked_egde': a map has only "
+                       "vertices, edges and marked_edge\n")
+
+
 def test_repeated_key_exits_2(capsys, tmp_path):
     """A second `vertices:` or `v0:` is refused where it stands, not read
     over the first."""

@@ -1,8 +1,10 @@
 """The library's fast paths against independent oracles on generated inputs.
 
 Maps are braid-closure shadows and connected sums built by ``corpus``, and
-small cycle maps; weights are either summed from a random angular function
-(so never empty) or drawn cell by cell (possibly invalid or empty).  The
+small cycle maps; connectivity is also checked on general plane maps,
+shadows with edges deleted and disjoint unions of shadows.  Weights are
+either summed from a random angular function (so never empty) or drawn
+cell by cell (possibly invalid or empty).  The
 oracles are brute force, networkx (a test-only dependency) and the
 matrix-tree theorem on the Tait graph.  Lattices are the down-sets of random
 small posets, whole or mutated; their oracles are the pairwise certifier,
@@ -22,7 +24,7 @@ import re
 import sys
 from fractions import Fraction
 from importlib import resources
-from itertools import product
+from itertools import combinations, product
 from math import prod
 from pathlib import Path
 
@@ -193,6 +195,67 @@ def _first_disconnecting_pair(pmap):
 @given(shadows())
 def test_separating_pair_matches_bruteforce(pmap):
     assert find_separating_pair(pmap) == _first_disconnecting_pair(pmap)
+
+
+def without_edges(pmap, cut):
+    """The rotations and edge pairs of pmap with the edges in cut deleted,
+    both darts of each dropped from their rotations, or None if a vertex is
+    left with degree below 2.  Deleting edges keeps every component
+    spherical, so the map builds."""
+    gone = {d for e in cut for d in pmap.edges[e]}
+    rot = [[d for d in cycle if d not in gone]
+           for cycle in pmap.vertices.values()]
+    if any(len(cycle) < 2 for cycle in rot):
+        return None
+    return rot, [p for e, p in pmap.edges.items() if e not in cut]
+
+
+@hs.composite
+def plane_maps(draw):
+    """A shadow from ``shadows`` with one to three edges deleted and the rest
+    numbered in a random order, which may have degree-2 and degree-3
+    vertices, bridges and several components, or a disjoint union of two
+    braid-closure shadows."""
+    if draw(hs.integers(0, 3)) == 0:
+        (rot, pair), (rot2, pair2) = (
+            corpus.braid_closure_shadow(*draw(braid_words(2)), prefix=prefix)
+            for prefix in "xy")
+        return build_planar_map(rot + rot2, pair + pair2)
+    pmap = draw(shadows())
+    kept = without_edges(
+        pmap, draw(hs.sets(hs.sampled_from(list(pmap.edges)), min_size=1,
+                           max_size=3)))
+    assume(kept is not None)
+    rot, pairs = kept
+    return build_planar_map(rot, draw(hs.permutations(pairs)))
+
+
+def _assert_connectivity_and_separating_pair(pmap):
+    graph = nx.MultiGraph()
+    graph.add_nodes_from(pmap.vertices)
+    graph.add_edges_from(map(pmap.edge_endpoints, pmap.edges))
+    assert pmap.is_connected() == nx.is_connected(graph)
+    assert find_separating_pair(pmap) == _first_disconnecting_pair(pmap)
+
+
+@settings(SETTINGS, max_examples=100)
+@given(plane_maps())
+def test_connectivity_and_separating_pair_on_general_plane_maps(pmap):
+    _assert_connectivity_and_separating_pair(pmap)
+
+
+def test_separating_pair_with_corpus_edges_deleted():
+    """Every corpus map with one or two edges deleted, its edges numbered in
+    order and in reverse: 628 maps, among them bridges at the first edge
+    and at later ones."""
+    kept = [without_edges(pmap, cut)
+            for pmap, _ in map(corpus.load, corpus.names())
+            for k in (1, 2) for cut in combinations(pmap.edges, k)]
+    maps = [build_planar_map(rot, order) for rot, pairs in filter(None, kept)
+            for order in (pairs, pairs[::-1])]
+    assert len(maps) == 628
+    for pmap in maps:
+        _assert_connectivity_and_separating_pair(pmap)
 
 
 def _glued_cycle_components(q, g):

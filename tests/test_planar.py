@@ -69,6 +69,16 @@ def test_torus_embedding_rejected():
     assert len(pmap.faces) == 4
 
 
+def test_torus_component_of_a_union_rejected_by_its_smallest_dart():
+    """The Euler count is checked per component, and a failing component
+    is named by its smallest dart, wherever that sits in its rotations."""
+    rot_torus = [["c3", "c0", "c1", "c2"], ["d0", "d1", "d2", "d3"]]
+    pair_torus = [["c0", "d0"], ["c1", "d1"], ["c2", "d2"], ["c3", "d3"]]
+    with pytest.raises(NotSpherical, match=r"^component of dart 'c0' has "
+                       r"V-E\+F = 2-4\+2 = 0, expected 2$"):
+        build_planar_map(rot_torus + TRIANGLE_ROT, pair_torus + TRIANGLE_PAIR)
+
+
 def test_disconnected_union_accepted():
     rot = TRIANGLE_ROT + [[d.upper() for d in c] for c in TRIANGLE_ROT]
     pair = TRIANGLE_PAIR + [[d.upper() for d in p] for p in TRIANGLE_PAIR]
@@ -137,6 +147,15 @@ def test_parse_rejects_garbage():
         parse_map_text("edges: [[a, b]]\n")
     with pytest.raises(MapFormatError):
         parse_map_text("just a string\n")
+
+
+def test_parse_rejects_unknown_keys():
+    text = dump_map_text(build_planar_map(DIGON_ROT, DIGON_PAIR))
+    with pytest.raises(MapFormatError, match=r"^unknown key 'marked_egde': "
+                       "a map has only vertices, edges and marked_edge$"):
+        parse_map_text(text + "marked_egde: e0\n")
+    with pytest.raises(MapFormatError, match=r"^unknown key '2', 'True': "):
+        parse_map_text(text + "on: x\n2: [a]\n")
 
 
 def test_parse_rejects_unknown_marked_edge():
