@@ -1,18 +1,20 @@
 """Finite posets and certification of graded distributive lattices.
 
-A poset is given by its elements and Hasse covers.  Certification checks, in
-order: the covers really are covers, there is a unique minimum and maximum,
-and every cover raises the grade by exactly one.  Then it checks Birkhoff's
+A poset is given by its elements and Hasse covers.  Certification checks a
+unique minimum and maximum and that every cover raises the grade by one, so
+nothing lies strictly between a cover's ends.  Then it checks Birkhoff's
 representation theorem directly: with J the join-irreducible elements (one
 lower cover each), x -> J ∩ ↓x must be an isomorphism onto the down-sets of
-J.  That costs O(n·|J|) and is exact at every size.  On success a
-Certificate keeps the bitmasks J ∩ ↓x, so a join is a union of masks and a
-meet an intersection; on failure a pairwise search names the offending
-elements in a Counterexample.  ``grown_lattice`` finds a lattice by
+J, at cost O(n·|J|), exact at every size.  A certified lattice answers order,
+joins, meets and isomorphisms from the Certificate's bitmasks J ∩ ↓x and its
+covers; transitive closures are built only for bare posets and to name the
+elements of a Counterexample.  ``grown_lattice`` finds a lattice by
 breadth-first cover steps from its minimum and certifies it.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from .planar import Record
 
@@ -27,29 +29,24 @@ class FinitePoset:
 
     def __init__(self, elements, covers):
         self.elements = tuple(elements)
-        self.covers = tuple((a, b) for a, b in covers)
-        self._index = {x: i for i, x in enumerate(self.elements)}
-        if len(self._index) != len(self.elements):
+        self.covers = tuple(map(tuple, covers))  # no copy of a pair given
+        self._index = index = {x: i for i, x in enumerate(self.elements)}
+        if len(index) != len(self.elements):
             raise ValueError("duplicate elements")
-        for a, b in self.covers:
-            if a not in self._index or b not in self._index:
-                raise ValueError(f"cover ({a!r}, {b!r}) uses unknown elements")
-            if a == b:
-                raise ValueError("cover relates an element to itself")
-        self._down, self._up = self._closure()
-
-    def _closure(self):
         n = len(self.elements)
         above = [[] for _ in range(n)]  # i -> indices covering i
         below = [[] for _ in range(n)]
         indeg = [0] * n
         for a, b in self.covers:
-            ia, ib = self._index[a], self._index[b]
+            if a not in index or b not in index:
+                raise ValueError(f"cover ({a!r}, {b!r}) uses unknown elements")
+            if a == b:
+                raise ValueError("cover relates an element to itself")
+            ia, ib = index[a], index[b]
             above[ia].append(ib)
             below[ib].append(ia)
             indeg[ib] += 1
-        order = [i for i in range(n) if indeg[i] == 0]
-        caught = list(order)
+        caught = [i for i in range(n) if indeg[i] == 0]
         for i in caught:
             for j in above[i]:
                 indeg[j] -= 1
@@ -57,20 +54,23 @@ class FinitePoset:
                     caught.append(j)
         if len(caught) != n:
             raise ValueError("cover relation has a directed cycle")
-        down = [0] * n
-        up = [0] * n
-        for i in caught:
-            down[i] |= 1 << i
-            for j in below[i]:
-                down[i] |= down[j]
-        for i in reversed(caught):
-            up[i] |= 1 << i
-            for j in above[i]:
-                up[i] |= up[j]
-        self._topo = caught
-        self._above = above
-        self._below = below
-        return down, up
+        self._topo, self._above, self._below = caught, above, below
+
+    @cached_property
+    def _down(self):
+        """Bit k of _down[i] (_up[i]) says k <= i (k >= i); on first use."""
+        return self._reach(self._topo, self._below)
+
+    @cached_property
+    def _up(self):
+        return self._reach(reversed(self._topo), self._above)
+
+    def _reach(self, order, steps):
+        masks = [1 << i for i in range(len(self.elements))]
+        for i in order:
+            for j in steps[i]:
+                masks[i] |= masks[j]
+        return masks
 
     def leq(self, x, y) -> bool:
         return bool(self._down[self._index[y]] >> self._index[x] & 1)
@@ -144,20 +144,20 @@ class Counterexample(Record):
 
 def _derived_grade(poset: FinitePoset):
     """Longest chain length from a minimal element, per element."""
-    g = {}
+    g = [0] * len(poset.elements)
     for i in poset._topo:
-        x = poset.elements[i]
-        lows = poset._below[i]
-        g[x] = 0 if not lows else 1 + max(g[poset.elements[j]] for j in lows)
-    return g
+        g[i] = max((g[j] + 1 for j in poset._below[i]), default=0)
+    return dict(zip(poset.elements, g))
 
 
 def certify_graded_distributive_lattice(poset: FinitePoset, grade=None):
     """Certificate that the poset is a graded distributive lattice, or a
     Counterexample naming the violated law and the elements involved.
 
-    Checks the cover relation, unique minimum and maximum, unit grade steps,
-    and then Birkhoff's representation (see ``_birkhoff``).  When that
+    Checks unique minimum and maximum, unit grade steps (``grade`` must give
+    every element), and then Birkhoff's representation (see ``_birkhoff``).
+    Unit steps leave nothing strictly between a cover's ends; a false cover,
+    if any, is reported ahead of a failed check.  When Birkhoff's check
     fails, a pairwise search names a pair without join or meet, or a
     join-irreducible j below x join y but below neither x nor y: j, x and y
     violate the distributive identity.
@@ -169,28 +169,26 @@ def certify_graded_distributive_lattice(poset: FinitePoset, grade=None):
     if n == 0:
         return Counterexample("nonempty", (), "empty poset")
 
-    # covers must be genuine covers: nothing strictly between the endpoints
-    for a, b in poset.covers:
-        ia, ib = poset._index[a], poset._index[b]
-        between = poset._down[ib] & poset._up[ia]
-        if between != (1 << ia) | (1 << ib):
-            return Counterexample(
-                "cover", (a, b), f"{a!r} -> {b!r} is not a cover relation")
-
     mins = poset.minimal_elements()
     maxs = poset.maximal_elements()
     if len(mins) != 1:
-        return Counterexample("minimum", tuple(mins), "no unique minimum")
-    if len(maxs) != 1:
-        return Counterexample("maximum", tuple(maxs), "no unique maximum")
-
-    if grade is None:
-        grade = _derived_grade(poset)
-    for a, b in poset.covers:
-        if grade[b] - grade[a] != 1:
-            return Counterexample(
-                "graded", (a, b),
-                f"cover {a!r} -> {b!r} changes grade by {grade[b] - grade[a]}")
+        failed = Counterexample("minimum", tuple(mins), "no unique minimum")
+    elif len(maxs) != 1:
+        failed = Counterexample("maximum", tuple(maxs), "no unique maximum")
+    else:
+        if grade is None:
+            grade = _derived_grade(poset)
+        failed = next((Counterexample(
+            "graded", (a, b),
+            f"cover {a!r} -> {b!r} changes grade by {grade[b] - grade[a]}")
+            for a, b in poset.covers if grade[b] - grade[a] != 1), None)
+    if failed is not None:  # name a false cover first, from the closures
+        index, down, up = poset._index, poset._down, poset._up
+        return next((Counterexample(
+            "cover", (a, b), f"{a!r} -> {b!r} is not a cover relation")
+            for a, b in poset.covers
+            if down[index[b]] & up[index[a]] != 1 << index[a] | 1 << index[b]),
+            failed)
 
     found = _birkhoff(poset)
     if found is None:
@@ -286,8 +284,9 @@ class FiniteLattice(Record):
     """A certified graded distributive lattice with its evidence.
 
     `labels` optionally tags each cover (x, y) with the datum that produced
-    it (for move lattices, the edge of the map that was moved).  Joins and
-    meets are unions and intersections of the certificate's masks.
+    it (for move lattices, the edge of the map that was moved).  Order is
+    inclusion of the certificate's masks, joins and meets are their unions
+    and intersections.
     """
 
     __slots__ = ("poset", "certificate", "labels")
@@ -317,7 +316,8 @@ class FiniteLattice(Record):
         return self.certificate.grade
 
     def leq(self, x, y):
-        return self.poset.leq(x, y)
+        masks, index = self.certificate.masks, self.poset._index
+        return not masks[index[x]] & ~masks[index[y]]
 
     def join_index(self, i, j):
         cert = self.certificate
@@ -365,10 +365,11 @@ def grown_lattice(root, upper, key) -> FiniteLattice:
         CertificationFailed: the elements reached are not a graded
             distributive lattice.
     """
-    grade, labels = {root: 0}, {}
+    grade, labels, first = {root: 0}, {}, {root: root}
     frontier = [root]
     for x in frontier:  # breadth first: the list grows while it is read
         for label, y in upper(x):
+            y = first.setdefault(y, y)  # one object per element, not per cover
             labels[(x, y)] = label
             if y not in grade:
                 grade[y] = grade[x] + 1
@@ -380,17 +381,11 @@ def grown_lattice(root, upper, key) -> FiniteLattice:
     return FiniteLattice(poset, require_certificate(outcome), labels)
 
 
-def verify_order_isomorphism(p: FinitePoset, q: FinitePoset, mapping) -> bool:
-    """True iff mapping is a bijection p -> q preserving order both ways.
-
-    Each order is the closure of its covers, so it suffices that every cover
-    of p maps below-or-equal in q and every cover of q comes from p's order.
-    """
-    if set(mapping.keys()) != set(p.elements):
-        return False
-    image = list(mapping.values())
-    if len(set(image)) != len(image) or set(image) != set(q.elements):
-        return False
-    inverse = {y: x for x, y in mapping.items()}
-    return (all(q.leq(mapping[a], mapping[b]) for a, b in p.covers)
-            and all(p.leq(inverse[c], inverse[d]) for c, d in q.covers))
+def is_order_isomorphism(p: FiniteLattice, q: FiniteLattice, mapping) -> bool:
+    """True iff mapping is a bijection p -> q preserving order both ways:
+    the covers of a certified lattice are its Hasse diagram, so iff mapping
+    sends the covers of p onto those of q."""
+    return (len(p) == len(q) and set(mapping) == set(p.elements)
+            and set(mapping.values()) == set(q.elements)
+            and {(mapping[a], mapping[b]) for a, b in p.covers}
+            == set(q.covers))

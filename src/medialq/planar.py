@@ -91,11 +91,10 @@ class Angle(Record):
     The angle sits at ``vertex`` between ``dart`` and its clockwise successor,
     inside ``face``.  As an arrow of the medial quiver it points from
     ``source_edge`` (the edge of ``dart``) to ``target_edge`` (the edge of the
-    successor dart); ``dart_pair`` is (``dart``, successor).
+    successor dart).
     """
 
-    __slots__ = ("dart", "vertex", "face", "source_edge", "target_edge",
-                 "dart_pair")
+    __slots__ = ("dart", "vertex", "face", "source_edge", "target_edge")
 
 
 class PlanarMap:
@@ -308,7 +307,7 @@ def angles_of(pmap: PlanarMap) -> list[Angle]:
     for d in pmap.darts:
         s = pmap.sigma[d]
         out.append(Angle(d, pmap.vertex_of[d], pmap.face_of[s],
-                         pmap.edge_of[d], pmap.edge_of[s], (d, s)))
+                         pmap.edge_of[d], pmap.edge_of[s]))
     return out
 
 
@@ -486,7 +485,7 @@ def read_document(text, error):
                     refuse(n, "expected the end of the line")
                 return stack[0][0], i
 
-    doc, i = {}, 0
+    doc, spelt, i = {}, {}, 0  # spelt: key -> (first spelling, line)
     while toks[i][2] != "end of text":
         n, col, kind, key = toks[i]
         colon = toks[i + 1][1]  # YAML wants it within 1024 characters
@@ -494,8 +493,11 @@ def read_document(text, error):
                 or colon > 1024):
             refuse(n, "expected `key:` at the start of the line")
         name = lines[n - 1][:colon].rstrip()
-        if key in doc:
-            refuse(n, f"duplicate key {name!r}")
+        # `on`, `yes` and `1` read as one key, as True == 1
+        first, line = spelt.setdefault(key, (name, n))
+        if line != n:
+            refuse(n, f"duplicate key {name!r}" if first == name
+                   else f"key {name!r} is the key {first!r} of line {line}")
         i += 2
         if toks[i][0] == n:
             doc[key], i = value(i)

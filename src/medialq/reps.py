@@ -23,7 +23,7 @@ from math import inf, lcm
 
 from .bms import BMSState, plus_subobjects
 from .lattice import (CertificationFailed, FiniteLattice, grown_lattice,
-                      verify_order_isomorphism)
+                      is_order_isomorphism)
 from .linalg import Matrix, ShapeMismatch, hstack_all
 from .planar import MedialQuiver, PlanarMap, Record, connected_components
 from .states import AngleFrame, Decoration, check_cycle, is_characteristic
@@ -655,7 +655,7 @@ def verify_subrep_isomorphism(pmap: PlanarMap, omega, xi: BMSState,
     below = plus_subobjects(pmap, omega, xi)
     subreps = enumerate_subreps(module, omega)
     mapping = {s: PrefixFamily(s.d) for s in below.elements}
-    iso = verify_order_isomorphism(below.poset, subreps.poset, mapping)
+    iso = is_order_isomorphism(below, subreps, mapping)
     grades = all(below.grade[s] == subreps.grade[mapping[s]]
                  for s in below.elements) if iso else False
     return SubrepIsoCertificate(below, subreps, mapping, iso, grades)

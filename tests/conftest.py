@@ -3,6 +3,8 @@ from itertools import product
 import pytest
 
 from medialq import corpus
+from medialq.lattice import (FiniteLattice, certify_graded_distributive_lattice,
+                             require_certificate)
 from medialq.linalg import Matrix
 from medialq.planar import (PlanarMap, build_planar_map, connected_components,
                             dump_map_text)
@@ -123,6 +125,29 @@ def lower_covers(poset, x):
 
 def upper_covers(poset, x):
     return [b for a, b in poset.covers if a == x]
+
+
+def certified(poset):
+    """The FiniteLattice of a poset that must certify."""
+    return FiniteLattice(poset, require_certificate(
+        certify_graded_distributive_lattice(poset)))
+
+
+def verify_order_isomorphism(p, q, mapping) -> bool:
+    """Oracle: True iff mapping is a bijection between the posets p and q
+    preserving order both ways, read off their transitive closures.
+
+    Each order is the closure of its covers, so it suffices that every cover
+    of p maps below-or-equal in q and every cover of q comes from p's order.
+    """
+    if set(mapping.keys()) != set(p.elements):
+        return False
+    image = list(mapping.values())
+    if len(set(image)) != len(image) or set(image) != set(q.elements):
+        return False
+    inverse = {y: x for x, y in mapping.items()}
+    return (all(q.leq(mapping[a], mapping[b]) for a, b in p.covers)
+            and all(p.leq(inverse[c], inverse[d]) for c, d in q.covers))
 
 
 def _table(cert, op):

@@ -314,6 +314,25 @@ def test_repeated_key_exits_2(capsys, tmp_path):
                    "duplicate key 'v0'\n")
 
 
+def test_key_spelt_two_ways_names_both(capsys, tmp_path):
+    """`on` and `1` (or `yes` and `true`) read as one key, as YAML reads
+    them; the refusal names both spellings and the first one's line."""
+    path = tmp_path / "digon.map"
+    text = dump_map_text(build_planar_map(DIGON_ROT, DIGON_PAIR))
+    path.write_text(text + "on: e0\n1: [x]\n")
+    code, out, err = run(capsys, "states", path)
+    assert (code, out) == (2, "")
+    assert err == ("medialq: not valid structured text: line 4: "
+                   "key '1' is the key 'on' of line 3\n")
+    path.write_text(text)
+    weight = tmp_path / "w.yaml"
+    weight.write_text("v0: 1\nv1: 1\nf0: 1\nf1: 1\nyes: 1\ntrue: 2\n")
+    code, out, err = run(capsys, "states", path, "--weight", weight)
+    assert (code, out) == (2, "")
+    assert err == ("medialq: not valid structured text: line 6: "
+                   "key 'true' is the key 'yes' of line 5\n")
+
+
 def test_out_writes_file_and_stays_silent(capsys, maps, tmp_path):
     target = tmp_path / "report.txt"
     code, out, _ = run(capsys, "nilpotency", maps["trefoil"],

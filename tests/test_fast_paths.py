@@ -36,16 +36,18 @@ from hypothesis import strategies as hs
 
 from medialq import bms, cli, corpus, reps
 from medialq import states as st
-from medialq.kauffman import (LinkDiagram, enumerate_kauffman_states,
-                              find_separating_pair, kauffman_weight)
+from medialq.kauffman import (LinkDiagram, clock_lattice,
+                              enumerate_kauffman_states, find_separating_pair,
+                              kauffman_weight)
 from medialq.lattice import (FiniteLattice, FinitePoset,
                              certify_graded_distributive_lattice,
-                             verify_order_isomorphism)
+                             is_order_isomorphism)
 from medialq.linalg import Matrix
 from medialq.planar import build_planar_map, dump_map_text, read_document
 
-from conftest import (compatible_functions, gamma_inv_components_bruteforce,
-                      join_table, lower_covers)
+from conftest import (certified, compatible_functions,
+                      gamma_inv_components_bruteforce, join_table,
+                      lower_covers, verify_order_isomorphism)
 
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
                     database=None,
@@ -514,6 +516,7 @@ GRAFTS = {
                           ("a", "d"), ("b", "d"), ("c", "t"), ("d", "t")],
                          "join"),
     "two tops": ([("top", "a"), ("top", "b")], "maximum"),
+    "false cover": ([("top", "a"), ("a", "t"), ("top", "t")], "cover"),
 }
 
 
@@ -618,12 +621,17 @@ def pairwise_isomorphism(p, q, mapping):
 @SETTINGS
 @given(hs.data())
 def test_cover_isomorphism_check_matches_pairwise_oracle(data):
+    """``is_order_isomorphism`` on certified down-set lattices against the
+    pairwise oracle and the closure-based ``verify_order_isomorphism``: a
+    renaming, swapped or merged images, targets with a cover dropped or
+    added, and another down-set lattice of the same size."""
     p, _ = data.draw(down_set_lattices())
     xs = list(p.elements)
     rename = dict(zip(xs, data.draw(hs.permutations(range(len(xs))))))
     q = FinitePoset(sorted(rename.values()),
                     [(rename[a], rename[b]) for a, b in p.covers])
-    assert verify_order_isomorphism(p, q, rename)
+    lp, lq = certified(p), certified(q)
+    assert is_order_isomorphism(lp, lq, rename)
     assert pairwise_isomorphism(p, q, rename)
     cases = []
     for i, j in _spread([(i, j) for i in range(len(xs))
@@ -641,9 +649,47 @@ def test_cover_isomorphism_check_matches_pairwise_oracle(data):
             q.elements, q.covers[:dropped] + q.covers[dropped + 1:]), rename))
     if len(xs) > 1:
         cases.append((q, {**rename, xs[0]: rename[xs[1]]}))
+    other, _ = data.draw(down_set_lattices())
+    if len(other.elements) == len(xs):
+        cases.append((other, dict(zip(xs, other.elements))))
     for target, mapping in cases:
-        assert (verify_order_isomorphism(p, target, mapping)
-                == pairwise_isomorphism(p, target, mapping))
+        expected = pairwise_isomorphism(p, target, mapping)
+        assert verify_order_isomorphism(p, target, mapping) == expected
+        outcome = certify_graded_distributive_lattice(target)
+        if outcome.ok:
+            assert is_order_isomorphism(
+                lp, FiniteLattice(target, outcome), mapping) == expected
+        else:  # no poset order-isomorphic to a lattice fails to certify
+            assert not expected
+
+
+@pytest.mark.parametrize("word, strands", [
+    ([1] * 5, 2), ([1, 2] * 2, 3), ([1, 2] * 3, 3)], ids=str)
+def test_library_lattices_build_no_closure(word, strands):
+    """The lattices the library returns, and the two that the subrep
+    isomorphism compares, answer order, joins, meets and isomorphism from
+    their masks and covers: none of their posets builds a closure."""
+    pmap = build_planar_map(*corpus.braid_closure_shadow(word, strands))
+    diagram = diagram_of(pmap)
+    omega = kauffman_weight(diagram)
+    dec = st.Decoration.of(pmap, omega)
+    lattice = dec.component_lattice(dec.states[0])
+    top = lattice.maximum
+    module = reps.state_module(pmap, top)
+    iso = reps.verify_subrep_isomorphism(pmap, omega, top, module)
+    assert iso.ok
+    lattices = [lattice, clock_lattice(diagram),
+                bms.plus_subobjects(pmap, omega, top),
+                reps.enumerate_subreps(module, omega),
+                iso.bms_lattice, iso.subrep_lattice]
+    for lat in lattices:
+        bare = FinitePoset(lat.elements, lat.covers)  # its closure the oracle
+        for x in _spread(lat.elements, 6):
+            for y in lat.elements:
+                join, meet = lat.join(x, y), lat.meet(x, y)
+                assert lat.leq(x, join) and lat.leq(meet, y)
+                assert lat.leq(x, y) == bare.leq(x, y) == (join == y)
+        assert not {"_down", "_up"} & vars(lat.poset).keys()
 
 
 # ----------------------------------------------------------------------

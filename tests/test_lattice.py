@@ -14,11 +14,12 @@ from medialq.lattice import (
     FiniteLattice,
     FinitePoset,
     certify_graded_distributive_lattice,
+    is_order_isomorphism,
     require_certificate,
-    verify_order_isomorphism,
 )
 
-from conftest import join_table, lower_covers, meet_table, upper_covers
+from conftest import (certified, join_table, lower_covers, meet_table,
+                      upper_covers, verify_order_isomorphism)
 
 
 def chain(n):
@@ -132,6 +133,20 @@ def test_transitive_edge_rejected_as_cover():
     assert bad.witness == (0, 2)
 
 
+def test_false_cover_reported_ahead_of_other_failures():
+    """A false cover is reported, as the first cover listed with an element
+    between its ends, also where a minimum or a grade step fails first."""
+    two_minima = FinitePoset(range(4), [(0, 1), (1, 2), (0, 2), (3, 2)])
+    bad = certify_graded_distributive_lattice(two_minima)
+    assert (bad.law, bad.witness) == ("cover", (0, 2))
+    assert bad.message == "0 -> 2 is not a cover relation"
+    long_chain = FinitePoset(range(4), [(0, 1), (1, 2), (2, 3), (1, 3)])
+    bad = certify_graded_distributive_lattice(
+        long_chain, grade={0: 0, 1: 2, 2: 3, 3: 4})  # breaks at (0, 1)
+    assert (bad.law, bad.witness) == ("cover", (1, 3))
+    assert bad.message == "1 -> 3 is not a cover relation"
+
+
 def test_explicit_grade_checked():
     bad = certify_graded_distributive_lattice(chain(3), grade={0: 0, 1: 2, 2: 3})
     assert not bad.ok and bad.law == "graded"
@@ -186,6 +201,19 @@ def test_order_isomorphism():
     assert not verify_order_isomorphism(p, q, {0: "a", 1: "b"})
     antichain = FinitePoset("abc", [])
     assert not verify_order_isomorphism(p, antichain, {0: "a", 1: "b", 2: "c"})
+
+
+def test_order_isomorphism_by_covers():
+    p = certified(chain(3))
+    q = certified(FinitePoset("abc", [("a", "b"), ("b", "c")]))
+    assert is_order_isomorphism(p, q, {0: "a", 1: "b", 2: "c"})
+    assert not is_order_isomorphism(p, q, {0: "b", 1: "a", 2: "c"})
+    assert not is_order_isomorphism(p, q, {0: "a", 1: "a", 2: "c"})
+    assert not is_order_isomorphism(p, q, {0: "a", 1: "b"})
+    square = certified(boolean_cube(2))
+    assert not is_order_isomorphism(certified(chain(4)), square,
+                                    dict(zip(range(4), square.elements)))
+    assert all("_down" not in vars(x.poset) for x in (p, q, square))
 
 
 def test_empty_poset():
