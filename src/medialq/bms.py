@@ -26,8 +26,8 @@ from .states import (
     UnknownEdge,
     anti_mov_e,
     is_anti_e_movable,
-    is_e_movable,
     mov_e,
+    moved_vector,
 )
 
 
@@ -59,10 +59,18 @@ class BMSState(Record):
 
     def __init__(self, f_plus: AngularFunction, f_minus: AngularFunction,
                  d: tuple):
-        super().__init__(f_plus, f_minus, d, hash((f_plus, f_minus, d)))
+        # the hash of (f_plus, f_minus, d), as a function hashes its vector
+        super().__init__(f_plus, f_minus, d,
+                         hash((f_plus.vector, f_minus.vector, d)))
 
     def __hash__(self):
         return self._hash
+
+    def __eq__(self, other):
+        if other.__class__ is not BMSState:
+            return NotImplemented
+        return (self.d == other.d and self.f_plus == other.f_plus
+                and self.f_minus == other.f_minus)
 
     def dims(self):
         return dict(self.d)
@@ -85,6 +93,8 @@ DESCENT_FUEL = 10 ** 6
 
 def _check_compatible(dec: Decoration, g, name):
     quiver = dec.quiver
+    if g.frame.names != quiver.arrow_ids:  # the step table indexes vectors
+        raise ValueError(f"{name} is not a function on the angles of the map")
     for v, cycle in quiver.vertex_cycles.items():
         if sum(g[a] for a in cycle) != dec.omega[v]:
             raise ValueError(f"{name} is not compatible at {v}")
@@ -154,11 +164,24 @@ def bms_anti_mov_e(quiver: MedialQuiver, xi: BMSState, e) -> BMSState:
                     _raised(xi.d, e, -1))
 
 
+def _moved(xi: BMSState, step) -> BMSState:
+    """``bms_mov_e`` of xi along the edge of a step-table row, unchecked:
+    f_plus must be positive at the row's two outgoing positions."""
+    e, n, i, j, k, l = step
+    d = xi.d
+    return BMSState(
+        AngularFunction.from_vector(
+            xi.f_plus.frame, moved_vector(xi.f_plus.vector, i, j, k, l)),
+        xi.f_minus, d[:n] + ((e, d[n][1] + 1),) + d[n + 1:])
+
+
 def _moves(quiver: MedialQuiver, xi: BMSState):
-    """(e, bms_mov_e of xi along e) for every edge e along which xi moves."""
-    for e in quiver.vertices:
-        if is_e_movable(quiver, xi.f_plus, e):
-            yield e, bms_mov_e(quiver, xi, e)
+    """(e, bms_mov_e of xi along e) for every edge e along which xi moves,
+    read off the step table."""
+    v = xi.f_plus.vector
+    for step in quiver.steps:
+        if v[step[2]] and v[step[3]]:
+            yield step[0], _moved(xi, step)
 
 
 def bms_plus_lattice(pmap: PlanarMap, omega, g: AngularFunction) -> FiniteLattice:
@@ -206,12 +229,12 @@ def _check_pointwise_closure(lattice: FiniteLattice):
                 f"join-irreducibles moved along {e} do not form a chain")
 
 
-def _reconstruct_plus(quiver, below, e):
-    """`below` with d' raised by one at e: its ``bms_mov_e``, or None where
-    f_plus would turn negative (see ``plus_subobjects``)."""
-    if is_e_movable(quiver, below.f_plus, e):
-        return bms_mov_e(quiver, below, e)
-    return None
+def _reconstruct_plus(below, step):
+    """`below` with d' raised by one at the edge of a step-table row: its
+    ``bms_mov_e``, or None where f_plus would turn negative (see
+    ``plus_subobjects``)."""
+    v = below.f_plus.vector
+    return _moved(below, step) if v[step[2]] and v[step[3]] else None
 
 
 def component_minimum(pmap: PlanarMap, omega, h: AngularFunction,
@@ -233,20 +256,20 @@ def component_minimum(pmap: PlanarMap, omega, h: AngularFunction,
     _check_compatible(dec, h, "h")
     if choose is None:
         choose = lambda options: options[0]
-    current = h
-    d = {e: 0 for e in quiver.vertices}
+    v, d = h.vector, [0] * len(quiver.vertices)
     fuel = DESCENT_FUEL
-    while True:
-        options = [e for e in quiver.vertices
-                   if is_anti_e_movable(quiver, current, e)]
+    while True:  # anti-moves by the step table: positive at both incoming
+        options = {s[0]: s for s in quiver.steps if v[s[4]] and v[s[5]]}
         if not options:
             break
         if fuel == 0:  # the nilpotency gate should make this unreachable
             raise AssertionError("greedy descent did not terminate")
         fuel -= 1
-        e = choose(options)
-        current = anti_mov_e(quiver, current, e)
-        d[e] += 1
+        _, n, i, j, k, l = options[choose(list(options))]
+        v = moved_vector(v, k, l, i, j)
+        d[n] += 1
+    current = AngularFunction.from_vector(h.frame, v)
+    d = dict(zip(quiver.vertices, d))
     make_bms(pmap, omega, h, current, d)  # validity assertion
     return current, d
 
@@ -277,11 +300,11 @@ def plus_subobjects(pmap: PlanarMap, omega, xi: BMSState) -> FiniteLattice:
     xi = make_bms(pmap, omega, xi.f_plus, xi.f_minus, dict(xi.d))
 
     def upper(below):
-        for e, (_, cap), (_, v) in zip(quiver.vertices, xi.d, below.d):
+        for step, (_, cap), (_, v) in zip(quiver.steps, xi.d, below.d):
             if v < cap:
-                moved = _reconstruct_plus(quiver, below, e)
+                moved = _reconstruct_plus(below, step)
                 if moved is not None:
-                    yield e, moved
+                    yield step[0], moved
 
     root = BMSState(xi.f_minus, xi.f_minus, tuple((e, 0) for e, _ in xi.d))
     return grown_lattice(root, upper, key=lambda s: s.d)

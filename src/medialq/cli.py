@@ -16,7 +16,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from itertools import compress
+from itertools import compress, repeat
+from operator import and_, or_
 from pathlib import Path
 
 from . import states as st
@@ -144,11 +145,12 @@ def _lattice_lines(lat, element_text):
         suffix = f" by {label}" if label is not None else ""
         out.append(f"  {index[a]} -> {index[b]}{suffix}")
     cert = lat.certificate
-    index_text = {m: str(i) for m, i in cert.index_of_mask.items()}
-    for name, op in (("join", int.__or__), ("meet", int.__and__)):
+    text = {m: str(i) for m, i in cert.index_of_mask.items()}.__getitem__
+    masks = cert.masks
+    for name, op in (("join", or_), ("meet", and_)):
         out.append(f"{name} table:")  # union and intersection of masks
-        for m in cert.masks:
-            out.append("  " + " ".join(index_text[op(m, x)] for x in cert.masks))
+        for m in masks:  # each row built by map, not a Python step per entry
+            out.append("  " + " ".join(map(text, map(op, repeat(m), masks))))
     out.append(
         f"certified: size {cert.size}, grades {cert.grade_range[0]}"
         f"..{cert.grade_range[1]}, sampled {cert.sampled}")

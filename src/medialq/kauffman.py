@@ -18,6 +18,7 @@ duality (``find_separating_pair``).
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import compress
 
 from .planar import PlanarMap, Record, parse_map_text
 from .states import (
@@ -104,25 +105,6 @@ class KauffmanState(Record):
         return angle in self.angles
 
 
-def is_valid_state(diagram: LinkDiagram, state: KauffmanState) -> bool:
-    """Exactly one marker per crossing and per unmarked face, none marked."""
-    pmap = diagram.pmap
-    if not set(state.angles) <= set(pmap.darts):
-        return False
-    quiver = pmap.quiver
-    per_vertex = {v: 0 for v in pmap.vertices}
-    per_face = {f: 0 for f in pmap.faces}
-    for a in state.angles:
-        ang = quiver.angles[a]
-        per_vertex[ang.vertex] += 1
-        per_face[ang.face] += 1
-    if any(n != 1 for n in per_vertex.values()):
-        return False
-    marked = set(diagram.marked_faces)
-    return all(
-        n == (0 if f in marked else 1) for f, n in per_face.items())
-
-
 def chi(diagram: LinkDiagram, state: KauffmanState) -> AngularFunction:
     """Indicator angular function of a state."""
     picked = set(state.angles)
@@ -133,10 +115,9 @@ def chi(diagram: LinkDiagram, state: KauffmanState) -> AngularFunction:
 
 def chi_inv(diagram: LinkDiagram, g: AngularFunction) -> KauffmanState:
     """Support of a 0/1-valued angular function."""
-    values = dict(g.items())
-    if any(v not in (0, 1) for v in values.values()):
+    if not set(g.vector) <= {0, 1}:
         raise ValueError("function is not 0/1-valued")
-    return KauffmanState.of(a for a, v in values.items() if v == 1)
+    return KauffmanState.of(compress(g.frame.names, g.vector))
 
 
 def _enumerate_direct(diagram: LinkDiagram):

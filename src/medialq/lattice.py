@@ -359,7 +359,7 @@ def grown_lattice(root, upper, key) -> FiniteLattice:
 
     upper(x) yields (label, y) for each y covering x.  The grade is the
     number of steps from root; elements are ordered by (grade, key) and
-    covers by (grade of the lower end, key of the lower, key of the upper).
+    covers by the positions of their lower, then upper, ends in that order.
 
     Raises:
         CertificationFailed: the elements reached are not a graded
@@ -374,9 +374,11 @@ def grown_lattice(root, upper, key) -> FiniteLattice:
             if y not in grade:
                 grade[y] = grade[x] + 1
                 frontier.append(y)
-    poset = FinitePoset(
-        sorted(grade, key=lambda x: (grade[x], key(x))),
-        sorted(labels, key=lambda c: (grade[c[0]], key(c[0]), key(c[1]))))
+    elements = sorted(grade, key=lambda x: (grade[x], key(x)))
+    position = {x: p for p, x in enumerate(elements)}
+    covers = sorted(labels, key=lambda c: (position[c[0]], position[c[1]]))
+    del first, position  # certification need not hold them
+    poset = FinitePoset(elements, covers)
     outcome = certify_graded_distributive_lattice(poset, grade=grade)
     return FiniteLattice(poset, require_certificate(outcome), labels)
 

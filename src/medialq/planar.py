@@ -52,8 +52,9 @@ class Record:
 
     def __init__(self, *values, **named):
         names = self.__slots__
-        values += tuple(named.pop(n) for n in names[len(values):]
-                        if n in named)
+        if named:
+            values += tuple(named.pop(n) for n in names[len(values):]
+                            if n in named)
         if named or len(values) != len(names):
             raise TypeError(f"{type(self).__name__} takes the fields "
                             f"{', '.join(names)}")
@@ -231,10 +232,6 @@ class PlanarMap:
     def is_connected(self):
         return self.component_count <= 1
 
-    def edge_endpoints(self, eid):
-        a, b = self.edges[eid]
-        return (self.vertex_of[a], self.vertex_of[b])
-
     def edge_faces(self, eid):
         a, b = self.edges[eid]
         return (self.face_of[self.sigma[a]], self.face_of[self.sigma[b]])
@@ -369,6 +366,16 @@ class MedialQuiver:
                         raise AssertionError("distinguished cycle does not compose")
             if sorted(used) != list(self.arrow_ids):
                 raise AssertionError("distinguished cycles do not partition the arrows")
+
+    @cached_property
+    def steps(self) -> tuple:
+        """The step table: per edge e, in ``vertices`` order, the row (e, its
+        index, the positions of its two outgoing and two incoming angles in
+        ``arrow_ids``), so a move is index arithmetic on a value vector."""
+        position = {a: i for i, a in enumerate(self.arrow_ids)}
+        return tuple((e, n, *map(position.get,
+                                 self.outgoing[e] + self.incoming[e]))
+                     for n, e in enumerate(self.vertices))
 
     def source(self, arrow):
         return self.arrows[arrow][0]

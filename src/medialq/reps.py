@@ -85,7 +85,7 @@ class QuiverRep:
         return self.arrows[arrow][1]
 
     def incoming(self, e):
-        return [a for a in sorted(self.arrows) if self.arrows[a][1] == e]
+        return sorted(a for a, (_, t) in self.arrows.items() if t == e)
 
     def support(self):
         return frozenset(e for e in self.vertices if self.dims[e] > 0)
@@ -407,19 +407,27 @@ def _paths_vanish(m: QuiverRep) -> bool:
     Tracks, per vertex, the span of images of all length-k paths; the spans
     only shrink, so the chain stabilizes, and nilpotency means it hits zero.
     Working with subspaces (not sums of matrices) keeps the test exact:
-    spans cannot cancel each other the way signed sums can.
+    spans cannot cancel each other the way signed sums can.  A span can
+    change in a round only if a span at the source of an arrow into it
+    changed in the round before, so only those are recomputed; and as spans
+    only shrink, a span that keeps its dimension is unchanged.
     """
+    into = {e: [] for e in m.vertices}
+    for a in sorted(m.arrows):
+        s, t = m.arrows[a]
+        into[t].append((m.mats[a], s))
     spans = {e: Matrix.identity(m.dims[e]) for e in m.vertices}
-    total = sum(m.dims.values())
-    while True:
+    todo = set(m.vertices)
+    while todo:
         new = {}
-        for e in m.vertices:
-            pieces = [m.mats[a] @ spans[m.source(a)] for a in m.incoming(e)]
-            new[e] = hstack_all(pieces, m.dims[e]).column_basis()
-        new_total = sum(sp.cols for sp in new.values())
-        if new_total == total:
-            return total == 0
-        spans, total = new, new_total
+        for e in todo:
+            span = hstack_all([mat @ spans[s] for mat, s in into[e]],
+                              m.dims[e]).column_basis()
+            if span.cols != spans[e].cols:
+                new[e] = span
+        spans.update(new)
+        todo = {t for s, t in m.arrows.values() if s in new}
+    return not any(sp.cols for sp in spans.values())
 
 
 class EndRing(Record):

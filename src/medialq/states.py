@@ -246,29 +246,20 @@ class Decoration:
 
     @cached_property
     def move_graph(self) -> StateGraph:
-        """Every move between states, found by index arithmetic on vectors:
-        per edge, the positions of its two outgoing and two incoming angles.
+        """Every move between states, found by index arithmetic on vectors
+        through the quiver's step table.
 
         Raises:
             AssertionError: a move leaves the state set.
         """
-        q = self.quiver
         nodes = self.states
-        position = AngleFrame.of(q.arrow_ids).position
-        steps = [(e, *(position[a] for a in q.outgoing[e] + q.incoming[e]))
-                 for e in q.vertices]
         index = {g.vector: n for n, g in enumerate(nodes)}
         edges = []
         for n, g in enumerate(nodes):
             v = g.vector
-            for e, i, j, k, l in steps:
+            for e, _, i, j, k, l in self.quiver.steps:
                 if v[i] and v[j]:
-                    w = list(v)
-                    w[i] -= 1
-                    w[j] -= 1
-                    w[k] += 1
-                    w[l] += 1
-                    m = index.get(tuple(w))
+                    m = index.get(moved_vector(v, i, j, k, l))
                     if m is None:
                         raise AssertionError(
                             f"move along {e} from state {n} leaves the state set")
@@ -383,14 +374,22 @@ def is_anti_e_movable(quiver: MedialQuiver, g: AngularFunction, e) -> bool:
     return all(g[a] > 0 for a in quiver.incoming[e])
 
 
+def moved_vector(v: tuple, i, j, k, l) -> tuple:
+    """v with a unit moved from positions i and j to positions k and l: a
+    move along an edge whose step-table row is (e, n, i, j, k, l), or with
+    (k, l, i, j) the anti-move."""
+    w = list(v)
+    w[i] -= 1
+    w[j] -= 1
+    w[k] += 1
+    w[l] += 1
+    return tuple(w)
+
+
 def _moved(g: AngularFunction, lose, gain) -> AngularFunction:
     """g with a unit moved from each angle of `lose` to each of `gain`."""
-    position, vec = g.frame.position, list(g.vector)
-    for a in lose:
-        vec[position[a]] -= 1
-    for a in gain:
-        vec[position[a]] += 1
-    return AngularFunction.from_vector(g.frame, tuple(vec))
+    return AngularFunction.from_vector(g.frame, moved_vector(
+        g.vector, *map(g.frame.position.__getitem__, lose + gain)))
 
 
 def mov_e(quiver: MedialQuiver, g: AngularFunction, e) -> AngularFunction:

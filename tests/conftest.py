@@ -2,14 +2,15 @@ from itertools import product
 
 import pytest
 
-from medialq import corpus
+from medialq import bms, corpus
 from medialq.lattice import (FiniteLattice, certify_graded_distributive_lattice,
-                             require_certificate)
-from medialq.linalg import Matrix
+                             grown_lattice, require_certificate)
+from medialq.linalg import Matrix, hstack_all
 from medialq.planar import (PlanarMap, build_planar_map, connected_components,
                             dump_map_text)
 from medialq.reps import QuiverRep
-from medialq.states import AngularFunction, Decoration
+from medialq.states import (AngularFunction, Decoration, anti_mov_e,
+                            is_anti_e_movable, is_e_movable)
 
 
 # Triangle: three degree-2 vertices in a cycle.  Face f0 = {a0, a1, a2} is the
@@ -167,6 +168,32 @@ def meet_table(cert):
     return _table(cert, int.__and__)
 
 
+def edge_endpoints(pmap, eid):
+    """The two vertices joined by edge eid."""
+    a, b = pmap.edges[eid]
+    return (pmap.vertex_of[a], pmap.vertex_of[b])
+
+
+def is_valid_state(diagram, state) -> bool:
+    """A Kauffman state by its definition: exactly one marker per crossing
+    and per unmarked face, none on a marked face."""
+    pmap = diagram.pmap
+    if not set(state.angles) <= set(pmap.darts):
+        return False
+    quiver = pmap.quiver
+    per_vertex = {v: 0 for v in pmap.vertices}
+    per_face = {f: 0 for f in pmap.faces}
+    for a in state.angles:
+        ang = quiver.angles[a]
+        per_vertex[ang.vertex] += 1
+        per_face[ang.face] += 1
+    if any(n != 1 for n in per_vertex.values()):
+        return False
+    marked = set(diagram.marked_faces)
+    return all(
+        n == (0 if f in marked else 1) for f, n in per_face.items())
+
+
 def total_dim(module):
     return sum(module.dims.values())
 
@@ -185,3 +212,59 @@ def direct_sum(a, b):
                            top.data + bottom.data)
     cycles = a.cycles if a.cycles == b.cycles else ()
     return QuiverRep(a.vertices, a.arrows, dims, mats, cycles)
+
+
+# ----------------------------------------------------------------------
+# moves by edge name, the path the step table replaced
+# ----------------------------------------------------------------------
+
+def moves_by_name(quiver, xi):
+    """(e, bms_mov_e of xi along e) for every e where f_plus is
+    ``is_e_movable``: every move validated and made angle by angle."""
+    return [(e, bms.bms_mov_e(quiver, xi, e)) for e in quiver.vertices
+            if is_e_movable(quiver, xi.f_plus, e)]
+
+
+def subobjects_by_name(pmap, omega, xi):
+    """``plus_subobjects`` grown by ``is_e_movable`` and ``bms_mov_e``."""
+    quiver = pmap.quiver
+    cap = dict(xi.d)
+
+    def upper(below):
+        return [(e, up) for e, up in moves_by_name(quiver, below)
+                if below.dim(e) < cap[e]]
+
+    root = bms.BMSState(xi.f_minus, xi.f_minus,
+                        tuple((e, 0) for e, _ in xi.d))
+    return grown_lattice(root, upper, key=lambda s: s.d)
+
+
+def component_minimum_by_name(pmap, h, choose):
+    """The greedy descent of ``component_minimum``, by ``is_anti_e_movable``
+    and ``anti_mov_e``: (terminal function, accumulated d)."""
+    quiver = pmap.quiver
+    current, d = h, {e: 0 for e in quiver.vertices}
+    while True:
+        options = [e for e in quiver.vertices
+                   if is_anti_e_movable(quiver, current, e)]
+        if not options:
+            return current, d
+        e = choose(options)
+        current = anti_mov_e(quiver, current, e)
+        d[e] += 1
+
+
+def paths_vanish_by_rounds(m):
+    """The nilpotency chain recomputing every span in every round: do all
+    long paths act by zero?"""
+    spans = {e: Matrix.identity(m.dims[e]) for e in m.vertices}
+    total = sum(m.dims.values())
+    while True:
+        new = {}
+        for e in m.vertices:
+            pieces = [m.mats[a] @ spans[m.source(a)] for a in m.incoming(e)]
+            new[e] = hstack_all(pieces, m.dims[e]).column_basis()
+        new_total = sum(sp.cols for sp in new.values())
+        if new_total == total:
+            return total == 0
+        spans, total = new, new_total

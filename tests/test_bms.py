@@ -188,6 +188,13 @@ def test_make_bms_validation(trefoil_setup):
     with pytest.raises(st.UnknownEdge, match="names 'e99', 'zz', which"):
         bms.make_bms(pmap, omega, g, g, {"zz": 3, "e99": 1})
 
+    # one more angle, sorted first, would shift every step-table position
+    extra = st.AngularFunction({"0": 0, **dict(g.items())})
+    with pytest.raises(ValueError, match="f_plus is not a function on the"):
+        bms.make_bms(pmap, omega, extra, g, {})
+    with pytest.raises(ValueError, match="h is not a function on the angles"):
+        bms.component_minimum(pmap, omega, extra)
+
 
 def test_mov_updates_exactly_one_dimension(trefoil_setup):
     pmap, omega, quiver, states = trefoil_setup

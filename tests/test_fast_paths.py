@@ -46,8 +46,10 @@ from medialq.linalg import Matrix
 from medialq.planar import build_planar_map, dump_map_text, read_document
 
 from conftest import (certified, compatible_functions,
+                      component_minimum_by_name, edge_endpoints,
                       gamma_inv_components_bruteforce, join_table,
-                      lower_covers, verify_order_isomorphism)
+                      lower_covers, moves_by_name, paths_vanish_by_rounds,
+                      subobjects_by_name, verify_order_isomorphism)
 
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
                     database=None,
@@ -186,7 +188,7 @@ def _first_disconnecting_pair(pmap):
         for e2 in edges[i + 1:]:
             graph = nx.MultiGraph()
             graph.add_nodes_from(pmap.vertices)
-            graph.add_edges_from(pmap.edge_endpoints(e) for e in edges
+            graph.add_edges_from(edge_endpoints(pmap, e) for e in edges
                                  if e not in (e1, e2))
             if not nx.is_connected(graph):
                 return (e1, e2)
@@ -235,7 +237,7 @@ def plane_maps(draw):
 def _assert_connectivity_and_separating_pair(pmap):
     graph = nx.MultiGraph()
     graph.add_nodes_from(pmap.vertices)
-    graph.add_edges_from(map(pmap.edge_endpoints, pmap.edges))
+    graph.add_edges_from(edge_endpoints(pmap, e) for e in pmap.edges)
     assert pmap.is_connected() == nx.is_connected(graph)
     assert find_separating_pair(pmap) == _first_disconnecting_pair(pmap)
 
@@ -1155,3 +1157,120 @@ def test_state_jacobian_reports_the_dense_residuals():
                 reps.state_module(pmap, xi), s)
             seen += len(report.nonzero)
     assert seen
+
+
+# ----------------------------------------------------------------------
+# state lattices: steps by the quiver's step table against moves by name
+# ----------------------------------------------------------------------
+
+def trefoil_with_twos():
+    """The corpus trefoil weighted 2 on v0-v2 and f0-f2 and 0 on f3 and f4:
+    functions take the value 2 on angles that moves leave."""
+    pmap, _ = corpus.load("trefoil")
+    omega = {c: 0 for c in pmap.cells}
+    omega.update({c: 2 for c in ("v0", "v1", "v2", "f0", "f1", "f2")})
+    return pmap, omega
+
+
+def first_option(options):
+    return options[0]
+
+
+def last_option(options):
+    return options[-1]
+
+
+def assert_steps_match_names(pmap, omega):
+    """On every component (at most three): the covers of each element, the
+    subobject lattices of a spread of elements, and the greedy descent from
+    a spread of states, by the step table and by edge name."""
+    dec = st.Decoration.of(pmap, omega)
+    q, graph = dec.quiver, dec.move_graph
+    for comp in graph.undirected_components()[:3]:
+        for g in _spread([graph.nodes[i] for i in comp], 4):
+            for choose in (None, last_option):
+                assert bms.component_minimum(pmap, omega, g, choose) == (
+                    component_minimum_by_name(pmap, g, choose or first_option))
+        lattice = dec.component_lattice(graph.nodes[comp[-1]])
+        for xi in lattice.elements:
+            assert list(bms._moves(q, xi)) == moves_by_name(q, xi)
+        for xi in _spread(lattice.elements, 4):
+            got = bms.plus_subobjects(pmap, omega, xi)
+            want = subobjects_by_name(pmap, omega, xi)
+            assert (got.elements, got.covers, got.labels) == (
+                want.elements, want.covers, want.labels)
+
+
+def test_step_table_rows_are_the_angles_of_each_edge():
+    pmap = build_planar_map(*corpus.braid_closure_shadow([1, 2] * 3, 3))
+    q = pmap.quiver
+    frame = st.AngleFrame.of(q.arrow_ids)
+    assert [row[:2] for row in q.steps] == [(e, n) for n, e in
+                                           enumerate(q.vertices)]
+    for e, _, *positions in q.steps:
+        assert tuple(frame.names[p] for p in positions) == (
+            q.outgoing[e] + q.incoming[e])
+
+
+def test_steps_read_positive_values_not_ones():
+    """10 states in 3 components at nilpotency 0, and moves leaving an
+    angle of value 2: a step test for values equal to 1 would miss them."""
+    pmap, omega = trefoil_with_twos()
+    dec = st.Decoration.of(pmap, omega)
+    graph = dec.move_graph
+    assert (len(dec.states), len(graph.undirected_components()),
+            dec.nilpotency) == (10, 3, 0)
+    q = dec.quiver
+    assert any(g[a] == 2 for g in dec.states for e in q.vertices
+               if st.is_e_movable(q, g, e) for a in q.outgoing[e])
+    assert_steps_match_names(pmap, omega)
+
+
+@SETTINGS
+@given(hs.data())
+def test_step_table_matches_moves_by_name(data):
+    """Shadows and sums, at Kauffman weights, doubled ones (values 2) and
+    summed weights."""
+    pmap = data.draw(shadows(max_per_position=2))
+    kauffman = kauffman_weight(diagram_of(pmap))
+    omega = data.draw(hs.one_of(
+        hs.just(kauffman),
+        hs.just({c: 2 * v for c, v in kauffman.items()}),
+        summed_weights(pmap)))
+    dec = st.Decoration.of(pmap, omega)
+    assume(dec.nilpotency == 0 and len(dec.states) <= 1000)
+    assert_steps_match_names(pmap, omega)
+
+
+@SETTINGS
+@given(hs.data())
+def test_worklist_nilpotency_matches_full_rounds(data):
+    """State modules are nilpotent by both; of their single-entry changes,
+    some are not, and both say which."""
+    pmap = data.draw(hs.one_of(shadows(max_per_position=2), thick_shadows()))
+    states = component_states(pmap, kauffman_weight(diagram_of(pmap)))
+    assume(len(states) <= 150)
+    for xi in _spread(states, 4):
+        m = reps.state_module(pmap, xi)
+        assert reps._paths_vanish(m) and paths_vanish_by_rounds(m)
+        for changed in _spread(list(single_entry_changes(m)), 12):
+            assert reps._paths_vanish(changed) == (
+                paths_vanish_by_rounds(changed))
+
+
+def test_some_single_entry_changes_are_not_nilpotent():
+    pmap = build_planar_map(*corpus.braid_closure_shadow([1, 2] * 3, 3))
+    verdicts = [reps._paths_vanish(changed)
+                for xi in component_states(pmap, kauffman_weight(
+                    diagram_of(pmap)))
+                for changed in single_entry_changes(
+                    reps.state_module(pmap, xi))]
+    assert verdicts.count(False) == 10 and len(verdicts) == 68
+
+
+def test_nilpotency_where_no_arrow_enters():
+    """x -> y acting by 1: the span at x, which no arrow enters, is zero
+    after the first round, the span at y after the second."""
+    module = reps.QuiverRep(("x", "y"), {"a": ("x", "y")}, {"x": 1, "y": 1},
+                            {"a": Matrix.identity(1)})
+    assert reps._paths_vanish(module) and paths_vanish_by_rounds(module)

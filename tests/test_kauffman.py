@@ -14,7 +14,7 @@ from medialq import states as st
 from medialq.lattice import CertificationFailed
 from medialq.planar import build_planar_map, dump_map_text, medial_quiver
 
-from conftest import join_table
+from conftest import is_valid_state, join_table
 
 STATE_COUNTS = {
     "hopf": 2,
@@ -69,7 +69,7 @@ def test_state_counts_both_enumerations(diagrams):
         assert len(states) == expected, name
         assert states == kf._enumerate_direct(diag), name
         for state in states:
-            assert kf.is_valid_state(diag, state)
+            assert is_valid_state(diag, state)
 
 
 def test_chi_is_a_bijection_onto_compatible_functions(diagrams):
@@ -172,15 +172,15 @@ def test_corpus_invariants(diagrams):
 def test_state_validation_rejects_perturbations(diagrams):
     diag = diagrams["trefoil"]
     state = kf.enumerate_kauffman_states(diag)[0]
-    assert not kf.is_valid_state(diag, kf.KauffmanState.of(state.angles[1:]))
-    assert not kf.is_valid_state(
+    assert not is_valid_state(diag, kf.KauffmanState.of(state.angles[1:]))
+    assert not is_valid_state(
         diag, kf.KauffmanState.of(state.angles + ("zz",)))
     # move a marker onto a marked face
     marked_angle = next(
         a for a in diag.pmap.darts
         if medial_quiver(diag.pmap).angles[a].face in diag.marked_faces)
     tampered = kf.KauffmanState.of(state.angles[1:] + (marked_angle,))
-    assert not kf.is_valid_state(diag, tampered)
+    assert not is_valid_state(diag, tampered)
 
 
 def test_chi_inv_requires_indicator(diagrams):
