@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from itertools import compress, repeat
+from itertools import chain, repeat
 from operator import and_, or_
 from pathlib import Path
 
@@ -85,22 +85,41 @@ def _diagram(args):
     return LinkDiagram(pmap, marked), _header(args, inputs)
 
 
+PIECE = 1 << 16  # characters, not lines: a join-table row can be 30,000
+
+
 def _emit(args, lines):
-    text = "\n".join(lines) + "\n"
-    if args.out:
+    """Write the report's lines to --out, opened before the first line, or
+    to stdout, in pieces of at most PIECE characters plus one line, so no
+    report is ever held whole.  A reader that closes the pipe ends it
+    quietly; any other failed write is unusable output (exit 2)."""
+    try:
+        out = open(args.out, "w") if args.out else sys.stdout
         try:
-            Path(args.out).write_text(text)
-        except OSError as exc:
-            raise InputError(f"cannot write {args.out}: {exc.strerror}")
-    else:
-        sys.stdout.write(text)
+            piece, size = [], 0
+            for line in lines:
+                piece.append(line)
+                size += len(line) + 1
+                if size >= PIECE:
+                    piece.append("")
+                    out.write("\n".join(piece))
+                    piece, size = [], 0
+            piece.append("")
+            out.write("\n".join(piece))
+            out.flush()
+        finally:
+            if args.out:
+                out.close()
+    except BrokenPipeError:
+        pass
+    except OSError as exc:
+        raise InputError(
+            f"cannot write {args.out or 'stdout'}: {exc.strerror}") from exc
 
 
 def _fun_text(g):
     """angle:value for the nonzero values, in angle order."""
-    inner = ",".join(map("{}:{}".format, compress(g.frame.names, g.vector),
-                         filter(None, g.vector)))
-    return inner or "0"
+    return g.frame.text(g.vector) or "0"
 
 
 def _dims_text(pairs):
@@ -131,35 +150,33 @@ def _markers_text(state):
 
 def _lattice_lines(lat, element_text):
     """Elements (shown by element_text), covers with move labels, grades,
-    and full join/meet tables."""
-    order = list(lat.elements)
+    and full join/meet tables, one line at a time."""
+    order = lat.elements
     index = {x: i for i, x in enumerate(order)}
-    out = [f"elements: {len(order)}"]
+    yield f"elements: {len(order)}"
     for i, x in enumerate(order):
-        out.append(f"  {i}: grade {lat.grade[x]} {element_text(x)}")
-    out.append(f"minimum: {index[lat.minimum]}")
-    out.append(f"maximum: {index[lat.maximum]}")
-    out.append(f"covers: {len(lat.covers)}")
+        yield f"  {i}: grade {lat.grade[x]} {element_text(x)}"
+    yield f"minimum: {index[lat.minimum]}"
+    yield f"maximum: {index[lat.maximum]}"
+    yield f"covers: {len(lat.covers)}"
     for a, b in lat.covers:
         label = (lat.labels or {}).get((a, b))
         suffix = f" by {label}" if label is not None else ""
-        out.append(f"  {index[a]} -> {index[b]}{suffix}")
+        yield f"  {index[a]} -> {index[b]}{suffix}"
     cert = lat.certificate
     text = {m: str(i) for m, i in cert.index_of_mask.items()}.__getitem__
     masks = cert.masks
     for name, op in (("join", or_), ("meet", and_)):
-        out.append(f"{name} table:")  # union and intersection of masks
+        yield f"{name} table:"  # union and intersection of masks
         for m in masks:  # each row built by map, not a Python step per entry
-            out.append("  " + " ".join(map(text, map(op, repeat(m), masks))))
-    out.append(
-        f"certified: size {cert.size}, grades {cert.grade_range[0]}"
-        f"..{cert.grade_range[1]}, sampled {cert.sampled}")
-    return out
+            yield "  " + " ".join(map(text, map(op, repeat(m), masks)))
+    yield (f"certified: size {cert.size}, grades {cert.grade_range[0]}"
+           f"..{cert.grade_range[1]}, sampled {cert.sampled}")
 
 
 def _hasse(lines, lattice, label):
     """The report: lines, then the lattice's Hasse diagram in DOT."""
-    return 0, lines + [lattice.poset.hasse_dot(label=label).rstrip("\n")]
+    return 0, chain(lines, lattice.poset.hasse_dot(label=label))
 
 
 def _component(args):
@@ -191,57 +208,52 @@ def _top_module(args):
 def cmd_medial(args):
     pmap, _, inputs = _load_map(args)
     quiver = pmap.quiver
-    lines = _header(args, inputs)
+    return 0, chain(_header(args, inputs), _medial_lines(args, pmap, quiver))
+
+
+def _medial_lines(args, pmap, quiver):
     if args.format == "dot":
-        lines.append("digraph medial {")
+        yield "digraph medial {"
         for e in quiver.vertices:
-            lines.append(f'  "{e}";')
+            yield f'  "{e}";'
         for a in quiver.arrow_ids:
             s, t = quiver.arrows[a]
-            lines.append(f'  "{s}" -> "{t}" [label="{a}"];')
-        lines.append("}")
-        return 0, lines
-    lines.append(f"vertices: {len(pmap.vertices)} edges: {len(pmap.edges)} "
-                 f"faces: {len(pmap.faces)}")
+            yield f'  "{s}" -> "{t}" [label="{a}"];'
+        yield "}"
+        return
+    yield (f"vertices: {len(pmap.vertices)} edges: {len(pmap.edges)} "
+           f"faces: {len(pmap.faces)}")
     for f in sorted(pmap.faces, key=cell_key):
-        lines.append(f"face {f}: " + " ".join(pmap.faces[f]))
-    lines.append(f"quiver vertices: {' '.join(quiver.vertices)}")
+        yield f"face {f}: " + " ".join(pmap.faces[f])
+    yield f"quiver vertices: {' '.join(quiver.vertices)}"
     for a in quiver.arrow_ids:
         s, t = quiver.arrows[a]
         ang = quiver.angles[a]
-        lines.append(f"arrow {a}: {s} -> {t} (vertex {ang.vertex}, "
-                     f"face {ang.face})")
-    return 0, lines
+        yield f"arrow {a}: {s} -> {t} (vertex {ang.vertex}, face {ang.face})"
 
 
 def cmd_states(args):
     dec, lines = _decoration(args)
     functions = dec.states
     lines.append(f"compatible angular functions: {len(functions)}")
-    for i, g in enumerate(functions):
-        lines.append(f"  {i}: {_fun_text(g)}")
-    return 0, lines
+    return 0, chain(lines, (f"  {i}: {_fun_text(g)}"
+                            for i, g in enumerate(functions)))
 
 
 def cmd_move_graph(args):
     dec, lines = _decoration(args)
     graph = dec.move_graph
     if args.format == "dot":
-        lines.append("digraph moves {")
-        for i, g in enumerate(graph.nodes):
-            lines.append(f'  n{i} [label="{_fun_text(g)}"];')
-        for s, t, e in graph.edges:
-            lines.append(f'  n{s} -> n{t} [label="{e}"];')
-        lines.append("}")
-        return 0, lines
-    lines.append(f"states: {len(graph.nodes)} moves: {len(graph.edges)}")
-    for i, g in enumerate(graph.nodes):
-        lines.append(f"  {i}: {_fun_text(g)}")
-    for s, t, e in graph.edges:
-        lines.append(f"  {s} -> {t} by {e}")
+        return 0, chain(lines, ["digraph moves {"], (
+            f'  n{i} [label="{_fun_text(g)}"];'
+            for i, g in enumerate(graph.nodes)), (
+            f'  n{s} -> n{t} [label="{e}"];' for s, t, e in graph.edges), ["}"])
     comps = graph.undirected_components()
-    lines.append(f"components: {len(comps)}")
-    return 0, lines
+    lines.append(f"states: {len(graph.nodes)} moves: {len(graph.edges)}")
+    return 0, chain(lines, (
+        f"  {i}: {_fun_text(g)}" for i, g in enumerate(graph.nodes)), (
+        f"  {s} -> {t} by {e}" for s, t, e in graph.edges),
+        [f"components: {len(comps)}"])
 
 
 def cmd_invisible(args):
@@ -279,8 +291,7 @@ def cmd_bms_lattice(args):
     if args.format == "dot":
         return _hasse(lines, lattice, lambda x: _dims_text(x.d))
     lines.append(f"component covers {len(lattice)} of {len(dec.states)} states")
-    lines.extend(_lattice_lines(lattice, _bms_text))
-    return 0, lines
+    return 0, chain(lines, _lattice_lines(lattice, _bms_text))
 
 
 def cmd_component(args):
@@ -309,8 +320,7 @@ def cmd_subobjects(args):
     lines.append(f"subobjects of the maximal state {_bms_text(top)}")
     if args.format == "dot":
         return _hasse(lines, below, lambda x: _dims_text(x.d))
-    lines.extend(_lattice_lines(below, _bms_text))
-    return 0, lines
+    return 0, chain(lines, _lattice_lines(below, _bms_text))
 
 
 def cmd_clock(args):
@@ -320,8 +330,7 @@ def cmd_clock(args):
         return _hasse(lines, lattice, lambda x: ",".join(x.angles))
     lines.append(f"clock lattice of {args.map} "
                  f"(marked edge {diagram.marked_edge})")
-    lines.extend(_lattice_lines(lattice, _markers_text))
-    return 0, lines
+    return 0, chain(lines, _lattice_lines(lattice, _markers_text))
 
 
 def cmd_prime_check(args):
@@ -338,9 +347,8 @@ def cmd_kauffman_states(args):
     diagram, lines = _diagram(args)
     states = enumerate_kauffman_states(diagram)
     lines.append(f"kauffman states: {len(states)}")
-    for i, state in enumerate(states):
-        lines.append(f"  {i}: " + ",".join(state.angles))
-    return 0, lines
+    return 0, chain(lines, (f"  {i}: " + ",".join(state.angles)
+                            for i, state in enumerate(states)))
 
 
 def cmd_module(args):
@@ -348,10 +356,9 @@ def cmd_module(args):
     lines.append(f"state module of the maximal state {_bms_text(top)}")
     lines.append("dims: " + " ".join(
         f"{e}:{module.dims[e]}" for e in module.vertices))
-    for a in sorted(module.arrows):
-        s, t = module.arrows[a]
-        lines.append(f"arrow {a}: {s} -> {t} {_mat_text(module.mats[a])}")
-    return 0, lines
+    return 0, chain(lines, (
+        f"arrow {a}: {s} -> {t} {_mat_text(module.mats[a])}"
+        for a, (s, t) in sorted(module.arrows.items())))
 
 
 def cmd_jacobian_check(args):
@@ -362,17 +369,19 @@ def cmd_jacobian_check(args):
         return 0, lines
     potential = reps.canonical_potential(dec.pmap, dec.omega)
     lines.append(f"potential terms: {len(potential.terms)}")
-    bad = 0
-    for i, state in enumerate(lattice.elements):
-        report = reps.state_jacobian(dec.pmap, state, potential)
-        verdict = "ok" if report.ok else "NONZERO RESIDUAL"
-        lines.append(f"state {i} ({_dims_text(state.d)}): "
-                     f"{report.arrows_checked} derivatives {verdict}")
-        for arrow, residual in report.nonzero:
-            bad += 1
-            lines.append(f"  residual at {arrow}: {_mat_text(residual)}")
-    lines.append(f"states checked: {len(lattice)} violations: {bad}")
-    return (1 if bad else 0), lines
+    found = [reps.state_jacobian(dec.pmap, state, potential)
+             for state in lattice.elements]
+    bad = sum(len(report.nonzero) for report in found)
+
+    def body():
+        for i, (state, report) in enumerate(zip(lattice.elements, found)):
+            verdict = "ok" if report.ok else "NONZERO RESIDUAL"
+            yield (f"state {i} ({_dims_text(state.d)}): "
+                   f"{report.arrows_checked} derivatives {verdict}")
+            for arrow, residual in report.nonzero:
+                yield f"  residual at {arrow}: {_mat_text(residual)}"
+        yield f"states checked: {len(lattice)} violations: {bad}"
+    return (1 if bad else 0), chain(lines, body())
 
 
 def cmd_endo(args):
@@ -384,11 +393,10 @@ def cmd_endo(args):
                  f"{_bms_text(top)}")
     lines.append(f"dimension: {ring.dimension} semisimple rank: "
                  f"{ring.gram_rank} local: {ring.is_local}")
-    for i, endo in enumerate(ring.basis):
-        blocks = " ".join(f"{e}:{_mat_text(endo[e])}"
-                          for e in module.vertices if module.dims[e])
-        lines.append(f"  basis {i}: {blocks}")
-    return 0, lines
+    shown = [e for e in module.vertices if module.dims[e]]
+    return 0, chain(lines, (
+        f"  basis {i}: " + " ".join(f"{e}:{_mat_text(endo[e])}" for e in shown)
+        for i, endo in enumerate(ring.basis)))
 
 
 def cmd_subreps(args):
@@ -400,8 +408,7 @@ def cmd_subreps(args):
                  f"{_bms_text(top)}")
     if args.format == "dot":
         return _hasse(lines, found, lambda x: _dims_text(x.dims))
-    lines.extend(_lattice_lines(found, _family_text))
-    return 0, lines
+    return 0, chain(lines, _lattice_lines(found, _family_text))
 
 
 def cmd_verify_iso(args):
@@ -416,12 +423,11 @@ def cmd_verify_iso(args):
     lines.append(f"maximal state: {_bms_text(top)}")
     lines.append(f"plus-subobjects: {len(cert.bms_lattice)} "
                  f"subrepresentations: {len(cert.subrep_lattice)}")
-    for state in cert.bms_lattice.elements:
-        lines.append(f"  {_dims_text(state.d)} -> "
-                     f"{_family_text(cert.mapping[state])}")
-    lines.append(f"order isomorphism: {cert.order_isomorphic} "
-                 f"grades match: {cert.grades_match}")
-    return (0 if cert.ok else 1), lines
+    return (0 if cert.ok else 1), chain(lines, (
+        f"  {_dims_text(state.d)} -> {_family_text(cert.mapping[state])}"
+        for state in cert.bms_lattice.elements), [
+        f"order isomorphism: {cert.order_isomorphic} "
+        f"grades match: {cert.grades_match}"])
 
 
 # ----------------------------------------------------------------------
@@ -525,6 +531,10 @@ def cmd_check_all(args):
 
     if args.path:
         folder = Path(args.path)
+        if not folder.is_dir():
+            raise InputError(f"{folder} is not a directory" if folder.exists()
+                             else f"cannot read {folder}: "
+                                  "No such file or directory")
         files = sorted(folder.glob("*.map"))
         if not files:
             raise InputError(f"no .map files in {folder}")

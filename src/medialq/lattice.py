@@ -106,16 +106,16 @@ class FinitePoset:
         k = self.meet_index(self._index[x], self._index[y])
         return None if k is None else self.elements[k]
 
-    def hasse_dot(self, label=str) -> str:
-        """Hasse diagram in DOT format, minimum at the bottom."""
-        lines = ["digraph hasse {", "  rankdir=BT;", "  node [shape=box];"]
+    def hasse_dot(self, label=str):
+        """Hasse diagram in DOT format, minimum at the bottom, one line at a
+        time."""
+        yield from ("digraph hasse {", "  rankdir=BT;", "  node [shape=box];")
         for i, x in enumerate(self.elements):
-            lines.append(f'  n{i} [label="{label(x)}"];')
+            yield f'  n{i} [label="{label(x)}"];'
         for a, b in sorted(
                 self.covers, key=lambda c: (self._index[c[0]], self._index[c[1]])):
-            lines.append(f"  n{self._index[a]} -> n{self._index[b]};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+            yield f"  n{self._index[a]} -> n{self._index[b]};"
+        yield "}"
 
 
 class Certificate(Record):

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import heapq
 from functools import cached_property
+from itertools import compress
+from operator import getitem
 
 from .planar import (MedialQuiver, PlanarMap, cell_key, connected_components,
                      read_document)
@@ -94,12 +96,13 @@ class AngleFrame:
     over the same angles share one frame and compare frames by identity.
     """
 
-    __slots__ = ("names", "position")
+    __slots__ = ("names", "position", "tokens")
     _interned = {}
 
     def __init__(self, names):
         self.names = names
         self.position = {a: i for i, a in enumerate(names)}
+        self.tokens = [()] * len(names)  # tokens[i][v] == f"{names[i]}:{v}"
 
     @classmethod
     def of(cls, names) -> "AngleFrame":
@@ -111,6 +114,18 @@ class AngleFrame:
                 raise ValueError("angle names must be sorted and distinct")
             frame = cls._interned[names] = cls(names)
         return frame
+
+    def text(self, vector) -> str:
+        """angle:value for the nonzero values of `vector`, in angle order,
+        read from ready-made tokens; the table grows to twice the largest
+        value whenever a value outgrows it."""
+        try:
+            return ",".join(map(getitem, compress(self.tokens, vector),
+                                filter(None, vector)))
+        except IndexError:
+            values = range(2 * max(vector) + 1)
+            self.tokens = [[f"{a}:{v}" for v in values] for a in self.names]
+            return self.text(vector)
 
 
 class AngularFunction:

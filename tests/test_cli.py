@@ -76,6 +76,24 @@ def test_states_uses_marked_edge_weight_by_default(capsys, maps):
     assert "compatible angular functions: 3" in out
 
 
+def test_states_with_two_digit_values(capsys, maps, tmp_path):
+    """Twelve times the Kauffman weight of the trefoil: 91 functions with
+    values up to 12, each printed as its nonzero angle:value pairs."""
+    from medialq.states import Decoration
+
+    omega = {c: 12 * v for c, v in kauffman_weight(
+        LinkDiagram(*corpus.load("trefoil"))).items()}
+    weight = tmp_path / "w.yaml"
+    weight.write_text(dump_weight_text(omega))
+    code, out, _ = run(capsys, "states", maps["trefoil"], "--weight", weight)
+    functions = Decoration.of(corpus.load("trefoil")[0], omega).states
+    assert code == 0 and len(functions) == 91
+    assert max(max(g.vector) for g in functions) == 12
+    assert out.splitlines()[4:] == [
+        f"  {i}: " + ",".join(f"{a}:{v}" for a, v in g.items() if v)
+        for i, g in enumerate(functions)]
+
+
 def test_states_with_explicit_weight_file(capsys, maps, tmp_path):
     weight = tmp_path / "w.yaml"
     weight.write_text(
@@ -208,6 +226,16 @@ def test_check_all_builtin_corpus(capsys):
     assert "diagrams checked: 7 failures: 0" in out
     assert "builtin:trefoil_sum:" in out
     assert "prime: False" in out  # reported, not a failure
+
+
+@pytest.mark.parametrize("where, message", [
+    (lambda maps: maps["hopf"], "{} is not a directory"),
+    (lambda maps: maps["hopf"].parent / "nowhere",
+     "cannot read {}: No such file or directory")], ids=["file", "missing"])
+def test_check_all_needs_a_directory(capsys, maps, where, message):
+    code, out, err = run(capsys, "check-all", where(maps))
+    assert (code, out) == (2, "")
+    assert err == f"medialq: {message.format(where(maps))}\n"
 
 
 def test_check_all_on_directory(capsys, maps):
@@ -359,6 +387,95 @@ def test_reports_are_byte_identical_across_runs(capsys, maps, tmp_path):
         assert run(capsys, "verify-iso", maps["trefoil"],
                    "--out", target)[0] == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+MAP_VERBS = ["medial", "states", "move-graph", "invisible", "nilpotency",
+             "bms-lattice", "component", "subobjects", "clock", "prime-check",
+             "kauffman-states", "module", "jacobian-check", "endo", "subreps",
+             "verify-iso"]
+
+
+@pytest.mark.parametrize("argv", [[verb] for verb in MAP_VERBS] + [
+    [verb, "--format", "dot"] for verb in (
+        "medial", "move-graph", "bms-lattice", "subobjects", "clock",
+        "subreps")], ids=" ".join)
+def test_out_writes_what_stdout_shows(capsys, maps, tmp_path, argv):
+    target = tmp_path / "report.txt"
+    code, out, _ = run(capsys, *argv, maps["figure_eight"])
+    assert run(capsys, *argv, maps["figure_eight"], "--out", target) == (
+        code, "", "")
+    assert target.read_text() == out
+    assert out.endswith("\n") and not out.endswith("\n\n")
+
+
+class RecordingStdout:
+    """A stdout that keeps every write, or raises `error` on each."""
+
+    def __init__(self, error=None):
+        self.writes, self.error = [], error
+
+    def write(self, text):
+        if self.error:
+            raise self.error
+        self.writes.append(text)
+
+    def flush(self):
+        pass
+
+
+def braid_map(tmp_path, *ks):
+    """Connected sum of (s1 s2)^k closures with a marked edge, as a file."""
+    rot, pair = corpus.braid_closure_shadow([1, 2] * ks[0], 3, prefix="p0")
+    for i, k in enumerate(ks[1:], start=1):
+        rot, pair = corpus.connected_sum(rot, pair, *corpus.braid_closure_shadow(
+            [1, 2] * k, 3, prefix=f"p{i}"))
+    pmap = build_planar_map(rot, pair)
+    marked = next(e for e in sorted(pmap.edges)
+                  if len(set(pmap.edge_faces(e))) == 2)
+    path = tmp_path / ("_".join(map(str, ks)) + ".map")
+    path.write_text(dump_map_text(pmap, marked))
+    return path
+
+
+@pytest.mark.parametrize("verb, ks", [("states", (4, 4)),
+                                      ("bms-lattice", (6,))])
+def test_reports_are_written_in_bounded_pieces(monkeypatch, tmp_path, verb,
+                                               ks):
+    """Reports of several hundred KB reach stdout in pieces of at most
+    64 KiB plus one line, which join to the whole report."""
+    from medialq import cli
+
+    args = cli.build_parser().parse_args([verb, str(braid_map(tmp_path, *ks))])
+    lines = list(args.func(args)[1])
+    stdout = RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main([verb, args.map]) == 0
+    assert "".join(stdout.writes) == "\n".join(lines) + "\n"
+    assert len(stdout.writes) > 4
+    longest = max(map(len, lines)) + 1
+    assert max(map(len, stdout.writes)) <= 64 * 1024 + longest
+
+
+def test_failed_write_exits_2(monkeypatch, capsys, maps):
+    monkeypatch.setattr(sys, "stdout", RecordingStdout(
+        OSError(28, "No space left on device")))
+    assert main(["states", str(maps["trefoil"])]) == 2
+    assert capsys.readouterr().err == (
+        "medialq: cannot write stdout: No space left on device\n")
+
+
+def test_closed_pipe_ends_quietly(monkeypatch, capsys, maps):
+    """A reader that stops reading ends the report without a message, in
+    process and at interpreter shutdown, keeping the verb's exit code."""
+    monkeypatch.setattr(sys, "stdout", RecordingStdout(BrokenPipeError(32)))
+    assert main(["prime-check", str(maps["trefoil_sum"])]) == 1
+    assert capsys.readouterr().err == ""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "medialq", "move-graph", str(maps["trefoil"])],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()  # before the child can write its first line
+    assert (proc.wait(timeout=60), proc.stderr.read()) == (0, b"")
+    proc.stderr.close()
 
 
 def test_benchmark_tracer_still_fits_the_library(tmp_path):

@@ -187,7 +187,7 @@ def test_poset_basics():
 
 
 def test_hasse_dot():
-    dot = chain(2).hasse_dot()
+    dot = "\n".join(chain(2).hasse_dot())
     assert "digraph hasse" in dot
     assert "n0 -> n1;" in dot
     assert 'label="0"' in dot
