@@ -16,6 +16,8 @@ The pipeline, bottom to top:
 * ``reps``     -- potentials, cyclic derivatives, state modules over the
   Jacobian algebra, endomorphism rings, subrepresentation lattices.
 * ``corpus``   -- small built-in families of link diagrams.
+* ``check``    -- the certified battery of one link diagram as named
+  verdicts, which ``check-all`` formats.
 * ``cli``      -- command line front end.
 """
 

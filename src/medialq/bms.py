@@ -9,15 +9,14 @@ on edges lying on invisible cycles — that rigidity pins d down uniquely.
 With nilpotency degree zero, the states reachable from (g, g, 0) form a
 finite graded distributive lattice under the pointwise order on d, with
 pointwise max/min as join/meet.  This module builds those lattices, finds
-component minima by greedy anti-moves, enumerates subobject lattices, and
-checks the forgetful projection onto plain angular functions.
+component minima by greedy anti-moves and enumerates subobject lattices.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from typing import TYPE_CHECKING
 
-from .lattice import FiniteLattice, grown_lattice
 from .planar import MedialQuiver, PlanarMap, Record
 from .states import (
     AngularFunction,
@@ -29,6 +28,9 @@ from .states import (
     mov_e,
     moved_vector,
 )
+
+if TYPE_CHECKING:  # only the two lattice growers load the lattice layer
+    from .lattice import FiniteLattice
 
 
 class RelationViolated(ValueError):
@@ -194,6 +196,8 @@ def bms_plus_lattice(pmap: PlanarMap, omega, g: AngularFunction) -> FiniteLattic
     Raises:
         NotNilpotencyZero: the closure would be infinite.
     """
+    from .lattice import grown_lattice
+
     dec = Decoration.of(pmap, omega)
     dec.require_nilpotency_zero("lattice construction needs nilpotency degree 0")
     quiver = dec.quiver
@@ -294,6 +298,8 @@ def plus_subobjects(pmap: PlanarMap, omega, xi: BMSState) -> FiniteLattice:
         NotNilpotencyZero.
         ValueError: xi is not a valid state (see ``make_bms``).
     """
+    from .lattice import grown_lattice
+
     dec = Decoration.of(pmap, omega)
     dec.require_nilpotency_zero("subobject lattice needs nilpotency degree 0")
     quiver = dec.quiver
@@ -308,51 +314,6 @@ def plus_subobjects(pmap: PlanarMap, omega, xi: BMSState) -> FiniteLattice:
 
     root = BMSState(xi.f_minus, xi.f_minus, tuple((e, 0) for e, _ in xi.d))
     return grown_lattice(root, upper, key=lambda s: s.d)
-
-
-class ProjectionReport(Record):
-    """Outcome of checking the forgetful projection onto f_plus."""
-
-    __slots__ = ("total_states", "image_size", "injective", "is_morphism",
-                 "out_degrees_match", "graph_size", "components_touched",
-                 "components_fully_covered")
-
-    @property
-    def ok(self):
-        return self.is_morphism and self.out_degrees_match
-
-
-def forgetful_projection(pmap: PlanarMap, omega, states) -> ProjectionReport:
-    """Check that xi -> f_plus maps the move graph of `states` onto the move
-    graph of plain angular functions: every move edge maps to a move edge and
-    out-degrees agree (local bijectivity on outgoing edges)."""
-    dec = Decoration.of(pmap, omega)
-    quiver = dec.quiver
-    graph = dec.move_graph
-    index = {g: i for i, g in enumerate(graph.nodes)}
-    out_of = {i: set() for i in range(len(graph.nodes))}
-    for s, t, lab in graph.edges:
-        out_of[s].add((t, lab))
-
-    states = list(states)
-    image = {xi.f_plus for xi in states}
-    is_morphism = True
-    degrees_match = True
-    for xi in states:
-        graph_out = out_of[index[xi.f_plus]]
-        bms_out = [(index[nxt.f_plus], e) for e, nxt in _moves(quiver, xi)]
-        is_morphism = is_morphism and graph_out.issuperset(bms_out)
-        degrees_match = degrees_match and len(bms_out) == len(graph_out)
-
-    comps = graph.undirected_components()
-    image_idx = {index[g] for g in image}
-    touched = [c for c in comps if image_idx & set(c)]
-    full = [c for c in touched if set(c) <= image_idx]
-    return ProjectionReport(
-        total_states=len(states), image_size=len(image),
-        injective=len(image) == len(states), is_morphism=is_morphism,
-        out_degrees_match=degrees_match, graph_size=len(graph.nodes),
-        components_touched=len(touched), components_fully_covered=len(full))
 
 
 def solve_dimension(pmap: PlanarMap, omega, f_plus, f_minus):

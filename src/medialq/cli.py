@@ -6,31 +6,16 @@ identifies what it was computed from.  Exit status is 0 for success, 1 when
 a check found a counterexample or failed to certify (an internal
 disagreement between two methods included), and 2 for unusable input.
 
-Each verb imports what it runs: the top of this module loads only the map,
-state and Kauffman layers that every map verb needs, so a state verb never
-pays for the lattice, BMS or representation layers at start-up.
+Each verb imports what it runs: the top of this module loads no library
+layer, so ``--help`` costs only argparse, and a state verb never pays for
+the lattice, BMS or representation layers.
 """
 
-from __future__ import annotations
-
 import argparse
-import hashlib
 import sys
 from itertools import chain, repeat
 from operator import and_, or_
 from pathlib import Path
-
-from . import states as st
-from .kauffman import (
-    LinkDiagram,
-    NotPrime,
-    clock_lattice,
-    enumerate_kauffman_states,
-    is_prime_diagram,
-    kauffman_weight,
-)
-from .planar import cell_key, parse_map_text
-from .states import EmptyStateSet, NotNilpotencyZero
 
 
 class InputError(Exception):
@@ -50,6 +35,8 @@ def _read_bytes(path):
 
 def _header(args, inputs):
     """The report's first lines: its verb, then each input file's sha256."""
+    import hashlib
+
     return [f"# medialq {args.verb}"] + [
         f"# input {name}: sha256 {hashlib.sha256(raw).hexdigest()}"
         for name, raw in inputs]
@@ -57,6 +44,8 @@ def _header(args, inputs):
 
 def _load_map(args):
     """(map, marked edge or None, the map file as an input)."""
+    from .planar import parse_map_text
+
     raw = _read_bytes(args.map)
     pmap, marked = parse_map_text(raw.decode("utf-8"))
     return pmap, marked, [(args.map, raw)]
@@ -65,20 +54,26 @@ def _load_map(args):
 def _decoration(args):
     """The map decorated by the --weight file, else by the Kauffman weight
     of its marked edge; with the report header naming every input."""
+    from .states import Decoration, parse_weight_text
+
     pmap, marked, inputs = _load_map(args)
     if args.weight:
         raw = _read_bytes(args.weight)
-        omega = st.parse_weight_text(raw.decode("utf-8"))
+        omega = parse_weight_text(raw.decode("utf-8"))
         inputs.append((args.weight, raw))
     elif marked is not None:
+        from .kauffman import LinkDiagram, kauffman_weight
+
         omega = kauffman_weight(LinkDiagram(pmap, marked))
     else:
         raise InputError("no --weight given and the map has no marked_edge")
-    return st.Decoration.of(pmap, omega), _header(args, inputs)
+    return Decoration.of(pmap, omega), _header(args, inputs)
 
 
 def _diagram(args):
     """The link diagram of the map, with the report header."""
+    from .kauffman import LinkDiagram
+
     pmap, marked, inputs = _load_map(args)
     if marked is None:
         raise InputError("this verb needs a link diagram with marked_edge")
@@ -212,6 +207,8 @@ def cmd_medial(args):
 
 
 def _medial_lines(args, pmap, quiver):
+    from .planar import cell_key
+
     if args.format == "dot":
         yield "digraph medial {"
         for e in quiver.vertices:
@@ -257,6 +254,8 @@ def cmd_move_graph(args):
 
 
 def cmd_invisible(args):
+    from .states import EmptyStateSet, NotNilpotencyZero, gamma_inv_connected
+
     dec, lines = _decoration(args)
     try:
         arrows = dec.invisible_arrows
@@ -267,7 +266,7 @@ def cmd_invisible(args):
     edges = dec.invisible_edges
     lines.append(f"invisible edges: {' '.join(sorted(edges)) or 'none'}")
     try:
-        connected, ncomp = st.gamma_inv_connected(dec.pmap, dec.omega)
+        connected, ncomp = gamma_inv_connected(dec.pmap, dec.omega)
         lines.append(f"invisible cycle graph components: {ncomp} "
                      f"(connected: {connected})")
     except NotNilpotencyZero:
@@ -276,6 +275,8 @@ def cmd_invisible(args):
 
 
 def cmd_nilpotency(args):
+    from .states import EmptyStateSet
+
     dec, lines = _decoration(args)
     try:
         lines.append(f"nilpotency degree: {dec.nilpotency}")
@@ -324,6 +325,8 @@ def cmd_subobjects(args):
 
 
 def cmd_clock(args):
+    from .kauffman import clock_lattice
+
     diagram, lines = _diagram(args)
     lattice = clock_lattice(diagram)
     if args.format == "dot":
@@ -344,6 +347,8 @@ def cmd_prime_check(args):
 
 
 def cmd_kauffman_states(args):
+    from .kauffman import enumerate_kauffman_states
+
     diagram, lines = _diagram(args)
     states = enumerate_kauffman_states(diagram)
     lines.append(f"kauffman states: {len(states)}")
@@ -434,92 +439,43 @@ def cmd_verify_iso(args):
 # the whole suite
 # ----------------------------------------------------------------------
 
-def _check_one_diagram(raw):
-    """All certifiable properties of one link diagram; (failures, lines)."""
-    from . import bms, reps
+def _check_report(v):
+    """(failures, lines) of one diagram's ``check.Verdicts``."""
+    lines, failures = [], []
 
-    lines = []
-    failures = []
+    def show(label, value, holds=True, failure=None):
+        if isinstance(value, Exception):  # the verdict of a failed stage
+            holds, failure = False, f"{label}: {type(value).__name__}: {value}"
+            value = f"ERROR {type(value).__name__}: {value}"
+        if not holds:
+            failures.append(failure)
+        lines.append(f"  {label}: {value}")
 
-    def check(label, fn):
-        try:
-            outcome = fn()
-        except Exception as exc:  # honest reporting beats early exit here
-            failures.append(f"{label}: {type(exc).__name__}: {exc}")
-            lines.append(f"  {label}: ERROR {type(exc).__name__}: {exc}")
-        else:
-            lines.append(f"  {label}: {outcome}")
-
-    diagram = LinkDiagram.from_text(raw.decode("utf-8"))
-    pmap = diagram.pmap
-    omega = kauffman_weight(diagram)
-    dec = st.Decoration.of(pmap, omega)
-    quiver = dec.quiver
-
-    states = enumerate_kauffman_states(diagram)
-    lines.append(f"  kauffman states (dual enumeration agrees): {len(states)}")
-
-    check("nilpotency degree", lambda: dec.nilpotency)
-    check("invisible cycle graph components",
-          lambda: st.gamma_inv_components(pmap, omega))
-
-    graph = dec.move_graph
-    comps = graph.undirected_components()
-    lines.append(f"  angular functions: {len(graph.nodes)} in {len(comps)} "
-                 "component(s)")
-    lattices = []
-    for comp in comps:
-        lattice = dec.component_lattice(graph.nodes[comp[0]])
-        lattices.append(lattice)
-        if len(lattice) != len(comp):
-            failures.append(
-                f"lattice size {len(lattice)} != component size {len(comp)}")
-    lines.append("  certified component lattices: "
-                 + " ".join(str(len(l)) for l in lattices))
-    projection = bms.forgetful_projection(pmap, omega,
-                                          [x for l in lattices
-                                           for x in l.elements])
-    if not projection.ok:
-        failures.append("forgetful projection is not a move-graph isomorphism")
-    lines.append(f"  projection onto the move graph: ok={projection.ok}")
-
-    potential = reps.canonical_potential(pmap, omega)
-    violations = 0
-    for lattice in lattices:
-        for state in lattice.elements:
-            violations += len(
-                reps.state_jacobian(pmap, state, potential).nonzero)
-    if violations:
-        failures.append(f"{violations} nonzero cyclic-derivative residuals")
-    lines.append(f"  cyclic-derivative residuals: {violations}")
-
-    prime = is_prime_diagram(diagram)
-    lines.append(f"  prime: {prime}")
-    if prime:
-        clock = clock_lattice(diagram)
-        if len(clock) != len(states):
-            failures.append(
-                f"clock lattice has {len(clock)} of {len(states)} states")
-        lines.append(f"  clock lattice: {len(clock)} states")
-
-    top = max(lattices, key=len).maximum
-    module = reps.state_module(pmap, top)
-    if not reps.is_nilpotent(module):
+    sizes = v.component_sizes
+    show("kauffman states (dual enumeration agrees)", v.kauffman_states)
+    show("nilpotency degree", v.nilpotency)
+    show("invisible cycle graph components", v.invisible_components)
+    show("angular functions", f"{sum(sizes)} in {len(sizes)} component(s)")
+    failures += [f"lattice size {lat} != component size {comp}"
+                 for lat, comp in zip(v.lattice_sizes, sizes) if lat != comp]
+    show("certified component lattices", " ".join(map(str, v.lattice_sizes)))
+    show("projection onto the move graph", f"ok={v.projection_ok}",
+         v.projection_ok, "forgetful projection is not a move-graph isomorphism")
+    show("cyclic-derivative residuals", v.residuals, not v.residuals,
+         f"{v.residuals} nonzero cyclic-derivative residuals")
+    show("prime", v.prime)
+    if v.prime:
+        show("clock lattice", f"{v.clock_size} states",
+             v.clock_size == v.kauffman_states,
+             f"clock lattice has {v.clock_size} of {v.kauffman_states} states")
+    if not v.module_nilpotent:
         failures.append("maximal state module is not nilpotent")
-    check("maximal module indecomposable (methods agree)",
-          lambda: reps.is_indecomposable(module, omega))
-    anti = frozenset(e for e in quiver.vertices
-                     if bms.is_bms_anti_movable(quiver, top, e))
-    if reps.simple_quotients(module) != anti:
-        failures.append("simple quotients do not match anti-movable edges")
-    lines.append(f"  simple quotients = anti-movable edges: "
-                 f"{sorted(anti) or 'none'}")
-    cert = reps.verify_subrep_isomorphism(pmap, omega, top, module)
-    if not cert.ok:
-        failures.append("subobject/subrepresentation lattices disagree")
-    lines.append(f"  subrep lattice isomorphism: ok={cert.ok} "
-                 f"size={len(cert.bms_lattice)}")
-
+    show("maximal module indecomposable (methods agree)", v.indecomposable)
+    show("simple quotients = anti-movable edges",
+         sorted(v.anti_movable) or "none", v.quotients_match,
+         "simple quotients do not match anti-movable edges")
+    show("subrep lattice isomorphism", f"ok={v.subrep_iso} size={v.subrep_size}",
+         v.subrep_iso, "subobject/subrepresentation lattices disagree")
     return failures, lines
 
 
@@ -527,6 +483,8 @@ def cmd_check_all(args):
     from importlib import resources
 
     from . import corpus
+    from .check import check_diagram
+    from .kauffman import LinkDiagram
     from .reps import CandidateSpaceTooLarge
 
     if args.path:
@@ -544,23 +502,19 @@ def cmd_check_all(args):
         sources = [(f"builtin:{name}",
                     folder.joinpath(f"{name}.map").read_bytes())
                    for name in corpus.names()]
-    lines = _header(args, sources)
-    total_failures = []
+    lines, failed = _header(args, sources), 0
     for name, raw in sources:
-        lines.append(f"{name}:")
         try:
-            failures, body = _check_one_diagram(raw)
+            verdicts = check_diagram(LinkDiagram.from_text(raw.decode("utf-8")))
         except CandidateSpaceTooLarge:
             raise  # a refusal, reported without the diagram's name
         except ValueError as exc:
             raise InputError(f"{name}: {exc}") from exc
-        lines.extend(body)
-        for f in failures:
-            lines.append(f"  FAIL: {f}")
-        total_failures.extend((name, f) for f in failures)
-    lines.append(f"diagrams checked: {len(sources)} "
-                 f"failures: {len(total_failures)}")
-    return (1 if total_failures else 0), lines
+        failures, body = _check_report(verdicts)
+        lines += [f"{name}:", *body, *(f"  FAIL: {f}" for f in failures)]
+        failed += len(failures)
+    lines.append(f"diagrams checked: {len(sources)} failures: {failed}")
+    return (1 if failed else 0), lines
 
 
 # ----------------------------------------------------------------------
@@ -613,19 +567,18 @@ def build_parser():
 
 def main(argv=None) -> int:
     """Run one verb.  Exit 1 on a counterexample or an internal disagreement
-    (``lattice.CertificationFailed`` is an ``AssertionError``), exit 2 on
-    unusable input or a refusal (every input error, and
-    ``reps.CandidateSpaceTooLarge``, is a ``ValueError``)."""
+    (an ``AssertionError``, as ``lattice.CertificationFailed`` is, or a
+    ``kauffman.NotPrime``), exit 2 on unusable input or a refusal (every
+    other ``ValueError``, ``reps.CandidateSpaceTooLarge`` included)."""
     args = build_parser().parse_args(argv)
     try:
         code, lines = args.func(args)
         _emit(args, lines)
-    except (NotPrime, AssertionError) as exc:
+    except (AssertionError, InputError, ValueError) as exc:
         print(f"medialq: {exc}", file=sys.stderr)
-        return 1
-    except (InputError, ValueError) as exc:
-        print(f"medialq: {exc}", file=sys.stderr)
-        return 2
+        kauffman = sys.modules.get("medialq.kauffman")  # NotPrime's only source
+        found = (AssertionError,) + ((kauffman.NotPrime,) if kauffman else ())
+        return 1 if isinstance(exc, found) else 2
     return code
 
 

@@ -82,26 +82,22 @@ def _torus_shadow(n, prefix=""):
     return braid_closure_shadow([1] * n, 2, prefix=prefix)
 
 
-def _builtin_sources():
-    tref_rot, tref_pair = _torus_shadow(3)
-    out = {
-        "hopf": _torus_shadow(2),
-        "trefoil": (tref_rot, tref_pair),
-        "figure_eight": braid_closure_shadow([1, 2, 1, 2], 3),
-        "torus_2_4": _torus_shadow(4),
-        "torus_2_5": _torus_shadow(5),
-        "torus_2_6": _torus_shadow(6),
-    }
-    s1 = _torus_shadow(3, prefix="x")
-    s2 = _torus_shadow(3, prefix="y")
-    out["trefoil_sum"] = connected_sum(*s1, *s2)
-    return out
+# Corpus name -> rotation system, as (rotations, pairing).
+SOURCES = {
+    "hopf": lambda: _torus_shadow(2),
+    "trefoil": lambda: _torus_shadow(3),
+    "figure_eight": lambda: braid_closure_shadow([1, 2, 1, 2], 3),
+    "torus_2_4": lambda: _torus_shadow(4),
+    "torus_2_5": lambda: _torus_shadow(5),
+    "torus_2_6": lambda: _torus_shadow(6),
+    "trefoil_sum": lambda: connected_sum(*_torus_shadow(3, prefix="x"),
+                                         *_torus_shadow(3, prefix="y")),
+}
 
 
 def generate(name):
     """Build a corpus map from scratch (ignoring the shipped file)."""
-    rotations, pairing = _builtin_sources()[name]
-    pmap = build_planar_map(rotations, pairing)
+    pmap = build_planar_map(*SOURCES[name]())
     return pmap, _default_marked_edge(pmap)
 
 
@@ -115,7 +111,7 @@ def _default_marked_edge(pmap):
 
 
 def names():
-    return sorted(_builtin_sources())
+    return sorted(SOURCES)
 
 
 def load(name) -> tuple[PlanarMap, str]:

@@ -6,8 +6,8 @@ from medialq import bms, corpus
 from medialq.lattice import (FiniteLattice, certify_graded_distributive_lattice,
                              grown_lattice, require_certificate)
 from medialq.linalg import Matrix, hstack_all
-from medialq.planar import (PlanarMap, build_planar_map, connected_components,
-                            dump_map_text)
+from medialq.planar import (PlanarMap, Record, build_planar_map,
+                            connected_components, dump_map_text)
 from medialq.reps import QuiverRep
 from medialq.states import (AngularFunction, Decoration, anti_mov_e,
                             is_anti_e_movable, is_e_movable)
@@ -237,6 +237,52 @@ def subobjects_by_name(pmap, omega, xi):
     root = bms.BMSState(xi.f_minus, xi.f_minus,
                         tuple((e, 0) for e, _ in xi.d))
     return grown_lattice(root, upper, key=lambda s: s.d)
+
+
+class ProjectionReport(Record):
+    """Outcome of checking the forgetful projection onto f_plus."""
+
+    __slots__ = ("total_states", "image_size", "injective", "is_morphism",
+                 "out_degrees_match", "graph_size", "components_touched",
+                 "components_fully_covered")
+
+    @property
+    def ok(self):
+        return self.is_morphism and self.out_degrees_match
+
+
+def forgetful_projection(pmap, omega, states) -> ProjectionReport:
+    """Oracle of ``check.projects_onto``: does xi -> f_plus map the moves of
+    `states`, made by name, onto the move graph of the plain angular
+    functions?  Every move maps to a move and out-degrees agree (local
+    bijectivity on outgoing edges); how much of the graph is covered, and
+    whether one-to-one, is reported beside."""
+    dec = Decoration.of(pmap, omega)
+    graph = dec.move_graph
+    index = {g: i for i, g in enumerate(graph.nodes)}
+    out_of = {i: set() for i in range(len(graph.nodes))}
+    for s, t, lab in graph.edges:
+        out_of[s].add((t, lab))
+
+    states = list(states)
+    image = {xi.f_plus for xi in states}
+    is_morphism = True
+    degrees_match = True
+    for xi in states:
+        graph_out = out_of[index[xi.f_plus]]
+        bms_out = [(index[nxt.f_plus], e)
+                   for e, nxt in moves_by_name(dec.quiver, xi)]
+        is_morphism = is_morphism and graph_out.issuperset(bms_out)
+        degrees_match = degrees_match and len(bms_out) == len(graph_out)
+
+    image_idx = {index[g] for g in image}
+    touched = [c for c in graph.undirected_components() if image_idx & set(c)]
+    full = [c for c in touched if set(c) <= image_idx]
+    return ProjectionReport(
+        total_states=len(states), image_size=len(image),
+        injective=len(image) == len(states), is_morphism=is_morphism,
+        out_degrees_match=degrees_match, graph_size=len(graph.nodes),
+        components_touched=len(touched), components_fully_covered=len(full))
 
 
 def component_minimum_by_name(pmap, h, choose):

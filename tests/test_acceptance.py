@@ -21,7 +21,7 @@ from medialq.kauffman import (
     kauffman_weight,
 )
 from medialq.planar import build_planar_map, medial_quiver
-from conftest import (TRIANGLE_PAIR, TRIANGLE_ROT,
+from conftest import (TRIANGLE_PAIR, TRIANGLE_ROT, forgetful_projection,
                       gamma_inv_components_bruteforce, join_table,
                       meet_table)
 
@@ -112,8 +112,7 @@ def test_criterion_4_component_lattices_and_projection(corpus_maps):
             lattices_checked += 1
             assert not lattice.certificate.sampled  # (a) certified exactly
             # (b) forgetting d is an order isomorphism onto the component
-            report = bms.forgetful_projection(pmap, omega,
-                                              lattice.elements)
+            report = forgetful_projection(pmap, omega, lattice.elements)
             assert report.ok and report.injective
             assert report.components_touched == 1
             assert report.components_fully_covered == 1

@@ -16,7 +16,7 @@ from medialq.lattice import CertificationFailed
 from medialq.planar import medial_quiver
 from medialq.states import NotMovable, NotNilpotencyZero
 
-from conftest import join_table
+from conftest import forgetful_projection, join_table
 
 
 def kauffman_like_weight(pmap, marked):
@@ -268,13 +268,13 @@ def test_plus_subobjects_validates_only_root_and_state(figure_eight_setup,
 def test_forgetful_projection_covers_component(trefoil_setup):
     pmap, omega, quiver, states = trefoil_setup
     lat = lattice_from_bottom(pmap, omega, quiver, states)
-    report = bms.forgetful_projection(pmap, omega, lat.elements)
+    report = forgetful_projection(pmap, omega, lat.elements)
     assert report.ok and report.injective
     assert report.components_fully_covered == 1
     # feeding every (g, g, 0) covers all
 
     roots = [bms.make_bms(pmap, omega, g, g, {}) for g in states]
-    full = bms.forgetful_projection(pmap, omega, roots)
+    full = forgetful_projection(pmap, omega, roots)
     assert full.image_size == full.graph_size
 
 

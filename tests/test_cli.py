@@ -536,6 +536,15 @@ def test_certification_failure_exits_1(capsys, maps, monkeypatch):
     assert err == "medialq: lattice reaches 2 of 3 states\n"
 
 
+def test_clock_on_a_non_prime_diagram_exits_1(capsys, maps):
+    """kauffman.NotPrime is a finding (exit 1), not bad input, also where
+    main looks it up in a fresh interpreter."""
+    code, out, err = run(capsys, "clock", maps["trefoil_sum"])
+    assert (code, out) == (1, "")
+    assert err == "medialq: separating edge pair ('e0', 'e1')\n"
+    assert run_fresh("clock", maps["trefoil_sum"])[:2] == ("", 1)
+
+
 def test_candidate_space_refusal_exits_2(capsys, maps, monkeypatch):
     from medialq import cli, reps
 
@@ -569,12 +578,17 @@ def test_cli_import_leaves_networkx_out():
 
 
 # Modules a verb must not load: dataclasses and PyYAML (a test-only
-# dependency) everywhere; the representation layer (and the exact rationals
-# behind it) in the verbs that build no module; and for the verbs that
-# build no lattice also the lattice and BMS layers.
+# dependency) everywhere; the check-all pipeline in every other verb; the
+# representation layer (and the exact rationals behind it) in the verbs
+# that build no module; for the verbs that build no lattice also the
+# lattice and BMS layers; and before a verb runs (--help, a usage error) any
+# library layer, or the OpenSSL behind hashlib.
 NEVER = ("dataclasses", "yaml")
-REPS = NEVER + ("medialq.reps", "medialq.linalg", "fractions")
+PIPELINE = NEVER + ("medialq.check",)
+REPS = PIPELINE + ("medialq.reps", "medialq.linalg", "fractions")
 LATTICES = REPS + ("medialq.lattice", "medialq.bms")
+START = LATTICES + ("medialq.planar", "medialq.states", "medialq.kauffman",
+                    "hashlib")
 BUDGETS = [
     ("states", "trefoil", LATTICES),
     ("move-graph", "trefoil", LATTICES),
@@ -582,35 +596,50 @@ BUDGETS = [
     ("nilpotency", "trefoil", LATTICES),
     ("prime-check", "trefoil_sum", LATTICES),
     ("kauffman-states", "trefoil", LATTICES),
-    ("medial", "trefoil", LATTICES),
-    ("--help", None, LATTICES),
-    ("component", "figure_eight", REPS),
+    ("medial", "trefoil", LATTICES + ("medialq.states", "medialq.kauffman")),
+    ("--help", None, START),
+    ("component", "figure_eight", REPS + ("medialq.lattice",)),
     ("bms-lattice", "trefoil", REPS),
     ("clock", "trefoil", REPS),
-    ("verify-iso", "figure_eight", NEVER),
-    ("subreps", "figure_eight", NEVER),
-    ("jacobian-check", "figure_eight", NEVER),
+    ("verify-iso", "figure_eight", PIPELINE),
+    ("subreps", "figure_eight", PIPELINE),
+    ("jacobian-check", "figure_eight", PIPELINE),
     ("check-all", None, NEVER),  # the built-in corpus
 ]
+
+
+def run_fresh(*argv):
+    """(stdout, exit status, modules loaded) of ``main(argv)`` in a fresh
+    interpreter."""
+    probe = ("import sys\n"
+             "from medialq.cli import main\n"
+             "try:\n"
+             "    code = main(sys.argv[1:])\n"
+             "except SystemExit as exc:\n"  # --help, or a usage error
+             "    code = exc.code\n"
+             "print(code, *sorted(sys.modules), file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", probe, *map(str, argv)],
+                          capture_output=True, text=True, check=True)
+    code, *loaded = proc.stderr.splitlines()[-1].split()
+    return proc.stdout, int(code), set(loaded)
 
 
 @pytest.mark.parametrize("verb, name, unloaded", BUDGETS,
                          ids=[verb for verb, _, _ in BUDGETS])
 def test_verb_loads_only_what_it_runs(maps, verb, name, unloaded):
-    probe = ("import sys\n"
-             "from medialq.cli import main\n"
-             "try:\n"
-             "    main(sys.argv[1:])\n"
-             "except SystemExit:\n"  # --help
-             "    pass\n"
-             "print(*sorted(sys.modules), file=sys.stderr)\n")
-    proc = subprocess.run(
-        [sys.executable, "-c", probe, verb] + ([str(maps[name])] if name else []),
-        capture_output=True, text=True, check=True)
-    assert proc.stdout  # the verb ran and reported
-    loaded = set(proc.stderr.split())
+    out, code, loaded = run_fresh(verb, *([maps[name]] if name else []))
+    assert out and code in (0, 1)  # the verb ran and reported
     assert "medialq.cli" in loaded
     assert loaded.isdisjoint(unloaded), sorted(loaded & set(unloaded))
+
+
+def test_usage_error_loads_no_library_layer():
+    """argparse refuses a verb without its map (exit 2) before any library
+    layer is loaded."""
+    out, code, loaded = run_fresh("states")
+    assert (out, code) == ("", 2)
+    assert "medialq.cli" in loaded
+    assert loaded.isdisjoint(START), sorted(loaded & set(START))
 
 
 def test_check_all_builds_no_module_per_lattice_element(
