@@ -292,7 +292,10 @@ def plus_subobjects(pmap: PlanarMap, omega, xi: BMSState) -> FiniteLattice:
     where d' is largest.  If no edge of S were anti-movable, f_minus would
     vanish on a directed cycle inside S; that cycle would be invisible, and
     d, hence d', is zero on invisible edges.  So d' minus one at some edge
-    of S is again a state.
+    of S is again a state.  For xi the maximum of ``bms_plus_lattice`` from
+    (g0, g0, 0), this is that lattice, masks and all: both grow by moves from
+    that root, and the cap d' <= d never binds, as each cover raises d by one
+    at its label and every element lies below the certified maximum.
 
     Raises:
         NotNilpotencyZero.

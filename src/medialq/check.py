@@ -69,14 +69,15 @@ def check_diagram(diagram) -> Verdicts:
     prime = is_prime_diagram(diagram)
     clock_size = len(clock_lattice(diagram)) if prime else None
 
-    top = max(lattices, key=len).maximum
+    largest = max(lattices, key=len)
+    top = largest.maximum
     module = reps.state_module(pmap, top)
     module_nilpotent = reps.is_nilpotent(module)
     indecomposable = _attempt(lambda: reps.is_indecomposable(module, omega))
     anti = frozenset(e for e in dec.quiver.vertices
                      if bms.is_bms_anti_movable(dec.quiver, top, e))
     quotients_match = reps.simple_quotients(module) == anti
-    cert = reps.verify_subrep_isomorphism(pmap, omega, top, module)
+    cert = reps.verify_subrep_isomorphism(largest, module, omega)
 
     return Verdicts(
         kauffman_states=len(states), nilpotency=nilpotency,

@@ -311,17 +311,14 @@ def cmd_component(args):
 
 
 def cmd_subobjects(args):
-    from .bms import plus_subobjects
-
-    dec, lattice, lines = _component(args)
+    _, lattice, lines = _component(args)
     if lattice is None:
         return 0, lines
-    top = lattice.maximum
-    below = plus_subobjects(dec.pmap, dec.omega, top)
+    top = lattice.maximum  # its plus-subobjects: its component lattice
     lines.append(f"subobjects of the maximal state {_bms_text(top)}")
     if args.format == "dot":
-        return _hasse(lines, below, lambda x: _dims_text(x.d))
-    return 0, chain(lines, _lattice_lines(below, _bms_text))
+        return _hasse(lines, lattice, lambda x: _dims_text(x.d))
+    return 0, chain(lines, _lattice_lines(lattice, _bms_text))
 
 
 def cmd_clock(args):
@@ -423,8 +420,8 @@ def cmd_verify_iso(args):
     if lattice is None:
         return 0, lines
     top = lattice.maximum
-    cert = verify_subrep_isomorphism(dec.pmap, dec.omega, top,
-                                     state_module(dec.pmap, top))
+    cert = verify_subrep_isomorphism(lattice, state_module(dec.pmap, top),
+                                     dec.omega)
     lines.append(f"maximal state: {_bms_text(top)}")
     lines.append(f"plus-subobjects: {len(cert.bms_lattice)} "
                  f"subrepresentations: {len(cert.subrep_lattice)}")

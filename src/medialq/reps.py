@@ -20,13 +20,16 @@ from __future__ import annotations
 from functools import cached_property
 from fractions import Fraction
 from math import inf, lcm
+from typing import TYPE_CHECKING
 
-from .bms import BMSState, plus_subobjects
 from .lattice import (CertificationFailed, FiniteLattice, grown_lattice,
                       is_order_isomorphism)
 from .linalg import Matrix, ShapeMismatch, hstack_all
 from .planar import MedialQuiver, PlanarMap, Record, connected_components
 from .states import AngleFrame, Decoration, check_cycle, is_characteristic
+
+if TYPE_CHECKING:  # states reach this module only as arguments
+    from .bms import BMSState
 
 
 class EmptySupport(ValueError):
@@ -644,23 +647,17 @@ class SubrepIsoCertificate(Record):
     def ok(self):
         return self.order_isomorphic and self.grades_match
 
-    @property
-    def size(self):
-        return len(self.bms_lattice)
 
-
-def verify_subrep_isomorphism(pmap: PlanarMap, omega, xi: BMSState,
-                              module: QuiverRep) -> SubrepIsoCertificate:
-    """Check that xi' -> (k_e = d'(e)) is an order isomorphism from the
-    plus-subobjects of xi onto the subrepresentation lattice of module, the
-    state module of xi as the caller built it, matching the grading on both
-    sides.
+def verify_subrep_isomorphism(below: FiniteLattice, module: QuiverRep,
+                              omega) -> SubrepIsoCertificate:
+    """Check that xi' -> (k_e = d'(e)) is an order isomorphism matching grades
+    from below, the plus-subobjects of a state xi (of a component maximum: its
+    component lattice), onto the subrepresentations of module, built from xi.
 
     Raises:
-        NotNilpotencyZero, NotCharacteristicWeight, CandidateSpaceTooLarge,
-        CertificationFailed: propagated from the two lattice constructions.
+        NotCharacteristicWeight, CandidateSpaceTooLarge, CertificationFailed:
+        propagated from ``enumerate_subreps``.
     """
-    below = plus_subobjects(pmap, omega, xi)
     subreps = enumerate_subreps(module, omega)
     mapping = {s: PrefixFamily(s.d) for s in below.elements}
     iso = is_order_isomorphism(below, subreps, mapping)

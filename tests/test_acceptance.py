@@ -174,7 +174,7 @@ def test_criterion_6_representation_theorems(corpus_maps):
         anti = frozenset(e for e in quiver.vertices
                          if bms.is_bms_anti_movable(quiver, top, e))
         assert reps.simple_quotients(module) == anti
-        cert = reps.verify_subrep_isomorphism(pmap, omega, top, module)
+        cert = reps.verify_subrep_isomorphism(lattice, module, omega)
         assert cert.ok
         assert len(cert.bms_lattice) == expected
         assert len(cert.subrep_lattice) == expected

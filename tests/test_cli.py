@@ -492,12 +492,32 @@ def test_benchmark_tracer_still_fits_the_library(tmp_path):
                            "check-all"], capture_output=True, text=True)
     assert (proc.returncode, plain.returncode) == (0, 0), proc.stderr
     assert proc.stdout == plain.stdout
-    counters = json.loads(trace.read_text())["counters"]
+    summary = json.loads(trace.read_text())
+    counters, calls = summary["counters"], summary["calls"]
     assert {name: counters.get(name) for name in (
         "bms.subobject_candidates", "bms.subobjects_kept",
         "reps.subrep_candidates", "reps.subreps_kept")} == {
-        "bms.subobject_candidates": 61, "bms.subobjects_kept": 34,
+        "bms.subobject_candidates": None, "bms.subobjects_kept": None,
         "reps.subrep_candidates": 61, "reps.subreps_kept": 34}
+    assert calls["lattice.certify_graded_distributive_lattice"] == 14
+
+
+def test_no_verb_grows_the_plus_subobjects_again(capsys, maps, monkeypatch):
+    """subobjects, verify-iso and check-all read the plus-subobjects of the
+    maximum from the component lattice they already hold."""
+    from medialq import bms
+
+    runs = [("subobjects", maps["figure_eight"]),
+            ("subobjects", maps["figure_eight"], "--format", "dot"),
+            ("verify-iso", maps["figure_eight"]), ("check-all",)]
+    plain = [run(capsys, *argv) for argv in runs]
+
+    def grow(*args):
+        raise AssertionError("plus_subobjects called by a verb")
+
+    monkeypatch.setattr(bms, "plus_subobjects", grow)
+    assert [run(capsys, *argv) for argv in runs] == plain
+    assert [code for code, _, _ in plain] == [0, 0, 0, 0]
 
 
 def test_module_entry_point(maps):

@@ -395,7 +395,7 @@ def test_subrep_isomorphism_certificates(trefoil_setup, figure_eight_setup):
         pmap, omega, quiver, lattice = setup
         top = top_state(lattice)
         cert = reps.verify_subrep_isomorphism(
-            pmap, omega, top, reps.state_module(pmap, top))
+            lattice, reps.state_module(pmap, top), omega)
         assert cert.ok
         assert len(cert.bms_lattice) == len(cert.subrep_lattice) == expected
         for state, family in cert.mapping.items():
@@ -403,8 +403,9 @@ def test_subrep_isomorphism_certificates(trefoil_setup, figure_eight_setup):
     pmap, omega, quiver, lattice = trefoil_setup
     bottom = bottom_state(lattice)
     trivial = reps.verify_subrep_isomorphism(
-        pmap, omega, bottom, reps.state_module(pmap, bottom))
-    assert trivial.ok and trivial.size == 1
+        bms.plus_subobjects(pmap, omega, bottom),
+        reps.state_module(pmap, bottom), omega)
+    assert trivial.ok and len(trivial.bms_lattice) == 1
 
 
 def test_quiver_rep_validation(trefoil_setup):
