@@ -241,14 +241,13 @@ def _reconstruct_plus(below, step):
     return _moved(below, step) if v[step[2]] and v[step[3]] else None
 
 
-def component_minimum(pmap: PlanarMap, omega, h: AngularFunction,
-                      choose=None):
+def component_minimum(pmap: PlanarMap, omega, h: AngularFunction):
     """Greedy anti-moves from h until stuck: (terminal f_minus, accumulated d).
 
     The terminal function is the minimum of h's move-graph component and the
     accumulated dimension vector makes (h, f_minus, d) a valid state; the
-    result does not depend on the greedy order (tested, not assumed).
-    `choose` picks among the currently anti-movable edges (default: first).
+    result does not depend on the greedy order (tested, not assumed), so
+    each anti-move takes the first anti-movable edge of the step table.
 
     Raises:
         NotNilpotencyZero: descent is not guaranteed to terminate otherwise.
@@ -258,18 +257,16 @@ def component_minimum(pmap: PlanarMap, omega, h: AngularFunction,
     dec.require_nilpotency_zero("greedy descent needs nilpotency degree 0")
     quiver = dec.quiver
     _check_compatible(dec, h, "h")
-    if choose is None:
-        choose = lambda options: options[0]
     v, d = h.vector, [0] * len(quiver.vertices)
     fuel = DESCENT_FUEL
     while True:  # anti-moves by the step table: positive at both incoming
-        options = {s[0]: s for s in quiver.steps if v[s[4]] and v[s[5]]}
-        if not options:
+        step = next((s for s in quiver.steps if v[s[4]] and v[s[5]]), None)
+        if step is None:
             break
         if fuel == 0:  # the nilpotency gate should make this unreachable
             raise AssertionError("greedy descent did not terminate")
         fuel -= 1
-        _, n, i, j, k, l = options[choose(list(options))]
+        _, n, i, j, k, l = step
         v = moved_vector(v, k, l, i, j)
         d[n] += 1
     current = AngularFunction.from_vector(h.frame, v)

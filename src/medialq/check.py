@@ -24,7 +24,7 @@ class Verdicts(Record):
                  "component_sizes", "lattice_sizes", "projection_ok",
                  "residuals", "prime", "clock_size", "module_nilpotent",
                  "indecomposable", "anti_movable", "quotients_match",
-                 "subrep_iso", "subrep_size")
+                 "subrep_iso")
 
 
 def _attempt(fn):
@@ -86,4 +86,4 @@ def check_diagram(diagram) -> Verdicts:
         residuals=residuals, prime=prime, clock_size=clock_size,
         module_nilpotent=module_nilpotent, indecomposable=indecomposable,
         anti_movable=anti, quotients_match=quotients_match,
-        subrep_iso=cert.ok, subrep_size=len(cert.bms_lattice))
+        subrep_iso=cert.ok)

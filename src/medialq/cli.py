@@ -133,9 +133,9 @@ def _bms_text(xi):
     return f"d={_dims_text(xi.d)} f+={_fun_text(xi.f_plus)}"
 
 
-def _family_text(family):
-    """A prefix family by its prefix lengths."""
-    return f"k={_dims_text(family.dims)}"
+def _family_text(k):
+    """A subrepresentation by its prefix lengths."""
+    return f"k={_dims_text(k)}"
 
 
 def _markers_text(state):
@@ -409,7 +409,7 @@ def cmd_subreps(args):
     lines.append(f"subrepresentations of the maximal state module "
                  f"{_bms_text(top)}")
     if args.format == "dot":
-        return _hasse(lines, found, lambda x: _dims_text(x.dims))
+        return _hasse(lines, found, _dims_text)
     return 0, chain(lines, _lattice_lines(found, _family_text))
 
 
@@ -423,11 +423,11 @@ def cmd_verify_iso(args):
     cert = verify_subrep_isomorphism(lattice, state_module(dec.pmap, top),
                                      dec.omega)
     lines.append(f"maximal state: {_bms_text(top)}")
-    lines.append(f"plus-subobjects: {len(cert.bms_lattice)} "
+    lines.append(f"plus-subobjects: {len(lattice)} "
                  f"subrepresentations: {len(cert.subrep_lattice)}")
     return (0 if cert.ok else 1), chain(lines, (
-        f"  {_dims_text(state.d)} -> {_family_text(cert.mapping[state])}"
-        for state in cert.bms_lattice.elements), [
+        f"  {_dims_text(state.d)} -> {_family_text(state.d)}"
+        for state in lattice.elements), [
         f"order isomorphism: {cert.order_isomorphic} "
         f"grades match: {cert.grades_match}"])
 
@@ -471,7 +471,8 @@ def _check_report(v):
     show("simple quotients = anti-movable edges",
          sorted(v.anti_movable) or "none", v.quotients_match,
          "simple quotients do not match anti-movable edges")
-    show("subrep lattice isomorphism", f"ok={v.subrep_iso} size={v.subrep_size}",
+    show("subrep lattice isomorphism",
+         f"ok={v.subrep_iso} size={max(v.lattice_sizes)}",
          v.subrep_iso, "subobject/subrepresentation lattices disagree")
     return failures, lines
 

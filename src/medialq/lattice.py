@@ -6,10 +6,10 @@ nothing lies strictly between a cover's ends.  Then it checks Birkhoff's
 representation theorem directly: with J the join-irreducible elements (one
 lower cover each), x -> J ∩ ↓x must be an isomorphism onto the down-sets of
 J, at cost O(n·|J|), exact at every size.  A certified lattice answers order,
-joins, meets and isomorphisms from the Certificate's bitmasks J ∩ ↓x and its
-covers; transitive closures are built only for bare posets and to name the
-elements of a Counterexample.  ``grown_lattice`` finds a lattice by
-breadth-first cover steps from its minimum and certifies it.
+joins and meets from the Certificate's bitmasks J ∩ ↓x; transitive closures
+are built only for bare posets and to name the elements of a Counterexample.
+``grown_lattice`` finds a lattice by breadth-first cover steps from its
+minimum and certifies it.
 """
 
 from __future__ import annotations
@@ -382,12 +382,3 @@ def grown_lattice(root, upper, key) -> FiniteLattice:
     outcome = certify_graded_distributive_lattice(poset, grade=grade)
     return FiniteLattice(poset, require_certificate(outcome), labels)
 
-
-def is_order_isomorphism(p: FiniteLattice, q: FiniteLattice, mapping) -> bool:
-    """True iff mapping is a bijection p -> q preserving order both ways:
-    the covers of a certified lattice are its Hasse diagram, so iff mapping
-    sends the covers of p onto those of q."""
-    return (len(p) == len(q) and set(mapping) == set(p.elements)
-            and set(mapping.values()) == set(q.elements)
-            and {(mapping[a], mapping[b]) for a, b in p.covers}
-            == set(q.covers))

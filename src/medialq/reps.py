@@ -22,8 +22,7 @@ from fractions import Fraction
 from math import inf, lcm
 from typing import TYPE_CHECKING
 
-from .lattice import (CertificationFailed, FiniteLattice, grown_lattice,
-                      is_order_isomorphism)
+from .lattice import CertificationFailed, FiniteLattice, grown_lattice
 from .linalg import Matrix, ShapeMismatch, hstack_all
 from .planar import MedialQuiver, PlanarMap, Record, connected_components
 from .states import AngleFrame, Decoration, check_cycle, is_characteristic
@@ -546,27 +545,6 @@ def simple_quotients(m: QuiverRep) -> frozenset:
     return frozenset(out)
 
 
-class PrefixFamily(Record):
-    """A choice, per vertex, of the span of the first k_e coordinates."""
-
-    __slots__ = ("dims",)
-
-    @classmethod
-    def of(cls, mapping):
-        return cls(tuple(sorted(dict(mapping).items())))
-
-    def dim(self, e):
-        return dict(self.dims).get(e, 0)
-
-    @property
-    def grade(self):
-        return sum(v for _, v in self.dims)
-
-    def __repr__(self):
-        ds = ",".join(f"{e}:{v}" for e, v in self.dims if v)
-        return f"PrefixFamily({{{ds}}})"
-
-
 def _jordan_premise(m: QuiverRep, e):
     """Certify that some distinguished cycle through e acts as the exact
     nilpotent Jordan block, which is what makes prefix families exhaust the
@@ -584,7 +562,10 @@ def _jordan_premise(m: QuiverRep, e):
 
 def enumerate_subreps(m: QuiverRep, omega) -> FiniteLattice:
     """All subrepresentations spanned by coordinate prefixes, as a certified
-    lattice ordered pointwise.
+    lattice ordered pointwise.  Each element is its prefix lengths k, the
+    tuple of (vertex, k_e) pairs in vertex order: the format of
+    ``BMSState.d``, so a state's d names a subrepresentation of its module.
+    The grade of an element is the sum of its k.
 
     At every supported vertex a distinguished cycle must act as the full
     Jordan block; its invariant subspaces are then exactly the coordinate
@@ -619,14 +600,14 @@ def enumerate_subreps(m: QuiverRep, omega) -> FiniteLattice:
 
     def upper(family):
         for e in m.vertices:
-            k = dict(family.dims)  # a fresh family per candidate
+            k = dict(family)  # a fresh family per candidate
             if k[e] < m.dims[e]:
                 k[e] += 1
                 if all(_prefix_closed(m, k, a) for a in out[e]):
-                    yield e, PrefixFamily.of(k)
+                    yield e, tuple(k.items())
 
-    root = PrefixFamily.of(dict.fromkeys(m.vertices, 0))
-    return grown_lattice(root, upper, key=lambda f: f.dims)
+    root = tuple((e, 0) for e in m.vertices)
+    return grown_lattice(root, upper, key=lambda k: k)
 
 
 def _prefix_closed(m, k, arrow):
@@ -640,8 +621,7 @@ def _prefix_closed(m, k, arrow):
 class SubrepIsoCertificate(Record):
     """Evidence that plus-subobjects and prefix subrepresentations agree."""
 
-    __slots__ = ("bms_lattice", "subrep_lattice", "mapping",
-                 "order_isomorphic", "grades_match")
+    __slots__ = ("subrep_lattice", "order_isomorphic", "grades_match")
 
     @property
     def ok(self):
@@ -650,17 +630,27 @@ class SubrepIsoCertificate(Record):
 
 def verify_subrep_isomorphism(below: FiniteLattice, module: QuiverRep,
                               omega) -> SubrepIsoCertificate:
-    """Check that xi' -> (k_e = d'(e)) is an order isomorphism matching grades
-    from below, the plus-subobjects of a state xi (of a component maximum: its
+    """Check that xi' -> xi'.d is an order isomorphism matching grades from
+    below, the plus-subobjects of a state xi (of a component maximum: its
     component lattice), onto the subrepresentations of module, built from xi.
+
+    A subrepresentation is its tuple of prefix lengths, the format of d, so
+    the map is the identity on vectors and is decided by comparing sets.
+    Both lattices are certified, so each order is generated by its covers,
+    and both are graded with grade the sum of the vector.  The map is one
+    to one onto the subrepresentations when the lattices have as many
+    elements and the same set of vectors, and it then preserves order both
+    ways exactly when it carries the covers of below onto those of the
+    subrepresentations.
 
     Raises:
         NotCharacteristicWeight, CandidateSpaceTooLarge, CertificationFailed:
         propagated from ``enumerate_subreps``.
     """
     subreps = enumerate_subreps(module, omega)
-    mapping = {s: PrefixFamily(s.d) for s in below.elements}
-    iso = is_order_isomorphism(below, subreps, mapping)
-    grades = all(below.grade[s] == subreps.grade[mapping[s]]
-                 for s in below.elements) if iso else False
-    return SubrepIsoCertificate(below, subreps, mapping, iso, grades)
+    iso = (len(below) == len(subreps)
+           and {x.d for x in below.elements} == set(subreps.elements)
+           and {(a.d, b.d) for a, b in below.covers} == set(subreps.covers))
+    grades = iso and all(below.grade[x] == subreps.grade[x.d]
+                         for x in below.elements)
+    return SubrepIsoCertificate(subreps, iso, grades)

@@ -3,8 +3,7 @@ from itertools import product
 import pytest
 
 from medialq import bms, corpus
-from medialq.lattice import (FiniteLattice, certify_graded_distributive_lattice,
-                             grown_lattice, require_certificate)
+from medialq.lattice import grown_lattice
 from medialq.linalg import Matrix, hstack_all
 from medialq.planar import (PlanarMap, Record, build_planar_map,
                             connected_components, dump_map_text)
@@ -126,12 +125,6 @@ def lower_covers(poset, x):
 
 def upper_covers(poset, x):
     return [b for a, b in poset.covers if a == x]
-
-
-def certified(poset):
-    """The FiniteLattice of a poset that must certify."""
-    return FiniteLattice(poset, require_certificate(
-        certify_graded_distributive_lattice(poset)))
 
 
 def verify_order_isomorphism(p, q, mapping) -> bool:

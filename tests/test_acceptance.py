@@ -176,7 +176,7 @@ def test_criterion_6_representation_theorems(corpus_maps):
         assert reps.simple_quotients(module) == anti
         cert = reps.verify_subrep_isomorphism(lattice, module, omega)
         assert cert.ok
-        assert len(cert.bms_lattice) == expected
+        assert len(lattice) == expected
         assert len(cert.subrep_lattice) == expected
     print("PASS 6: maximal trefoil/figure-eight modules are nilpotent and "
           "indecomposable; quotients match; lattices agree (3 and 5)")

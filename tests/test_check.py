@@ -18,7 +18,7 @@ def test_trefoil_verdicts():
         component_sizes=(3,), lattice_sizes=(3,), projection_ok=True,
         residuals=0, prime=True, clock_size=3, module_nilpotent=True,
         indecomposable=True, anti_movable=frozenset({"e3"}),
-        quotients_match=True, subrep_iso=True, subrep_size=3)
+        quotients_match=True, subrep_iso=True)
 
 
 def test_connected_sum_has_no_clock_verdict():
@@ -28,7 +28,7 @@ def test_connected_sum_has_no_clock_verdict():
     assert (v.prime, v.clock_size) == (False, None)
     assert v.indecomposable is False
     assert v.anti_movable == {"e4", "e9"} and v.quotients_match
-    assert (v.kauffman_states, v.lattice_sizes, v.subrep_size) == (9, (9,), 9)
+    assert (v.kauffman_states, v.lattice_sizes) == (9, (9,))
     assert v.projection_ok and v.subrep_iso and v.residuals == 0
 
 
@@ -43,7 +43,7 @@ def test_failed_stage_is_a_verdict(monkeypatch):
     monkeypatch.setattr(reps, "is_indecomposable", broken)
     v = check.check_diagram(LinkDiagram(*corpus.load("hopf")))
     assert isinstance(v.indecomposable, ArithmeticError)
-    assert v.subrep_iso and v.subrep_size == 2
+    assert v.subrep_iso and max(v.lattice_sizes) == 2
 
 
 @pytest.fixture(scope="module", params=["figure_eight", "torus_2_5",

@@ -362,11 +362,10 @@ def test_subrep_lattice_trefoil_chain(trefoil_setup):
     module = reps.state_module(pmap, top_state(lattice))
     found = reps.enumerate_subreps(module, omega)
     assert len(found) == 3
-    by_grade = sorted(found.elements, key=lambda f: f.grade)
-    assert [f.grade for f in by_grade] == [0, 1, 2]
-    assert by_grade[0].dim("e5") == 0 and by_grade[0].dim("e3") == 0
-    assert by_grade[1].dim("e5") == 1 and by_grade[1].dim("e3") == 0
-    assert by_grade[2].dim("e5") == 1 and by_grade[2].dim("e3") == 1
+    by_grade = sorted(found.elements, key=found.grade.get)
+    assert [found.grade[k] for k in by_grade] == [0, 1, 2]
+    assert [(dict(k)["e5"], dict(k)["e3"]) for k in by_grade] == [
+        (0, 0), (1, 0), (1, 1)]
     assert found.minimum == by_grade[0] and found.maximum == by_grade[2]
 
 
@@ -375,10 +374,10 @@ def test_subrep_lattice_figure_eight(figure_eight_setup):
     module = reps.state_module(pmap, top_state(lattice))
     found = reps.enumerate_subreps(module, omega)
     assert len(found) == 5
-    grades = sorted(f.grade for f in found.elements)
+    grades = sorted(found.grade[k] for k in found.elements)
     assert grades == [0, 1, 1, 2, 3]
-    singles = {tuple(sorted(e for e, v in f.dims if v))
-               for f in found.elements if f.grade == 1}
+    singles = {tuple(e for e, v in k if v)
+               for k in found.elements if found.grade[k] == 1}
     assert singles == {("e4",), ("e5",)}
 
 
@@ -397,15 +396,15 @@ def test_subrep_isomorphism_certificates(trefoil_setup, figure_eight_setup):
         cert = reps.verify_subrep_isomorphism(
             lattice, reps.state_module(pmap, top), omega)
         assert cert.ok
-        assert len(cert.bms_lattice) == len(cert.subrep_lattice) == expected
-        for state, family in cert.mapping.items():
-            assert family.grade == state.d_tot
+        assert len(lattice) == len(cert.subrep_lattice) == expected
+        for state in lattice.elements:
+            assert cert.subrep_lattice.grade[state.d] == state.d_tot
     pmap, omega, quiver, lattice = trefoil_setup
     bottom = bottom_state(lattice)
+    below = bms.plus_subobjects(pmap, omega, bottom)
     trivial = reps.verify_subrep_isomorphism(
-        bms.plus_subobjects(pmap, omega, bottom),
-        reps.state_module(pmap, bottom), omega)
-    assert trivial.ok and len(trivial.bms_lattice) == 1
+        below, reps.state_module(pmap, bottom), omega)
+    assert trivial.ok and len(below) == 1
 
 
 def test_quiver_rep_validation(trefoil_setup):
