@@ -77,7 +77,6 @@ def check_diagram(diagram) -> Verdicts:
     anti = frozenset(e for e in dec.quiver.vertices
                      if bms.is_bms_anti_movable(dec.quiver, top, e))
     quotients_match = reps.simple_quotients(module) == anti
-    cert = reps.verify_subrep_isomorphism(largest, module, omega)
 
     return Verdicts(
         kauffman_states=len(states), nilpotency=nilpotency,
@@ -86,4 +85,4 @@ def check_diagram(diagram) -> Verdicts:
         residuals=residuals, prime=prime, clock_size=clock_size,
         module_nilpotent=module_nilpotent, indecomposable=indecomposable,
         anti_movable=anti, quotients_match=quotients_match,
-        subrep_iso=cert.ok)
+        subrep_iso=reps.verify_subrep_isomorphism(largest, module, omega))

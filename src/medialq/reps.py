@@ -545,19 +545,44 @@ def simple_quotients(m: QuiverRep) -> frozenset:
     return frozenset(out)
 
 
-def _jordan_premise(m: QuiverRep, e):
-    """Certify that some distinguished cycle through e acts as the exact
-    nilpotent Jordan block, which is what makes prefix families exhaust the
-    subrepresentations."""
-    d = m.dims[e]
-    jordan = plus_minus_matrix(1, 1, d, d)
-    for cyc in m.cycles:
-        starts = [i for i, a in enumerate(cyc) if m.source(a) == e]
-        for i in starts:
-            based = cyc[i:] + cyc[:i]
-            if evaluate_path(m, based, at=e) == jordan:
-                return True
-    return False
+def _require_subrep_premises(m: QuiverRep, omega):
+    """Raise unless the prefix families of m are provably all of its
+    subrepresentations, reached from 0 by unit steps: at each supported
+    vertex some distinguished cycle must act as the exact nilpotent Jordan
+    block, and m must be nilpotent (see ``enumerate_subreps``)."""
+    if not is_characteristic(omega):
+        raise NotCharacteristicWeight(
+            "subrepresentation enumeration needs weight values in {0, 1}")
+    for e in sorted(m.support()):
+        jordan = plus_minus_matrix(1, 1, m.dims[e], m.dims[e])
+        if not any(evaluate_path(m, cyc[i:] + cyc[:i], at=e) == jordan
+                   for cyc in m.cycles for i, a in enumerate(cyc)
+                   if m.source(a) == e):
+            raise CandidateSpaceTooLarge(
+                f"no distinguished cycle acts as the Jordan block at {e}; "
+                "prefix enumeration would not be provably complete")
+    if not is_nilpotent(m):
+        raise CandidateSpaceTooLarge(
+            "module is not nilpotent; growth by unit steps from 0 would not "
+            "be provably complete")
+
+
+def _unit_steps(m: QuiverRep):
+    """upper(k) yields (e, k raised by one at e) for each vertex e where that
+    is a subrepresentation, given k is one: only the arrows out of e can
+    break, so only they are checked."""
+    out = {e: [a for a in sorted(m.arrows) if m.source(a) == e]
+           for e in m.vertices}
+
+    def upper(family):
+        base = dict(family)
+        for e in m.vertices:
+            if base[e] < m.dims[e]:
+                k = dict(base)  # a fresh family per candidate
+                k[e] += 1
+                if all(_prefix_closed(m, k, a) for a in out[e]):
+                    yield e, tuple(k.items())
+    return upper
 
 
 def enumerate_subreps(m: QuiverRep, omega) -> FiniteLattice:
@@ -570,44 +595,20 @@ def enumerate_subreps(m: QuiverRep, omega) -> FiniteLattice:
     At every supported vertex a distinguished cycle must act as the full
     Jordan block; its invariant subspaces are then exactly the coordinate
     prefixes, so every subrepresentation restricts to a prefix at every
-    vertex.  The lattice is grown up from 0 by raising one prefix at a time;
-    that can only break the arrows out of the raised vertex, so only those
-    are checked.  The growth reaches every subrepresentation U != 0 when m
-    is nilpotent: the images of the arrows on U form a proper
-    subrepresentation, again a prefix family, so at some vertex the last
-    coordinate of U is hit by no arrow and can be dropped.
+    vertex.  The lattice is grown up from 0 by unit steps (``_unit_steps``).
+    The growth reaches every subrepresentation U != 0 when m is nilpotent:
+    the images of the arrows on U form a proper subrepresentation, again a
+    prefix family, so at some vertex the last coordinate of U is hit by no
+    arrow and can be dropped.
 
     Raises:
         NotCharacteristicWeight.
         CandidateSpaceTooLarge: the Jordan-block premise could not be
             certified at some supported vertex, or m is not nilpotent.
     """
-    if not is_characteristic(omega):
-        raise NotCharacteristicWeight(
-            "subrepresentation enumeration needs weight values in {0, 1}")
-    for e in sorted(m.support()):
-        if not _jordan_premise(m, e):
-            raise CandidateSpaceTooLarge(
-                f"no distinguished cycle acts as the Jordan block at {e}; "
-                "prefix enumeration would not be provably complete")
-    if not is_nilpotent(m):
-        raise CandidateSpaceTooLarge(
-            "module is not nilpotent; growth by unit steps from 0 would not "
-            "be provably complete")
-
-    out = {e: [a for a in sorted(m.arrows) if m.source(a) == e]
-           for e in m.vertices}
-
-    def upper(family):
-        for e in m.vertices:
-            k = dict(family)  # a fresh family per candidate
-            if k[e] < m.dims[e]:
-                k[e] += 1
-                if all(_prefix_closed(m, k, a) for a in out[e]):
-                    yield e, tuple(k.items())
-
+    _require_subrep_premises(m, omega)
     root = tuple((e, 0) for e in m.vertices)
-    return grown_lattice(root, upper, key=lambda k: k)
+    return grown_lattice(root, _unit_steps(m), key=lambda k: k)
 
 
 def _prefix_closed(m, k, arrow):
@@ -618,39 +619,33 @@ def _prefix_closed(m, k, arrow):
                for j in range(k[s]) for i in range(k[t], m.dims[t]))
 
 
-class SubrepIsoCertificate(Record):
-    """Evidence that plus-subobjects and prefix subrepresentations agree."""
-
-    __slots__ = ("subrep_lattice", "order_isomorphic", "grades_match")
-
-    @property
-    def ok(self):
-        return self.order_isomorphic and self.grades_match
-
-
 def verify_subrep_isomorphism(below: FiniteLattice, module: QuiverRep,
-                              omega) -> SubrepIsoCertificate:
-    """Check that xi' -> xi'.d is an order isomorphism matching grades from
-    below, the plus-subobjects of a state xi (of a component maximum: its
-    component lattice), onto the subrepresentations of module, built from xi.
+                              omega) -> bool:
+    """Is x -> x.d an order isomorphism from below, the plus-subobjects of
+    a state xi (of a component maximum: its component lattice), onto the
+    subrepresentations S of module, built from xi?  Grades then match, both
+    being the sum of d.  One scan of below decides it; S is never grown.
 
-    A subrepresentation is its tuple of prefix lengths, the format of d, so
-    the map is the identity on vectors and is decided by comparing sets.
-    Both lattices are certified, so each order is generated by its covers,
-    and both are graded with grade the sum of the vector.  The map is one
-    to one onto the subrepresentations when the lattices have as many
-    elements and the same set of vectors, and it then preserves order both
-    ways exactly when it carries the covers of below onto those of the
-    subrepresentations.
+    Lemma: it is, exactly when the minimum of below has d = 0, no two
+    elements share a d, and the unit steps within S from each x.d
+    (``_unit_steps``) are the d of the covers of x.  (<=) Each x is reached
+    from the minimum by covers, and a unit step from U in S breaks only
+    arrows out of the raised vertex, which are checked: d lands in S.  Each
+    U != 0 in S drops by a unit step within S (see ``enumerate_subreps``),
+    so S is reached from 0 by unit steps, each the d of a cover: d is onto.
+    Unit steps generate the order of S (U <= U' through U + V, V climbing
+    from 0 to U'), so d, one to one by the second test, preserves order
+    both ways.  (=>) is immediate.  The second test is needed: a square
+    whose middle pair shares a d passes the others over a 3-chain of S.
 
     Raises:
-        NotCharacteristicWeight, CandidateSpaceTooLarge, CertificationFailed:
-        propagated from ``enumerate_subreps``.
+        NotCharacteristicWeight, CandidateSpaceTooLarge: a premise of
+        ``enumerate_subreps`` fails.
     """
-    subreps = enumerate_subreps(module, omega)
-    iso = (len(below) == len(subreps)
-           and {x.d for x in below.elements} == set(subreps.elements)
-           and {(a.d, b.d) for a, b in below.covers} == set(subreps.covers))
-    grades = iso and all(below.grade[x] == subreps.grade[x.d]
-                         for x in below.elements)
-    return SubrepIsoCertificate(subreps, iso, grades)
+    _require_subrep_premises(module, omega)
+    upper = _unit_steps(module)
+    ds = {x.d for x in below.elements}
+    return (below.minimum.d == tuple((e, 0) for e in module.vertices)
+            and len(ds) == len(below)
+            and {(d, k) for d in ds for _, k in upper(d)}
+            == {(x.d, y.d) for x, y in below.covers})

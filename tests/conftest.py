@@ -7,7 +7,7 @@ from medialq.lattice import grown_lattice
 from medialq.linalg import Matrix, hstack_all
 from medialq.planar import (PlanarMap, Record, build_planar_map,
                             connected_components, dump_map_text)
-from medialq.reps import QuiverRep
+from medialq.reps import QuiverRep, enumerate_subreps
 from medialq.states import (AngularFunction, Decoration, anti_mov_e,
                             is_anti_e_movable, is_e_movable)
 
@@ -142,6 +142,19 @@ def verify_order_isomorphism(p, q, mapping) -> bool:
     inverse = {y: x for x, y in mapping.items()}
     return (all(q.leq(mapping[a], mapping[b]) for a, b in p.covers)
             and all(p.leq(inverse[c], inverse[d]) for c, d in q.covers))
+
+
+def subrep_isomorphism_oracle(below, module, omega) -> bool:
+    """Oracle of ``reps.verify_subrep_isomorphism``, the comparison its
+    one-pass scan replaced: grow the subrepresentations of module with
+    ``enumerate_subreps`` (raising as it does), then compare them with
+    below under x -> x.d as sets of vectors and of covers, and by grade."""
+    subreps = enumerate_subreps(module, omega)
+    iso = (len(below) == len(subreps)
+           and {x.d for x in below.elements} == set(subreps.elements)
+           and {(a.d, b.d) for a, b in below.covers} == set(subreps.covers))
+    return iso and all(below.grade[x] == subreps.grade[x.d]
+                       for x in below.elements)
 
 
 def _table(cert, op):

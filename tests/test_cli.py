@@ -498,8 +498,8 @@ def test_benchmark_tracer_still_fits_the_library(tmp_path):
         "bms.subobject_candidates", "bms.subobjects_kept",
         "reps.subrep_candidates", "reps.subreps_kept")} == {
         "bms.subobject_candidates": None, "bms.subobjects_kept": None,
-        "reps.subrep_candidates": 61, "reps.subreps_kept": 34}
-    assert calls["lattice.certify_graded_distributive_lattice"] == 14
+        "reps.subrep_candidates": 61, "reps.subreps_kept": None}
+    assert calls["lattice.certify_graded_distributive_lattice"] == 7
 
 
 def test_no_verb_grows_the_plus_subobjects_again(capsys, maps, monkeypatch):
@@ -518,6 +518,43 @@ def test_no_verb_grows_the_plus_subobjects_again(capsys, maps, monkeypatch):
     monkeypatch.setattr(bms, "plus_subobjects", grow)
     assert [run(capsys, *argv) for argv in runs] == plain
     assert [code for code, _, _ in plain] == [0, 0, 0, 0]
+
+
+def test_no_verb_grows_the_subrepresentations_for_the_isomorphism(
+        capsys, maps, monkeypatch):
+    """verify-iso and check-all decide the subrepresentation isomorphism by
+    one scan of the component lattice they hold; only subreps grows the
+    subrepresentation lattice."""
+    from medialq import reps
+
+    runs = [("verify-iso", maps[name]) for name in sorted(maps)]
+    runs.append(("check-all",))
+    plain = [run(capsys, *argv) for argv in runs]
+
+    def grow(*args):
+        raise AssertionError("enumerate_subreps called by a verb")
+
+    monkeypatch.setattr(reps, "enumerate_subreps", grow)
+    assert [run(capsys, *argv) for argv in runs] == plain
+    assert {code for code, _, _ in plain} == {0}
+    assert run(capsys, "subreps", maps["trefoil"]) == (
+        1, "", "medialq: enumerate_subreps called by a verb\n")
+
+
+def test_verify_iso_reports_a_failed_verdict(capsys, maps, monkeypatch):
+    """A failed verdict exits 1 and prints no subrepresentation count, as
+    none was computed; the rest of the report is unchanged."""
+    from medialq import reps
+
+    code, out, err = run(capsys, "verify-iso", maps["figure_eight"])
+    counts = "plus-subobjects: 5 subrepresentations: 5\n"
+    verdict = "order isomorphism: True grades match: True\n"
+    assert (code, err) == (0, "") and counts in out and out.endswith(verdict)
+    monkeypatch.setattr(reps, "verify_subrep_isomorphism",
+                        lambda below, module, omega: False)
+    assert run(capsys, "verify-iso", maps["figure_eight"]) == (1, out.replace(
+        counts, "plus-subobjects: 5 subrepresentations: differ\n").replace(
+        verdict, "order isomorphism: False grades match: False\n"), "")
 
 
 def test_module_entry_point(maps):

@@ -12,12 +12,14 @@ and the pointwise-closure scan that Birkhoff's check and the mask-based
 closure check replaced, and the closure-based order-isomorphism oracle is
 checked against the pairwise one.  Subobject and subrepresentation lattices
 grown by cover steps are checked against the scans of the whole box of
-dimension vectors that they replaced.  Angular functions stored as value
-vectors are checked against sorted (angle, value) pairs, the move graph
-built by index arithmetic against the one built move by move, Jacobian
-residuals from derivatives cached on the potential against a per-arrow
-recomputation, and the closed-form residuals of state modules against the
-dense check, at the canonical potential and at perturbed ones.
+dimension vectors that they replaced, and the one-pass subrepresentation
+isomorphism against the grown-lattice comparison it replaced.  Angular
+functions stored as value vectors are checked against sorted (angle,
+value) pairs, the move graph built by index arithmetic against the one
+built move by move, Jacobian residuals from derivatives cached on the
+potential against a per-arrow recomputation, and the closed-form residuals
+of state modules against the dense check, at the canonical potential and
+at perturbed ones.
 """
 
 import re
@@ -48,7 +50,7 @@ from conftest import (compatible_functions, component_minimum_by_name,
                       edge_endpoints, gamma_inv_components_bruteforce,
                       join_table, lower_covers, moves_by_name,
                       paths_vanish_by_rounds, subobjects_by_name,
-                      verify_order_isomorphism)
+                      subrep_isomorphism_oracle, verify_order_isomorphism)
 
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
                     database=None,
@@ -661,9 +663,9 @@ def test_closure_isomorphism_oracle_matches_pairwise_oracle(data):
 @pytest.mark.parametrize("word, strands", [
     ([1] * 5, 2), ([1, 2] * 2, 3), ([1, 2] * 3, 3)], ids=str)
 def test_library_lattices_build_no_closure(word, strands):
-    """The lattices the library returns, and the two that the subrep
-    isomorphism compares, answer order, joins, meets and isomorphism from
-    their masks and covers: none of their posets builds a closure."""
+    """The lattices the library returns, subrepresentations included,
+    answer order, joins, meets and isomorphism from their masks and covers:
+    none of their posets builds a closure."""
     pmap = build_planar_map(*corpus.braid_closure_shadow(word, strands))
     diagram = diagram_of(pmap)
     omega = kauffman_weight(diagram)
@@ -671,11 +673,10 @@ def test_library_lattices_build_no_closure(word, strands):
     lattice = dec.component_lattice(dec.states[0])
     top = lattice.maximum
     module = reps.state_module(pmap, top)
-    iso = reps.verify_subrep_isomorphism(lattice, module, omega)
-    assert iso.ok
+    assert reps.verify_subrep_isomorphism(lattice, module, omega)
     lattices = [lattice, clock_lattice(diagram),
                 bms.plus_subobjects(pmap, omega, top),
-                reps.enumerate_subreps(module, omega), iso.subrep_lattice]
+                reps.enumerate_subreps(module, omega)]
     for lat in lattices:
         bare = FinitePoset(lat.elements, lat.covers)  # its closure the oracle
         for x in _spread(lat.elements, 6):
@@ -789,30 +790,73 @@ def test_subreps_refuse_a_module_that_is_not_nilpotent():
         reps.enumerate_subreps(module, {"v0": 1})
 
 
-def test_subrep_isomorphism_verdicts_match_the_closure_oracle():
-    """Single 0/1 flips of the entries of the maximal state module of the
-    (s1s2)^3 shadow: every verdict that is not refused is the closure
-    oracle's under s -> s.d, and some flip breaks the isomorphism."""
-    pmap = build_planar_map(*corpus.braid_closure_shadow([1, 2] * 3, 3))
-    omega = kauffman_weight(diagram_of(pmap))
+def _top_module(pmap, omega):
+    """The component lattice of the first state and the state module of its
+    maximum."""
     dec = st.Decoration.of(pmap, omega)
     lattice = dec.component_lattice(dec.states[0])
-    module = reps.state_module(pmap, lattice.maximum)
+    return lattice, reps.state_module(pmap, lattice.maximum)
+
+
+def _single_flips(module):
+    """Every copy of module with one matrix entry flipped between 0 and 1."""
+    return [module.with_entry(a, i, j, 1 - mat.data[i][j])
+            for a, mat in sorted(module.mats.items())
+            for i, j in product(range(mat.rows), range(mat.cols))]
+
+
+def _verdict(check, *args):
+    """check(*args), or the type of the premise it refused."""
+    try:
+        return check(*args)
+    except (reps.CandidateSpaceTooLarge, reps.NotCharacteristicWeight) as exc:
+        return type(exc)
+
+
+def test_subrep_isomorphism_verdicts_match_the_closure_oracle():
+    """Single 0/1 flips of the entries of the maximal state module of the
+    (s1s2)^3 shadow: every verdict is the grown oracle's, refusals included,
+    one that is not refused is the closure oracle's under s -> s.d, and
+    some flip breaks the isomorphism."""
+    pmap = build_planar_map(*corpus.braid_closure_shadow([1, 2] * 3, 3))
+    omega = kauffman_weight(diagram_of(pmap))
+    lattice, module = _top_module(pmap, omega)
     rename = {s: s.d for s in lattice.elements}
-    mutants = [module.with_entry(a, i, j, 1 - mat.data[i][j])
-               for a, mat in sorted(module.mats.items())
-               for i, j in product(range(mat.rows), range(mat.cols))]
     verdicts = []
-    for m in [module] + mutants:
-        try:
-            cert = reps.verify_subrep_isomorphism(lattice, m, omega)
-        except reps.CandidateSpaceTooLarge:
+    for m in [module] + _single_flips(module):
+        verdict = _verdict(reps.verify_subrep_isomorphism, lattice, m, omega)
+        assert verdict == _verdict(subrep_isomorphism_oracle, lattice, m,
+                                   omega)
+        if verdict is reps.CandidateSpaceTooLarge:
             continue
-        oracle = verify_order_isomorphism(lattice, cert.subrep_lattice,
-                                          rename)
-        assert cert.ok == cert.order_isomorphic == oracle
-        verdicts.append(cert.ok)
+        oracle = verify_order_isomorphism(
+            lattice, reps.enumerate_subreps(m, omega), rename)
+        assert verdict == oracle
+        verdicts.append(verdict)
     assert verdicts[0] and False in verdicts
+
+
+@SETTINGS
+@given(shadows(max_per_position=2), hs.data())
+def test_subrep_isomorphism_matches_the_grown_oracle(pmap, data):
+    """The one-pass scan against the grown-lattice comparison it replaced,
+    on the maximal state module of a component lattice and on some of its
+    single-entry flips, at the Kauffman weight; at twice that weight both
+    refuse the module of a component maximum."""
+    kauffman = kauffman_weight(diagram_of(pmap))
+    lattice, module = _top_module(pmap, kauffman)
+    flips = _single_flips(module)
+    picked = data.draw(hs.lists(hs.sampled_from(range(len(flips))),
+                                max_size=6, unique=True)) if flips else []
+    for m in [module] + [flips[i] for i in picked]:
+        assert _verdict(reps.verify_subrep_isomorphism, lattice, m,
+                        kauffman) == _verdict(subrep_isomorphism_oracle,
+                                              lattice, m, kauffman)
+    double = {c: 2 * v for c, v in kauffman.items()}
+    lattice, module = _top_module(pmap, double)
+    for check in (reps.verify_subrep_isomorphism, subrep_isomorphism_oracle):
+        with pytest.raises(reps.NotCharacteristicWeight):
+            check(lattice, module, double)
 
 
 def test_verify_iso_on_the_torus_2_18_chain(tmp_path, capsys):

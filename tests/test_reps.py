@@ -2,6 +2,7 @@
 subrepresentation lattices."""
 
 import random
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
@@ -11,13 +12,14 @@ import medialq.reps as reps
 import medialq.states as st
 from medialq import corpus
 from medialq.kauffman import LinkDiagram, kauffman_weight
-from medialq.lattice import CertificationFailed
+from medialq.lattice import CertificationFailed, grown_lattice
 from medialq.linalg import Matrix, ShapeMismatch
 from medialq.planar import build_planar_map, medial_quiver
 from medialq.reps import plus_minus_matrix as pm
 from medialq.states import NotACycle
 
-from conftest import TRIANGLE_PAIR, TRIANGLE_ROT, direct_sum, total_dim
+from conftest import (TRIANGLE_PAIR, TRIANGLE_ROT, direct_sum,
+                      subrep_isomorphism_oracle, total_dim)
 
 TRIANGLE_WEIGHT = {"v0": 1, "v1": 1, "v2": 2, "f0": 2, "f1": 2}
 
@@ -392,19 +394,54 @@ def test_subrep_refusals():
 def test_subrep_isomorphism_certificates(trefoil_setup, figure_eight_setup):
     for expected, setup in ((3, trefoil_setup), (5, figure_eight_setup)):
         pmap, omega, quiver, lattice = setup
-        top = top_state(lattice)
-        cert = reps.verify_subrep_isomorphism(
-            lattice, reps.state_module(pmap, top), omega)
-        assert cert.ok
-        assert len(lattice) == len(cert.subrep_lattice) == expected
+        module = reps.state_module(pmap, top_state(lattice))
+        assert reps.verify_subrep_isomorphism(lattice, module, omega)
+        assert subrep_isomorphism_oracle(lattice, module, omega)
+        subreps = reps.enumerate_subreps(module, omega)
+        assert len(lattice) == len(subreps) == expected
         for state in lattice.elements:
-            assert cert.subrep_lattice.grade[state.d] == state.d_tot
+            assert subreps.grade[state.d] == state.d_tot
     pmap, omega, quiver, lattice = trefoil_setup
     bottom = bottom_state(lattice)
     below = bms.plus_subobjects(pmap, omega, bottom)
-    trivial = reps.verify_subrep_isomorphism(
+    assert reps.verify_subrep_isomorphism(
         below, reps.state_module(pmap, bottom), omega)
-    assert trivial.ok and len(below) == 1
+    assert len(below) == 1
+
+
+def test_subrep_isomorphism_needs_the_zero_minimum(figure_eight_setup):
+    """The maximal state alone: no covers, and no unit step up from its d,
+    the whole module; only the minimum's d, which is not 0, tells."""
+    pmap, omega, quiver, lattice = figure_eight_setup
+    top = top_state(lattice)
+    module = reps.state_module(pmap, top)
+    alone = grown_lattice(top, lambda x: (), key=lambda s: s.d)
+    assert len(alone) == 1 and alone.minimum is top
+    assert not reps.verify_subrep_isomorphism(alone, module, omega)
+    assert not subrep_isomorphism_oracle(alone, module, omega)
+
+
+def test_subrep_isomorphism_needs_distinct_vectors(trefoil_setup):
+    """A square over the 3-chain of subrepresentations of the maximal
+    trefoil module, its two middle elements both given the middle vector:
+    minimum and unit steps match, so only the repeated d tells."""
+    pmap, omega, quiver, lattice = trefoil_setup
+    module = reps.state_module(pmap, top_state(lattice))
+    chain = reps.enumerate_subreps(module, omega).elements
+    assert len(chain) == 3
+    Tagged = namedtuple("Tagged", "tag d")
+    above = {"0": (Tagged("a", chain[1]), Tagged("b", chain[1])),
+             "a": (Tagged("c", chain[2]),), "b": (Tagged("c", chain[2]),),
+             "c": ()}
+
+    def upper(x):
+        return [(y.tag, y) for y in above[x.tag]]
+
+    square = grown_lattice(Tagged("0", chain[0]), upper,
+                           key=lambda x: (x.d, x.tag))
+    assert len(square) == 4 and len(square.covers) == 4
+    assert not reps.verify_subrep_isomorphism(square, module, omega)
+    assert not subrep_isomorphism_oracle(square, module, omega)
 
 
 def test_quiver_rep_validation(trefoil_setup):
