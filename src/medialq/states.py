@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 from functools import cached_property
-from itertools import compress
+from itertools import accumulate, compress, count, repeat
 from operator import getitem
 
 from .planar import (MedialQuiver, PlanarMap, cell_key, connected_components,
@@ -180,9 +180,10 @@ class Decoration:
 
     Validated once; every invariant of the pair is computed on first use and
     kept: the medial quiver (shared with the map), the first compatible
-    function, all of them in order, the nilpotency degree, the invisible
-    arrows and edges, the move graph and the component lattices.  Get one
-    through ``Decoration.of``, which memoizes on the map.
+    function, the decomposition of the angle order, all compatible functions
+    in order, the nilpotency degree, the invisible arrows and edges, the
+    move graph and the component lattices.  Get one through
+    ``Decoration.of``, which memoizes on the map.
     """
 
     def __init__(self, pmap: PlanarMap, omega):
@@ -217,14 +218,65 @@ class Decoration:
         return dec
 
     @cached_property
+    def _cells(self):
+        """(vs, fs, closes_v, closes_f, weights): per angle its vertex and face
+        slots and whether it closes them, and the weight per slot."""
+        angles = [self.quiver.angles[a] for a in self.quiver.arrow_ids]
+        slot = {}
+        vs = [slot.setdefault(a.vertex, len(slot)) for a in angles]
+        fs = [slot.setdefault(a.face, len(slot)) for a in angles]
+        last = {c: i for i, c in enumerate(vs)}
+        last.update({c: i for i, c in enumerate(fs)})
+        return (vs, fs, [last[c] == i for i, c in enumerate(vs)],
+                [last[c] == i for i, c in enumerate(fs)],
+                [self.omega[c] for c in slot])
+
+    @cached_property
     def first(self):
         """The least compatible function in canonical order, or None."""
-        return next(_compatible_functions(self.quiver, self.omega), None)
+        cells = self._cells
+        v = next(_segment(cells, list(cells[4]), 0, len(cells[0])), None)
+        return None if v is None else AngularFunction.from_vector(
+            AngleFrame.of(self.quiver.arrow_ids), v)
 
     def require_first(self) -> AngularFunction:
         if self.first is None:
             raise EmptyStateSet("no compatible angular function")
         return self.first
+
+    @cached_property
+    def decomposition(self) -> tuple:
+        """(m, prefixes, suffixes): the angle order split at the cut m.
+
+        The frontier of a cut is the set of cells with angles on both
+        sides; m is the cut in the middle half of the order with the
+        smallest frontier, ties going to the middle.  ``prefixes`` lists the
+        assignments of the angles before m that have a completion, in
+        lexicographic order, each with the budgets b it leaves its frontier;
+        ``suffixes`` maps each such b to its completions, the assignments of
+        the angles from m on, in lexicographic order.
+
+        Lemma: the states are the vectors p + s for (p, b) in ``prefixes``
+        and s in ``suffixes[b]``, and in that order they are sorted.  A cell
+        wholly before m is closed by p and one wholly after m keeps its
+        whole weight, so the completions of p depend on b alone (the
+        transfer-matrix method; Knuth, TAOCP 4A, 7.1.4); and vectors compare
+        first by their prefixes.
+        """
+        cells = self._cells
+        vs, fs, budget = cells[0], cells[1], list(cells[4])
+        n = len(vs)
+        frontiers = {m: sorted(set(vs[:m] + fs[:m]) & set(vs[m:] + fs[m:]))
+                     for m in range(n // 4, n - n // 4 + 1)}
+        m = min(frontiers, key=lambda m: (len(frontiers[m]), abs(2 * m - n)))
+        prefixes, suffixes, frontier = [], {}, frontiers[m]
+        for p in _segment(cells, budget, 0, m):
+            key = tuple([budget[c] for c in frontier])
+            if key not in suffixes:
+                suffixes[key] = list(_segment(cells, list(budget), m, n))
+            if suffixes[key]:
+                prefixes.append((p, key))
+        return m, prefixes, {b: ss for b, ss in suffixes.items() if ss}
 
     @cached_property
     def states(self) -> tuple:
@@ -261,24 +313,55 @@ class Decoration:
 
     @cached_property
     def move_graph(self) -> StateGraph:
-        """Every move between states, found by index arithmetic on vectors
-        through the quiver's step table.
+        """Every move between states, by index arithmetic through the
+        quiver's step table on the pieces of the ``decomposition``.
+
+        Lemma: a move keeps every cell's total.  So a move with its four
+        angles after the cut m keeps the prefix and so the suffix list: it
+        is found once per list and shifted by each prefix's first index.
+        One with its angles before m keeps each cell's prefix total, so the
+        frontier budgets and the suffix's rank.  Only moves straddling the
+        cut are looked up state by state.
 
         Raises:
             AssertionError: a move leaves the state set.
         """
+        m, prefixes, suffixes = self.decomposition
         nodes = self.states
-        index = {g.vector: n for n, g in enumerate(nodes)}
+        rows = [(e, *ends) for e, _, *ends in self.quiver.steps]
+        inside = [(e, *(x - m for x in ends)) for e, *ends in rows
+                  if min(ends) >= m]
+        before = [row for row in rows if max(row[1:]) < m]
+        across = [row for row in rows if min(row[1:]) < m <= max(row[1:])]
+        rank = {b: dict(zip(ss, count())) for b, ss in suffixes.items()}
+        moves = {b: [(r, rank[b].get(moved_vector(s, i, j, k, l)), e)
+                     for r, s in enumerate(ss)
+                     for e, i, j, k, l in inside if s[i] and s[j]]
+                 for b, ss in suffixes.items()}
+        starts = [0, *accumulate(len(suffixes[b]) for _, b in prefixes)]
+        index = {p: (n, rank[b]) for (p, b), n in zip(prefixes, starts)}
         edges = []
-        for n, g in enumerate(nodes):
-            v = g.vector
-            for e, _, i, j, k, l in self.quiver.steps:
-                if v[i] and v[j]:
-                    m = index.get(moved_vector(v, i, j, k, l))
-                    if m is None:
-                        raise AssertionError(
-                            f"move along {e} from state {n} leaves the state set")
-                    edges.append((n, m, e))
+        for (p, b), n, end in zip(prefixes, starts, starts[1:]):
+            for r, t, e in moves[b]:
+                if t is None:
+                    raise _leaves(e, n + r)
+                edges.append((n + r, n + t, e))
+            for e, i, j, k, l in before:
+                if p[i] and p[j]:
+                    c, _ = index.get(moved_vector(p, i, j, k, l), (None, 0))
+                    if c is None:
+                        raise _leaves(e, n)
+                    edges += zip(range(n, end), count(c), repeat(e))
+            for e, i, j, k, l in across:
+                for r in range(n, end):
+                    v = nodes[r].vector
+                    if v[i] and v[j]:
+                        w = moved_vector(v, i, j, k, l)
+                        c, ranks = index.get(w[:m], (0, {}))
+                        t = ranks.get(w[m:])
+                        if t is None:
+                            raise _leaves(e, r)
+                        edges.append((r, c + t, e))
         edges.sort()
         return StateGraph(nodes, edges)
 
@@ -293,32 +376,24 @@ class Decoration:
         return self._lattices[g]
 
 
-def _compatible_functions(quiver: MedialQuiver, omega):
-    """Every omega-compatible function, in canonical order, one at a time.
+def _leaves(e, n):
+    return AssertionError(f"move along {e} from state {n} leaves the state set")
 
-    Iterative backtracking over the angles in dart order with values tried
-    in ascending order, so depth-first order is the lexicographic order of
-    value tuples.  Each angle is bounded by the remaining budgets of its
-    vertex and of its face, and the last angle of a cell takes exactly what
-    is left there, so every leaf is compatible.
-    """
-    angles = quiver.arrow_ids
-    frame = AngleFrame.of(angles)
-    n = len(angles)
-    slot = {}
-    vs = [slot.setdefault(quiver.angles[a].vertex, len(slot)) for a in angles]
-    fs = [slot.setdefault(quiver.angles[a].face, len(slot)) for a in angles]
-    last = {c: i for i, c in enumerate(vs)}
-    last.update({c: i for i, c in enumerate(fs)})
-    closes_v = [last[c] == i for i, c in enumerate(vs)]
-    closes_f = [last[c] == i for i, c in enumerate(fs)]
-    budget = [omega[c] for c in slot]
-    values = [0] * n
-    top = [0] * n
-    i = 0
+
+def _segment(cells, budget, start, stop):
+    """Every assignment of the angles start..stop-1 that fits ``budget``, in
+    lexicographic order, as tuples; at each yield ``budget`` holds what each
+    cell has left.  Iterative backtracking with values tried in ascending
+    order: an angle is bounded by what its vertex and its face have left,
+    and the last angle of a cell takes all of it, so over the whole order
+    every leaf is compatible."""
+    vs, fs, closes_v, closes_f = cells[:4]
+    values = [0] * stop
+    top = [0] * stop
+    i = start
     while True:
-        if i == n:
-            yield AngularFunction.from_vector(frame, tuple(values))
+        if i == stop:
+            yield tuple(values[start:])
         else:
             v, f = vs[i], fs[i]
             bv, bf = budget[v], budget[f]
@@ -335,7 +410,7 @@ def _compatible_functions(quiver: MedialQuiver, omega):
         # back up to the deepest angle that can still take one more unit
         while True:
             i -= 1
-            if i < 0:
+            if i < start:
                 return
             v, f = vs[i], fs[i]
             if values[i] < top[i]:
@@ -355,8 +430,10 @@ def enumerate_compatible(pmap: PlanarMap, omega):
     Raises:
         MissingValue, ValueError: see ``Decoration.of``.
     """
-    dec = Decoration.of(pmap, omega)
-    return list(_compatible_functions(dec.quiver, dec.omega))
+    _, prefixes, suffixes = Decoration.of(pmap, omega).decomposition
+    frame = AngleFrame.of(pmap.quiver.arrow_ids)
+    return [AngularFunction.from_vector(frame, p + s)
+            for p, b in prefixes for s in suffixes[b]]
 
 
 # ----------------------------------------------------------------------

@@ -8,8 +8,9 @@ from medialq.linalg import Matrix, hstack_all
 from medialq.planar import (PlanarMap, Record, build_planar_map,
                             connected_components, dump_map_text)
 from medialq.reps import QuiverRep, enumerate_subreps
-from medialq.states import (AngularFunction, Decoration, anti_mov_e,
-                            is_anti_e_movable, is_e_movable)
+from medialq.states import (AngleFrame, AngularFunction, Decoration,
+                            StateGraph, anti_mov_e, is_anti_e_movable,
+                            is_e_movable, moved_vector)
 
 
 # Triangle: three degree-2 vertices in a cycle.  Face f0 = {a0, a1, a2} is the
@@ -57,6 +58,86 @@ def compatible_functions(pmap, omega):
             found.append(AngularFunction(g))
     found.sort(key=lambda g: tuple(v for _, v in g.items()))
     return found
+
+
+def compatible_functions_by_backtracking(quiver, omega):
+    """Every omega-compatible function, in canonical order, one at a time.
+
+    Iterative backtracking over the angles in dart order with values tried
+    in ascending order, so depth-first order is the lexicographic order of
+    value tuples.  Each angle is bounded by the remaining budgets of its
+    vertex and of its face, and the last angle of a cell takes exactly what
+    is left there, so every leaf is compatible.
+
+    The one-pass search that the split at the narrowest frontier replaced.
+    """
+    angles = quiver.arrow_ids
+    frame = AngleFrame.of(angles)
+    n = len(angles)
+    slot = {}
+    vs = [slot.setdefault(quiver.angles[a].vertex, len(slot)) for a in angles]
+    fs = [slot.setdefault(quiver.angles[a].face, len(slot)) for a in angles]
+    last = {c: i for i, c in enumerate(vs)}
+    last.update({c: i for i, c in enumerate(fs)})
+    closes_v = [last[c] == i for i, c in enumerate(vs)]
+    closes_f = [last[c] == i for i, c in enumerate(fs)]
+    budget = [omega[c] for c in slot]
+    values = [0] * n
+    top = [0] * n
+    i = 0
+    while True:
+        if i == n:
+            yield AngularFunction.from_vector(frame, tuple(values))
+        else:
+            v, f = vs[i], fs[i]
+            bv, bf = budget[v], budget[f]
+            # max and min spelt out: builtin calls per node cost more
+            lo = bv if closes_v[i] else 0
+            if closes_f[i] and bf > lo:
+                lo = bf
+            hi = bv if bv < bf else bf
+            if lo <= hi:
+                values[i], top[i] = lo, hi
+                budget[v], budget[f] = bv - lo, bf - lo
+                i += 1
+                continue
+        # back up to the deepest angle that can still take one more unit
+        while True:
+            i -= 1
+            if i < 0:
+                return
+            v, f = vs[i], fs[i]
+            if values[i] < top[i]:
+                values[i] += 1
+                budget[v] -= 1
+                budget[f] -= 1
+                i += 1
+                break
+            budget[v] += values[i]
+            budget[f] += values[i]
+
+
+def move_graph_by_lookup(quiver, nodes):
+    """Every move between the states `nodes`, each moved vector looked up
+    among all of them: the move graph before the split at the narrowest
+    frontier.
+
+    Raises:
+        AssertionError: a move leaves the state set.
+    """
+    index = {g.vector: n for n, g in enumerate(nodes)}
+    edges = []
+    for n, g in enumerate(nodes):
+        v = g.vector
+        for e, _, i, j, k, l in quiver.steps:
+            if v[i] and v[j]:
+                m = index.get(moved_vector(v, i, j, k, l))
+                if m is None:
+                    raise AssertionError(
+                        f"move along {e} from state {n} leaves the state set")
+                edges.append((n, m, e))
+    edges.sort()
+    return StateGraph(nodes, edges)
 
 
 def gamma_inv_components_bruteforce(pmap: PlanarMap, omega, max_arrows=12) -> int:

@@ -15,11 +15,13 @@ grown by cover steps are checked against the scans of the whole box of
 dimension vectors that they replaced, and the one-pass subrepresentation
 isomorphism against the grown-lattice comparison it replaced.  Angular
 functions stored as value vectors are checked against sorted (angle,
-value) pairs, the move graph built by index arithmetic against the one
-built move by move, Jacobian residuals from derivatives cached on the
-potential against a per-arrow recomputation, and the closed-form residuals
-of state modules against the dense check, at the canonical potential and
-at perturbed ones.
+value) pairs, the states and moves split at the narrowest frontier against
+the one-pass search and whole-vector lookups they replaced (also on maps
+with permuted dart names), the move graph built by index arithmetic
+against the one built move by move, Jacobian residuals from derivatives
+cached on the potential against a per-arrow recomputation, and the
+closed-form residuals of state modules against the dense check, at the
+canonical potential and at perturbed ones.
 """
 
 import re
@@ -46,9 +48,11 @@ from medialq.lattice import (FiniteLattice, FinitePoset,
 from medialq.linalg import Matrix
 from medialq.planar import build_planar_map, dump_map_text, read_document
 
-from conftest import (compatible_functions, component_minimum_by_name,
-                      edge_endpoints, gamma_inv_components_bruteforce,
-                      join_table, lower_covers, moves_by_name,
+from conftest import (compatible_functions,
+                      compatible_functions_by_backtracking,
+                      component_minimum_by_name, edge_endpoints,
+                      gamma_inv_components_bruteforce, join_table,
+                      lower_covers, move_graph_by_lookup, moves_by_name,
                       paths_vanish_by_rounds, subobjects_by_name,
                       subrep_isomorphism_oracle, verify_order_isomorphism)
 
@@ -103,6 +107,17 @@ def summed_weights(draw, pmap, top=1):
     omega = {v: sum(g[a] for a in q.vertex_cycles[v]) for v in pmap.vertices}
     omega.update({f: sum(g[a] for a in q.face_cycles[f]) for f in pmap.faces})
     return omega
+
+
+@hs.composite
+def renamed(draw, pmap):
+    """pmap with its dart names permuted at random, which scrambles the
+    angle order: frontiers get wide and moves straddle every cut."""
+    darts = sorted(pmap.darts)
+    rename = dict(zip(darts, draw(hs.permutations(darts))))
+    return build_planar_map(
+        [[rename[d] for d in cycle] for cycle in pmap.vertices.values()],
+        [[rename[d] for d in pair] for pair in pmap.edges.values()])
 
 
 @hs.composite
@@ -300,9 +315,22 @@ def test_enumeration_needs_no_recursion():
     sys.setrecursionlimit(150)
     try:
         functions = st.enumerate_compatible(pmap, omega)
+        graph = st.Decoration.of(pmap, omega).move_graph
     finally:
         sys.setrecursionlimit(limit)
     assert len(functions) == 60
+    assert graph.edges == move_graph_by_lookup(pmap.quiver, functions).edges
+
+
+def test_first_based_invariants_build_no_state_list():
+    """nilpotency and invisible on a sum read ``first`` alone: neither the
+    decomposition nor the states get built."""
+    pmap, marked = corpus.load("trefoil_sum")
+    omega = kauffman_weight(LinkDiagram(pmap, marked))
+    dec = st.Decoration.of(pmap, omega)
+    assert dec.nilpotency == 0 and dec.invisible_arrows
+    assert st.gamma_inv_connected(pmap, omega) == (True, 1)
+    assert "decomposition" not in vars(dec) and "states" not in vars(dec)
 
 
 def test_kauffman_states_need_no_recursion():
@@ -1045,8 +1073,36 @@ def test_move_graph_matches_move_by_move_oracle(data):
                     g.items()).shifted({a: -v for a, v in delta.items()}).pairs
 
 
+@SETTINGS
+@given(hs.data())
+def test_split_states_and_moves_match_the_one_pass_oracles(data):
+    pmap = data.draw(shadows(max_per_position=2))
+    if data.draw(hs.booleans()):
+        pmap = data.draw(renamed(pmap))
+    kauffman = kauffman_weight(diagram_of(pmap))
+    omega = data.draw(hs.one_of(
+        hs.just(kauffman),
+        hs.just({c: 2 * v for c, v in kauffman.items()}),
+        summed_weights(pmap)))
+    dec = st.Decoration.of(pmap, omega)
+    assume(len(dec.states) <= 3000)
+    expected = list(compatible_functions_by_backtracking(dec.quiver, omega))
+    assert [g.vector for g in dec.states] == [g.vector for g in expected]
+    assert dec.first == dec.states[0]
+    assert dec.move_graph.edges == move_graph_by_lookup(
+        dec.quiver, expected).edges
+
+
+def without_prefix(decomposition, q):
+    """`decomposition` less prefix q and every state that starts with it."""
+    m, prefixes, suffixes = decomposition
+    return m, prefixes[:q] + prefixes[q + 1:], suffixes
+
+
 def test_move_outside_the_state_set_is_an_internal_disagreement(
         capsys, monkeypatch):
+    """On the trefoil every prefix has one completion, so dropping prefix t
+    from the decomposition drops state t alone."""
     path = str(resources.files("medialq").joinpath("corpus", "trefoil.map"))
     assert cli.main(["move-graph", path]) == 0
     first = next(line for line in capsys.readouterr().out.splitlines()
@@ -1056,19 +1112,59 @@ def test_move_outside_the_state_set_is_an_internal_disagreement(
     s_after = s - (s > t)  # index of the source once state t is gone
 
     pmap, marked = corpus.load("trefoil")
-    dec = st.Decoration(pmap, kauffman_weight(LinkDiagram(pmap, marked)))
-    dec.states = tuple(g for i, g in enumerate(
-        st.enumerate_compatible(pmap, dec.omega)) if i != t)
+    dec = st.Decoration.of(pmap, kauffman_weight(LinkDiagram(pmap, marked)))
+    _, prefixes, suffixes = dec.decomposition
+    assert [len(suffixes[b]) for _, b in prefixes] == [1, 1, 1]
+    dec.decomposition = without_prefix(dec.decomposition, t)
     message = f"move along {e} from state {s_after} leaves the state set"
     with pytest.raises(AssertionError, match=message):
         dec.move_graph
 
-    monkeypatch.setattr(st.Decoration, "states", property(
-        lambda self: tuple(g for i, g in enumerate(
-            st.enumerate_compatible(self.pmap, self.omega)) if i != t)))
+    split = st.Decoration.decomposition.func
+    monkeypatch.setattr(st.Decoration, "decomposition", property(
+        lambda self: without_prefix(split(self), t)))
     assert cli.main(["move-graph", path]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err == f"medialq: {message}\n"
+
+
+def test_every_lost_state_is_caught_by_a_closure_check():
+    """Drop one prefix, or one completion of one frontier budget, from the
+    decomposition: the move graph refuses with a move from a kept state
+    into a lost one, or, where no move enters a lost state, holds every
+    move between the kept ones.  Refusals come from moves after, before
+    and across the cut."""
+    kinds = set()
+    for name in ("figure_eight", "torus_2_6", "trefoil_sum"):
+        pmap, marked = corpus.load(name)
+        omega = kauffman_weight(LinkDiagram(pmap, marked))
+        dec = st.Decoration.of(pmap, omega)
+        whole, (m, prefixes, suffixes) = dec.move_graph, dec.decomposition
+        kind = {e: "after" if min(ends) >= m else
+                "before" if max(ends) < m else "across"
+                for e, _, *ends in dec.quiver.steps}
+        drops = [without_prefix(dec.decomposition, q)
+                 for q in range(len(prefixes))]
+        drops += [(m, prefixes, {**suffixes, b: ss[:r] + ss[r + 1:]})
+                  for b, ss in suffixes.items() for r in range(len(ss))]
+        for drop in drops:
+            pmap.decorations.clear()
+            dec = st.Decoration.of(pmap, omega)
+            dec.decomposition = drop
+            kept = {whole.nodes.index(g): n for n, g in enumerate(dec.states)}
+            leaving = {(e, kept[s]) for s, t, e in whole.edges
+                       if s in kept and t not in kept}
+            if not leaving:
+                assert dec.move_graph.edges == tuple(
+                    (kept[s], kept[t], e) for s, t, e in whole.edges
+                    if s in kept and t in kept)
+                continue
+            with pytest.raises(AssertionError) as refusal:
+                dec.move_graph
+            _, _, e, _, _, n, *_ = str(refusal.value).split()
+            assert (e, int(n)) in leaving
+            kinds.add(kind[e])
+    assert kinds == {"after", "before", "across"}
 
 
 # ----------------------------------------------------------------------
