@@ -185,15 +185,14 @@ def _component(args):
 
 
 def _top_module(args):
-    """(decoration, maximal state of the component lattice, its state
-    module, header)."""
+    """(decoration, component lattice, state module of its maximum,
+    header)."""
     from .reps import state_module
 
     dec, lattice, lines = _component(args)
     if lattice is None:
         raise InputError("no compatible angular function, nothing to build")
-    top = lattice.maximum
-    return dec, top, state_module(dec.pmap, top), lines
+    return dec, lattice, state_module(dec.pmap, lattice.maximum), lines
 
 
 # ----------------------------------------------------------------------
@@ -354,8 +353,9 @@ def cmd_kauffman_states(args):
 
 
 def cmd_module(args):
-    _, top, module, lines = _top_module(args)
-    lines.append(f"state module of the maximal state {_bms_text(top)}")
+    _, lattice, module, lines = _top_module(args)
+    lines.append(
+        f"state module of the maximal state {_bms_text(lattice.maximum)}")
     lines.append("dims: " + " ".join(
         f"{e}:{module.dims[e]}" for e in module.vertices))
     return 0, chain(lines, (
@@ -389,10 +389,10 @@ def cmd_jacobian_check(args):
 def cmd_endo(args):
     from .reps import endomorphism_ring
 
-    _, top, module, lines = _top_module(args)
+    _, lattice, module, lines = _top_module(args)
     ring = endomorphism_ring(module)
     lines.append(f"endomorphisms of the maximal state module "
-                 f"{_bms_text(top)}")
+                 f"{_bms_text(lattice.maximum)}")
     lines.append(f"dimension: {ring.dimension} semisimple rank: "
                  f"{ring.gram_rank} local: {ring.is_local}")
     shown = [e for e in module.vertices if module.dims[e]]
@@ -402,15 +402,23 @@ def cmd_endo(args):
 
 
 def cmd_subreps(args):
-    from .reps import enumerate_subreps
+    """The component lattice shown by x.d: once ``verify_subrep_isomorphism``
+    holds, that is the subrepresentation lattice of the maximal state
+    module, grades, element order, cover labels and masks included."""
+    from .lattice import CertificationFailed
+    from .reps import verify_subrep_isomorphism
 
-    dec, top, module, lines = _top_module(args)
-    found = enumerate_subreps(module, dec.omega)
+    dec, lattice, module, lines = _top_module(args)
+    if not verify_subrep_isomorphism(lattice, module, dec.omega):
+        raise CertificationFailed(
+            "the subrepresentations of the maximal state module are not its "
+            "plus-subobjects under x -> x.d")
     lines.append(f"subrepresentations of the maximal state module "
-                 f"{_bms_text(top)}")
+                 f"{_bms_text(lattice.maximum)}")
     if args.format == "dot":
-        return _hasse(lines, found, _dims_text)
-    return 0, chain(lines, _lattice_lines(found, _family_text))
+        return _hasse(lines, lattice, lambda x: _dims_text(x.d))
+    return 0, chain(lines,
+                    _lattice_lines(lattice, lambda x: _family_text(x.d)))
 
 
 def cmd_verify_iso(args):

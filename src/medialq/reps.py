@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import inf, lcm
 from typing import TYPE_CHECKING
 
-from .lattice import CertificationFailed, FiniteLattice, grown_lattice
+from .lattice import CertificationFailed, FiniteLattice
 from .linalg import Matrix, ShapeMismatch, hstack_all
 from .planar import MedialQuiver, PlanarMap, Record, connected_components
 from .states import AngleFrame, Decoration, check_cycle, is_characteristic
@@ -549,7 +549,7 @@ def _require_subrep_premises(m: QuiverRep, omega):
     """Raise unless the prefix families of m are provably all of its
     subrepresentations, reached from 0 by unit steps: at each supported
     vertex some distinguished cycle must act as the exact nilpotent Jordan
-    block, and m must be nilpotent (see ``enumerate_subreps``)."""
+    block, and m must be nilpotent (see ``verify_subrep_isomorphism``)."""
     if not is_characteristic(omega):
         raise NotCharacteristicWeight(
             "subrepresentation enumeration needs weight values in {0, 1}")
@@ -585,32 +585,6 @@ def _unit_steps(m: QuiverRep):
     return upper
 
 
-def enumerate_subreps(m: QuiverRep, omega) -> FiniteLattice:
-    """All subrepresentations spanned by coordinate prefixes, as a certified
-    lattice ordered pointwise.  Each element is its prefix lengths k, the
-    tuple of (vertex, k_e) pairs in vertex order: the format of
-    ``BMSState.d``, so a state's d names a subrepresentation of its module.
-    The grade of an element is the sum of its k.
-
-    At every supported vertex a distinguished cycle must act as the full
-    Jordan block; its invariant subspaces are then exactly the coordinate
-    prefixes, so every subrepresentation restricts to a prefix at every
-    vertex.  The lattice is grown up from 0 by unit steps (``_unit_steps``).
-    The growth reaches every subrepresentation U != 0 when m is nilpotent:
-    the images of the arrows on U form a proper subrepresentation, again a
-    prefix family, so at some vertex the last coordinate of U is hit by no
-    arrow and can be dropped.
-
-    Raises:
-        NotCharacteristicWeight.
-        CandidateSpaceTooLarge: the Jordan-block premise could not be
-            certified at some supported vertex, or m is not nilpotent.
-    """
-    _require_subrep_premises(m, omega)
-    root = tuple((e, 0) for e in m.vertices)
-    return grown_lattice(root, _unit_steps(m), key=lambda k: k)
-
-
 def _prefix_closed(m, k, arrow):
     """Does the arrow matrix map the source prefix into the target prefix?"""
     s, t = m.arrows[arrow]
@@ -625,27 +599,41 @@ def verify_subrep_isomorphism(below: FiniteLattice, module: QuiverRep,
     a state xi (of a component maximum: its component lattice), onto the
     subrepresentations S of module, built from xi?  Grades then match, both
     being the sum of d.  One scan of below decides it; S is never grown.
+    When it holds, below shown by x.d is the lattice S, which is how the
+    ``subreps`` report prints S.
+
+    Premises (``_require_subrep_premises``).  At every supported vertex a
+    distinguished cycle acts as the full Jordan block, whose invariant
+    subspaces are exactly the coordinate prefixes; so every U in S is a
+    prefix family, named by its prefix lengths k, the tuple of (vertex,
+    k_e) pairs in vertex order: the format of ``BMSState.d``.  And module
+    is nilpotent; so for U != 0 the images of the arrows on U form a
+    proper subrepresentation, again a prefix family, and at some vertex
+    the last coordinate of U is hit by no arrow and can be dropped: U
+    drops by a unit step within S.
 
     Lemma: it is, exactly when the minimum of below has d = 0, no two
     elements share a d, and the unit steps within S from each x.d
     (``_unit_steps``) are the d of the covers of x.  (<=) Each x is reached
     from the minimum by covers, and a unit step from U in S breaks only
     arrows out of the raised vertex, which are checked: d lands in S.  Each
-    U != 0 in S drops by a unit step within S (see ``enumerate_subreps``),
-    so S is reached from 0 by unit steps, each the d of a cover: d is onto.
-    Unit steps generate the order of S (U <= U' through U + V, V climbing
-    from 0 to U'), so d, one to one by the second test, preserves order
-    both ways.  (=>) is immediate.  The second test is needed: a square
-    whose middle pair shares a d passes the others over a 3-chain of S.
+    U != 0 in S drops by a unit step within S, so S is reached from 0 by
+    unit steps, each the d of a cover: d is onto.  Unit steps generate the
+    order of S (U <= U' through U + V, V climbing from 0 to U'), so d, one
+    to one by the second test, preserves order both ways.  (=>) is
+    immediate.  The second test is needed: a square whose middle pair
+    shares a d passes the others over a 3-chain of S.
 
     Raises:
-        NotCharacteristicWeight, CandidateSpaceTooLarge: a premise of
-        ``enumerate_subreps`` fails.
+        NotCharacteristicWeight, CandidateSpaceTooLarge: a premise fails.
     """
     _require_subrep_premises(module, omega)
     upper = _unit_steps(module)
-    ds = {x.d for x in below.elements}
+    above = {x.d: set() for x in below.elements}  # d -> the d of its covers
+    for x, y in below.covers:
+        above[x.d].add(y.d)
+    # one element's unit steps at a time: each is a fresh tuple of pairs
     return (below.minimum.d == tuple((e, 0) for e in module.vertices)
-            and len(ds) == len(below)
-            and {(d, k) for d in ds for _, k in upper(d)}
-            == {(x.d, y.d) for x, y in below.covers})
+            and len(above) == len(below)
+            and all({k for _, k in upper(d)} == ups
+                    for d, ups in above.items()))

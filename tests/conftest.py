@@ -7,7 +7,7 @@ from medialq.lattice import grown_lattice
 from medialq.linalg import Matrix, hstack_all
 from medialq.planar import (PlanarMap, Record, build_planar_map,
                             connected_components, dump_map_text)
-from medialq.reps import QuiverRep, enumerate_subreps
+from medialq.reps import QuiverRep, _require_subrep_premises
 from medialq.states import (AngleFrame, AngularFunction, Decoration,
                             StateGraph, anti_mov_e, is_anti_e_movable,
                             is_e_movable, moved_vector)
@@ -223,6 +223,35 @@ def verify_order_isomorphism(p, q, mapping) -> bool:
     inverse = {y: x for x, y in mapping.items()}
     return (all(q.leq(mapping[a], mapping[b]) for a, b in p.covers)
             and all(p.leq(inverse[c], inverse[d]) for c, d in q.covers))
+
+
+def is_prefix_family(m, k):
+    """Does every arrow matrix of m map the prefix k at its source into the
+    prefix k at its target?  k maps each vertex to a prefix length."""
+    return all(m.mats[a].data[i][j] == 0 for a, (s, t) in m.arrows.items()
+               for j in range(k[s]) for i in range(k[t], m.dims[t]))
+
+
+def enumerate_subreps(m, omega):
+    """Oracle that grows the subrepresentations S of m: the prefix families
+    reached from 0 by unit steps, as a certified lattice ordered pointwise,
+    each element its (vertex, k_e) pairs in vertex order.  It refuses as
+    ``reps.verify_subrep_isomorphism`` does, under whose premises these
+    are all of S.  Every candidate is checked against every arrow, so the
+    oracle does not rest on ``reps._unit_steps``' argument that only the
+    arrows out of the raised vertex can break."""
+    _require_subrep_premises(m, omega)
+
+    def upper(family):
+        base = dict(family)
+        for e in m.vertices:
+            if base[e] < m.dims[e]:
+                k = {**base, e: base[e] + 1}
+                if is_prefix_family(m, k):
+                    yield e, tuple(k.items())
+
+    return grown_lattice(tuple((e, 0) for e in m.vertices), upper,
+                         key=lambda k: k)
 
 
 def subrep_isomorphism_oracle(below, module, omega) -> bool:

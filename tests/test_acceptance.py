@@ -21,9 +21,9 @@ from medialq.kauffman import (
     kauffman_weight,
 )
 from medialq.planar import build_planar_map, medial_quiver
-from conftest import (TRIANGLE_PAIR, TRIANGLE_ROT, forgetful_projection,
-                      gamma_inv_components_bruteforce, join_table,
-                      meet_table)
+from conftest import (TRIANGLE_PAIR, TRIANGLE_ROT, enumerate_subreps,
+                      forgetful_projection, gamma_inv_components_bruteforce,
+                      join_table, meet_table)
 
 # The Hopf-link decoration with zero weight on two opposite faces: the two
 # compatible functions admit no moves at all.
@@ -176,7 +176,7 @@ def test_criterion_6_representation_theorems(corpus_maps):
         assert reps.simple_quotients(module) == anti
         assert reps.verify_subrep_isomorphism(lattice, module, omega)
         assert len(lattice) == expected
-        assert len(reps.enumerate_subreps(module, omega)) == expected
+        assert len(enumerate_subreps(module, omega)) == expected
     print("PASS 6: maximal trefoil/figure-eight modules are nilpotent and "
           "indecomposable; quotients match; lattices agree (3 and 5)")
 

@@ -522,23 +522,30 @@ def test_no_verb_grows_the_plus_subobjects_again(capsys, maps, monkeypatch):
 
 def test_no_verb_grows_the_subrepresentations_for_the_isomorphism(
         capsys, maps, monkeypatch):
-    """verify-iso and check-all decide the subrepresentation isomorphism by
-    one scan of the component lattice they hold; only subreps grows the
-    subrepresentation lattice."""
-    from medialq import reps
+    """verify-iso decides the subrepresentation isomorphism by one scan of
+    the component lattice it holds, and subreps, in either format, prints
+    that lattice through the verdict: each certifies one lattice, the
+    component lattice, and grows no second one."""
+    from medialq import lattice
 
-    runs = [("verify-iso", maps[name]) for name in sorted(maps)]
-    runs.append(("check-all",))
+    runs = [(verb, maps[name], *fmt) for name in sorted(maps)
+            for verb, fmt in (("verify-iso", ()), ("subreps", ()),
+                              ("subreps", ("--format", "dot")))]
     plain = [run(capsys, *argv) for argv in runs]
+    certify = lattice.certify_graded_distributive_lattice
+    calls = []
 
-    def grow(*args):
-        raise AssertionError("enumerate_subreps called by a verb")
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return certify(*args, **kwargs)
 
-    monkeypatch.setattr(reps, "enumerate_subreps", grow)
-    assert [run(capsys, *argv) for argv in runs] == plain
+    monkeypatch.setattr(lattice, "certify_graded_distributive_lattice",
+                        counted)
+    for argv, report in zip(runs, plain):
+        calls.clear()
+        assert run(capsys, *argv) == report
+        assert len(calls) == 1, argv
     assert {code for code, _, _ in plain} == {0}
-    assert run(capsys, "subreps", maps["trefoil"]) == (
-        1, "", "medialq: enumerate_subreps called by a verb\n")
 
 
 def test_verify_iso_reports_a_failed_verdict(capsys, maps, monkeypatch):
@@ -555,6 +562,36 @@ def test_verify_iso_reports_a_failed_verdict(capsys, maps, monkeypatch):
     assert run(capsys, "verify-iso", maps["figure_eight"]) == (1, out.replace(
         counts, "plus-subobjects: 5 subrepresentations: differ\n").replace(
         verdict, "order isomorphism: False grades match: False\n"), "")
+
+
+def test_subreps_reports_a_failed_verdict(capsys, maps, monkeypatch):
+    """subreps prints the component lattice only through a verified
+    isomorphism; a failed verdict is an internal disagreement (exit 1)
+    with no report."""
+    from medialq import reps
+
+    assert run(capsys, "subreps", maps["figure_eight"])[0] == 0
+    monkeypatch.setattr(reps, "verify_subrep_isomorphism",
+                        lambda below, module, omega: False)
+    for fmt in ("dump", "dot"):
+        code, out, err = run(capsys, "subreps", maps["figure_eight"],
+                             "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == ("medialq: the subrepresentations of the maximal state "
+                       "module are not its plus-subobjects under x -> x.d\n")
+
+
+@pytest.mark.parametrize("verb", ["module", "endo", "subreps"])
+def test_module_verbs_refuse_a_weight_without_states(capsys, maps, tmp_path,
+                                                     verb):
+    """A weight with no compatible angular function leaves no maximal
+    state, so no module to build: unusable input (exit 2)."""
+    weight = tmp_path / "w.yaml"
+    weight.write_text(dump_weight_text(
+        {"v0": 0, "v1": 0, "v2": 1, "f0": 0, "f1": 0, "f2": 0, "f3": 1,
+         "f4": 0}))
+    assert run(capsys, verb, maps["trefoil"], "--weight", weight) == (
+        2, "", "medialq: no compatible angular function, nothing to build\n")
 
 
 def test_module_entry_point(maps):
@@ -603,12 +640,11 @@ def test_clock_on_a_non_prime_diagram_exits_1(capsys, maps):
 
 
 def test_candidate_space_refusal_exits_2(capsys, maps, monkeypatch):
-    from medialq import cli, reps
+    from medialq import reps
 
     def refuse(*args):
         raise reps.CandidateSpaceTooLarge("module is not nilpotent")
 
-    monkeypatch.setattr(cli, "cmd_subreps", refuse)
     monkeypatch.setattr(reps, "verify_subrep_isomorphism", refuse)
     for argv in (("subreps", maps["trefoil"]), ("check-all",)):
         code, out, err = run(capsys, *argv)

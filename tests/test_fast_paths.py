@@ -12,8 +12,10 @@ and the pointwise-closure scan that Birkhoff's check and the mask-based
 closure check replaced, and the closure-based order-isomorphism oracle is
 checked against the pairwise one.  Subobject and subrepresentation lattices
 grown by cover steps are checked against the scans of the whole box of
-dimension vectors that they replaced, and the one-pass subrepresentation
-isomorphism against the grown-lattice comparison it replaced.  Angular
+dimension vectors that they replaced, the one-pass subrepresentation
+isomorphism against the grown-lattice comparison it replaced, and the
+component lattice shown by d, as ``subreps`` prints it, against the grown
+subrepresentation lattice.  Angular
 functions stored as value vectors are checked against sorted (angle,
 value) pairs, the states and moves split at the narrowest frontier against
 the one-pass search and whole-vector lookups they replaced (also on maps
@@ -26,6 +28,7 @@ canonical potential and at perturbed ones.
 
 import re
 import sys
+from collections import namedtuple
 from fractions import Fraction
 from importlib import resources
 from itertools import combinations, product
@@ -44,15 +47,17 @@ from medialq.kauffman import (LinkDiagram, clock_lattice,
                               enumerate_kauffman_states, find_separating_pair,
                               kauffman_weight)
 from medialq.lattice import (FiniteLattice, FinitePoset,
-                             certify_graded_distributive_lattice)
+                             certify_graded_distributive_lattice,
+                             grown_lattice)
 from medialq.linalg import Matrix
 from medialq.planar import build_planar_map, dump_map_text, read_document
 
 from conftest import (compatible_functions,
                       compatible_functions_by_backtracking,
                       component_minimum_by_name, edge_endpoints,
-                      gamma_inv_components_bruteforce, join_table,
-                      lower_covers, move_graph_by_lookup, moves_by_name,
+                      enumerate_subreps, gamma_inv_components_bruteforce,
+                      is_prefix_family, join_table, lower_covers,
+                      move_graph_by_lookup, moves_by_name,
                       paths_vanish_by_rounds, subobjects_by_name,
                       subrep_isomorphism_oracle, verify_order_isomorphism)
 
@@ -704,7 +709,7 @@ def test_library_lattices_build_no_closure(word, strands):
     assert reps.verify_subrep_isomorphism(lattice, module, omega)
     lattices = [lattice, clock_lattice(diagram),
                 bms.plus_subobjects(pmap, omega, top),
-                reps.enumerate_subreps(module, omega)]
+                enumerate_subreps(module, omega)]
     for lat in lattices:
         bare = FinitePoset(lat.elements, lat.covers)  # its closure the oracle
         for x in _spread(lat.elements, 6):
@@ -741,8 +746,7 @@ def subreps_box(m):
     found = []
     for combo in product(*(range(m.dims[e] + 1) for e in m.vertices)):
         k = dict(zip(m.vertices, combo))
-        if all(m.mats[a].data[i][j] == 0 for a, (s, t) in m.arrows.items()
-               for j in range(k[s]) for i in range(k[t], m.dims[t])):
+        if is_prefix_family(m, k):
             found.append(tuple(k.items()))
     return found
 
@@ -799,13 +803,15 @@ def test_grown_subobjects_and_subreps_match_the_box_scans(pmap, scale):
                               key=lambda s: s.d)
             if scale == 1:
                 module = reps.state_module(pmap, xi)
-                assert_lattice_is(reps.enumerate_subreps(module, omega),
+                assert_lattice_is(enumerate_subreps(module, omega),
                                   subreps_box(module), key=lambda k: k)
 
 
 def test_subreps_refuse_a_module_that_is_not_nilpotent():
     """x -> y -> x acting by 1, with zero loops as the Jordan cycles: the
-    subrepresentations are 0 and everything, two unit steps apart."""
+    subrepresentations are 0 and everything, two unit steps apart.  So 0
+    alone has no unit step within them and would pass the scan, were the
+    module not refused."""
     one, zero = Matrix.identity(1), Matrix.zeros(1, 1)
     module = reps.QuiverRep(
         ("x", "y"),
@@ -814,8 +820,12 @@ def test_subreps_refuse_a_module_that_is_not_nilpotent():
         cycles=(("lx",), ("ly",)))
     assert not reps.is_nilpotent(module)
     assert [sum(v for _, v in k) for k in subreps_box(module)] == [0, 2]
-    with pytest.raises(reps.CandidateSpaceTooLarge, match="not nilpotent"):
-        reps.enumerate_subreps(module, {"v0": 1})
+    Point = namedtuple("Point", "d")
+    zero = grown_lattice(Point((("x", 0), ("y", 0))), lambda x: (),
+                         key=lambda x: x.d)
+    for check in (reps.verify_subrep_isomorphism, subrep_isomorphism_oracle):
+        with pytest.raises(reps.CandidateSpaceTooLarge, match="not nilpotent"):
+            check(zero, module, {"v0": 1})
 
 
 def _top_module(pmap, omega):
@@ -858,7 +868,7 @@ def test_subrep_isomorphism_verdicts_match_the_closure_oracle():
         if verdict is reps.CandidateSpaceTooLarge:
             continue
         oracle = verify_order_isomorphism(
-            lattice, reps.enumerate_subreps(m, omega), rename)
+            lattice, enumerate_subreps(m, omega), rename)
         assert verdict == oracle
         verdicts.append(verdict)
     assert verdicts[0] and False in verdicts
@@ -885,6 +895,56 @@ def test_subrep_isomorphism_matches_the_grown_oracle(pmap, data):
     for check in (reps.verify_subrep_isomorphism, subrep_isomorphism_oracle):
         with pytest.raises(reps.NotCharacteristicWeight):
             check(lattice, module, double)
+
+
+def assert_shown_by_d(lattice, grown):
+    """lattice shown by x -> x.d is grown, in everything a report prints:
+    elements in order, covers in order, labels, grades and certificate."""
+    assert tuple(x.d for x in lattice.elements) == grown.elements
+    assert tuple((a.d, b.d) for a, b in lattice.covers) == grown.covers
+    assert {(a.d, b.d): e
+            for (a, b), e in lattice.labels.items()} == grown.labels
+    assert {x.d: g for x, g in lattice.grade.items()} == grown.grade
+    assert (lattice.minimum.d, lattice.maximum.d) == (grown.minimum,
+                                                      grown.maximum)
+    ours, theirs = lattice.certificate, grown.certificate
+    assert ours.masks == theirs.masks
+    assert ours.index_of_mask == theirs.index_of_mask
+    assert (ours.size, ours.grade_range) == (theirs.size, theirs.grade_range)
+
+
+@SETTINGS
+@given(shadows(max_per_position=2), hs.data())
+def test_subreps_shows_the_component_lattice_by_d(pmap, data):
+    """What ``subreps`` prints, a component lattice shown by x -> x.d once
+    the scan's verdict holds, is the oracle's grown lattice of the
+    subrepresentations of its maximal state module.  At the Kauffman weight
+    of any marked edge the verdict holds; at twice that weight, and at
+    summed weights (up to 3000 states, at nilpotency 0, where a component
+    lattice exists), the scan and the oracle refuse alike or agree."""
+    marked = data.draw(hs.sampled_from(
+        [e for e in sorted(pmap.edges) if len(set(pmap.edge_faces(e))) == 2]))
+    kauffman = kauffman_weight(LinkDiagram(pmap, marked))
+    double = {c: 2 * v for c, v in kauffman.items()}
+    for omega in (kauffman, double, data.draw(summed_weights(pmap))):
+        dec = st.Decoration.of(pmap, omega)
+        if len(dec.states) > 3000 or dec.nilpotency:
+            continue
+        graph = dec.move_graph
+        for comp in graph.undirected_components()[:3]:
+            lattice = dec.component_lattice(graph.nodes[comp[0]])
+            module = reps.state_module(pmap, lattice.maximum)
+            verdict = _verdict(reps.verify_subrep_isomorphism, lattice,
+                               module, omega)
+            grown = _verdict(enumerate_subreps, module, omega)
+            assert verdict is True or omega is not kauffman
+            if verdict is True:
+                assert_shown_by_d(lattice, grown)
+            elif verdict is False:
+                assert not verify_order_isomorphism(
+                    lattice, grown, {x: x.d for x in lattice.elements})
+            else:
+                assert grown is verdict
 
 
 def test_verify_iso_on_the_torus_2_18_chain(tmp_path, capsys):

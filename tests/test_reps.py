@@ -19,7 +19,7 @@ from medialq.reps import plus_minus_matrix as pm
 from medialq.states import NotACycle
 
 from conftest import (TRIANGLE_PAIR, TRIANGLE_ROT, direct_sum,
-                      subrep_isomorphism_oracle, total_dim)
+                      enumerate_subreps, subrep_isomorphism_oracle, total_dim)
 
 TRIANGLE_WEIGHT = {"v0": 1, "v1": 1, "v2": 2, "f0": 2, "f1": 2}
 
@@ -316,7 +316,7 @@ def test_non_characteristic_weight_refusals(trefoil_setup):
     # the locality verdict still rides along for the other method
     assert info.value.is_local is True
     with pytest.raises(reps.NotCharacteristicWeight):
-        reps.enumerate_subreps(module, heavy)
+        reps.verify_subrep_isomorphism(lattice, module, heavy)
 
 
 def test_simple_quotients_match_anti_movable(trefoil_setup, figure_eight_setup):
@@ -362,7 +362,7 @@ def test_short_exact_sequence_inclusions(trefoil_setup, figure_eight_setup):
 def test_subrep_lattice_trefoil_chain(trefoil_setup):
     pmap, omega, quiver, lattice = trefoil_setup
     module = reps.state_module(pmap, top_state(lattice))
-    found = reps.enumerate_subreps(module, omega)
+    found = enumerate_subreps(module, omega)
     assert len(found) == 3
     by_grade = sorted(found.elements, key=found.grade.get)
     assert [found.grade[k] for k in by_grade] == [0, 1, 2]
@@ -374,7 +374,7 @@ def test_subrep_lattice_trefoil_chain(trefoil_setup):
 def test_subrep_lattice_figure_eight(figure_eight_setup):
     pmap, omega, quiver, lattice = figure_eight_setup
     module = reps.state_module(pmap, top_state(lattice))
-    found = reps.enumerate_subreps(module, omega)
+    found = enumerate_subreps(module, omega)
     assert len(found) == 5
     grades = sorted(found.grade[k] for k in found.elements)
     assert grades == [0, 1, 1, 2, 3]
@@ -385,10 +385,13 @@ def test_subrep_lattice_figure_eight(figure_eight_setup):
 
 def test_subrep_refusals():
     # a supported vertex with no certified Jordan cycle is refused rather
-    # than enumerated optimistically
+    # than scanned optimistically, by the library and the oracle alike
     bare = reps.QuiverRep(("x",), {}, {"x": 1}, {})
-    with pytest.raises(reps.CandidateSpaceTooLarge):
-        reps.enumerate_subreps(bare, {"v0": 1})
+    Point = namedtuple("Point", "d")
+    zero = grown_lattice(Point((("x", 0),)), lambda x: (), key=lambda x: x.d)
+    for check in (reps.verify_subrep_isomorphism, subrep_isomorphism_oracle):
+        with pytest.raises(reps.CandidateSpaceTooLarge):
+            check(zero, bare, {"v0": 1})
 
 
 def test_subrep_isomorphism_certificates(trefoil_setup, figure_eight_setup):
@@ -397,7 +400,7 @@ def test_subrep_isomorphism_certificates(trefoil_setup, figure_eight_setup):
         module = reps.state_module(pmap, top_state(lattice))
         assert reps.verify_subrep_isomorphism(lattice, module, omega)
         assert subrep_isomorphism_oracle(lattice, module, omega)
-        subreps = reps.enumerate_subreps(module, omega)
+        subreps = enumerate_subreps(module, omega)
         assert len(lattice) == len(subreps) == expected
         for state in lattice.elements:
             assert subreps.grade[state.d] == state.d_tot
@@ -427,7 +430,7 @@ def test_subrep_isomorphism_needs_distinct_vectors(trefoil_setup):
     minimum and unit steps match, so only the repeated d tells."""
     pmap, omega, quiver, lattice = trefoil_setup
     module = reps.state_module(pmap, top_state(lattice))
-    chain = reps.enumerate_subreps(module, omega).elements
+    chain = enumerate_subreps(module, omega).elements
     assert len(chain) == 3
     Tagged = namedtuple("Tagged", "tag d")
     above = {"0": (Tagged("a", chain[1]), Tagged("b", chain[1])),
