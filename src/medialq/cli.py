@@ -402,9 +402,9 @@ def cmd_endo(args):
 
 
 def cmd_subreps(args):
-    """The component lattice shown by x.d: once ``verify_subrep_isomorphism``
-    holds, that is the subrepresentation lattice of the maximal state
-    module, grades, element order, cover labels and masks included."""
+    """The component lattice shown by x.d, which is the subrepresentation
+    lattice of the maximal state module once ``verify_subrep_isomorphism``
+    matches their least points: grades, order, labels and masks included."""
     from .lattice import CertificationFailed
     from .reps import verify_subrep_isomorphism
 

@@ -567,24 +567,6 @@ def _require_subrep_premises(m: QuiverRep, omega):
             "be provably complete")
 
 
-def _unit_steps(m: QuiverRep):
-    """upper(k) yields (e, k raised by one at e) for each vertex e where that
-    is a subrepresentation, given k is one: only the arrows out of e can
-    break, so only they are checked."""
-    out = {e: [a for a in sorted(m.arrows) if m.source(a) == e]
-           for e in m.vertices}
-
-    def upper(family):
-        base = dict(family)
-        for e in m.vertices:
-            if base[e] < m.dims[e]:
-                k = dict(base)  # a fresh family per candidate
-                k[e] += 1
-                if all(_prefix_closed(m, k, a) for a in out[e]):
-                    yield e, tuple(k.items())
-    return upper
-
-
 def _prefix_closed(m, k, arrow):
     """Does the arrow matrix map the source prefix into the target prefix?"""
     s, t = m.arrows[arrow]
@@ -593,12 +575,34 @@ def _prefix_closed(m, k, arrow):
                for j in range(k[s]) for i in range(k[t], m.dims[t]))
 
 
+def _least_points(m: QuiverRep):
+    """The least points of S, the prefix families closed under every arrow:
+    for each vertex e and 1 <= j <= d_e, the least p(e, j) in S with
+    k_e >= j, as its (vertex, k_e) pairs.  It grows from k_e = j: while an
+    arrow s -> t breaks k, k_t rises by one, and the arrows out of t are
+    checked again.  Every family in S above k needs each rise, and the
+    whole module is in S, so k stays within it."""
+    out = {e: [a for a in sorted(m.arrows) if m.source(a) == e]
+           for e in m.vertices}
+    for e in m.vertices:
+        for j in range(1, m.dims[e] + 1):
+            k = {**dict.fromkeys(m.vertices, 0), e: j}  # fresh per (e, j)
+            todo = {e}
+            while todo:
+                for a in out[todo.pop()]:
+                    t = m.target(a)
+                    while not _prefix_closed(m, k, a):
+                        k[t] += 1
+                        todo.add(t)
+            yield tuple(k.items())
+
+
 def verify_subrep_isomorphism(below: FiniteLattice, module: QuiverRep,
                               omega) -> bool:
     """Is x -> x.d an order isomorphism from below, the plus-subobjects of
     a state xi (of a component maximum: its component lattice), onto the
     subrepresentations S of module, built from xi?  Grades then match, both
-    being the sum of d.  One scan of below decides it; S is never grown.
+    being the sum of d.  Least points decide it; neither lattice is grown.
     When it holds, below shown by x.d is the lattice S, which is how the
     ``subreps`` report prints S.
 
@@ -606,34 +610,30 @@ def verify_subrep_isomorphism(below: FiniteLattice, module: QuiverRep,
     distinguished cycle acts as the full Jordan block, whose invariant
     subspaces are exactly the coordinate prefixes; so every U in S is a
     prefix family, named by its prefix lengths k, the tuple of (vertex,
-    k_e) pairs in vertex order: the format of ``BMSState.d``.  And module
-    is nilpotent; so for U != 0 the images of the arrows on U form a
-    proper subrepresentation, again a prefix family, and at some vertex
-    the last coordinate of U is hit by no arrow and can be dropped: U
-    drops by a unit step within S.
+    k_e) pairs in vertex order: the format of ``BMSState.d``.  As sums and
+    intersections of subrepresentations are ones, S is closed under
+    pointwise max and min.  module is nilpotent, so S is reached from 0 by
+    unit steps, which is how the oracles in the tests grow it.
 
-    Lemma: it is, exactly when the minimum of below has d = 0, no two
-    elements share a d, and the unit steps within S from each x.d
-    (``_unit_steps``) are the d of the covers of x.  (<=) Each x is reached
-    from the minimum by covers, and a unit step from U in S breaks only
-    arrows out of the raised vertex, which are checked: d lands in S.  Each
-    U != 0 in S drops by a unit step within S, so S is reached from 0 by
-    unit steps, each the d of a cover: d is onto.  Unit steps generate the
-    order of S (U <= U' through U + V, V climbing from 0 to U'), so d, one
-    to one by the second test, preserves order both ways.  (=>) is
-    immediate.  The second test is needed: a square whose middle pair
-    shares a d passes the others over a 3-chain of S.
+    Contract: x -> x.d is one to one and carries below's join and meet to
+    pointwise max and min; ``bms_plus_lattice`` certifies so for every
+    lattice it returns (``_check_pointwise_closure``), so for every caller.
+
+    Lemma: it is, exactly when the minimum of below has d = 0 and the d of
+    its join-irreducibles are the least points of S (``_least_points``).
+    In a family F of vectors closed under max and min and holding 0, x is
+    the max of the least points p(e, j) of F with j <= x_e.  So F's
+    join-irreducibles are among its least points, and each p(e, j) is one:
+    max(a, b) = p(e, j) puts a or b at j or more at e.  So F is the maxima
+    of sets of its least points, and equals another such family exactly
+    when their least points agree (Birkhoff, "Rings of sets", 1937).  By
+    the contract the image of d is such a family, with the d of below's
+    join-irreducibles as least points, and d preserves order both ways.
 
     Raises:
         NotCharacteristicWeight, CandidateSpaceTooLarge: a premise fails.
     """
     _require_subrep_premises(module, omega)
-    upper = _unit_steps(module)
-    above = {x.d: set() for x in below.elements}  # d -> the d of its covers
-    for x, y in below.covers:
-        above[x.d].add(y.d)
-    # one element's unit steps at a time: each is a fresh tuple of pairs
     return (below.minimum.d == tuple((e, 0) for e in module.vertices)
-            and len(above) == len(below)
-            and all({k for _, k in upper(d)} == ups
-                    for d, ups in above.items()))
+            and {j.d for j in below.certificate.join_irreducibles}
+            == set(_least_points(module)))

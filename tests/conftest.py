@@ -7,7 +7,7 @@ from medialq.lattice import grown_lattice
 from medialq.linalg import Matrix, hstack_all
 from medialq.planar import (PlanarMap, Record, build_planar_map,
                             connected_components, dump_map_text)
-from medialq.reps import QuiverRep, _require_subrep_premises
+from medialq.reps import QuiverRep, _prefix_closed, _require_subrep_premises
 from medialq.states import (AngleFrame, AngularFunction, Decoration,
                             StateGraph, anti_mov_e, is_anti_e_movable,
                             is_e_movable, moved_vector)
@@ -238,8 +238,8 @@ def enumerate_subreps(m, omega):
     each element its (vertex, k_e) pairs in vertex order.  It refuses as
     ``reps.verify_subrep_isomorphism`` does, under whose premises these
     are all of S.  Every candidate is checked against every arrow, so the
-    oracle does not rest on ``reps._unit_steps``' argument that only the
-    arrows out of the raised vertex can break."""
+    oracle does not rest on ``unit_step_isomorphism_oracle``'s argument
+    that only the arrows out of the raised vertex can break."""
     _require_subrep_premises(m, omega)
 
     def upper(family):
@@ -265,6 +265,54 @@ def subrep_isomorphism_oracle(below, module, omega) -> bool:
            and {(a.d, b.d) for a, b in below.covers} == set(subreps.covers))
     return iso and all(below.grade[x] == subreps.grade[x.d]
                        for x in below.elements)
+
+
+def _unit_steps(m):
+    """upper(k) yields (e, k raised by one at e) for each vertex e where that
+    is a subrepresentation, given k is one: only the arrows out of e can
+    break, so only they are checked."""
+    out = {e: [a for a in sorted(m.arrows) if m.source(a) == e]
+           for e in m.vertices}
+
+    def upper(family):
+        base = dict(family)
+        for e in m.vertices:
+            if base[e] < m.dims[e]:
+                k = dict(base)  # a fresh family per candidate
+                k[e] += 1
+                if all(_prefix_closed(m, k, a) for a in out[e]):
+                    yield e, tuple(k.items())
+    return upper
+
+
+def unit_step_isomorphism_oracle(below, module, omega) -> bool:
+    """Oracle of ``reps.verify_subrep_isomorphism``, the unit-step scan its
+    least-point check replaced: is x -> x.d an order isomorphism from below
+    onto the subrepresentations S of module?  It refuses as the library
+    does.
+
+    Lemma: it is, exactly when the minimum of below has d = 0, no two
+    elements share a d, and the unit steps within S from each x.d
+    (``_unit_steps``) are the d of the covers of x.  (<=) Each x is reached
+    from the minimum by covers, and a unit step from U in S breaks only
+    arrows out of the raised vertex, which are checked: d lands in S.  Each
+    U != 0 in S drops by a unit step within S (module is nilpotent), so S
+    is reached from 0 by unit steps, each the d of a cover: d is onto.
+    Unit steps generate the order of S (U <= U' through U + V, V climbing
+    from 0 to U'), so d, one to one by the second test, preserves order
+    both ways.  (=>) is immediate.  The second test is needed: a square
+    whose middle pair shares a d passes the others over a 3-chain of S.
+    """
+    _require_subrep_premises(module, omega)
+    upper = _unit_steps(module)
+    above = {x.d: set() for x in below.elements}  # d -> the d of its covers
+    for x, y in below.covers:
+        above[x.d].add(y.d)
+    # one element's unit steps at a time: each is a fresh tuple of pairs
+    return (below.minimum.d == tuple((e, 0) for e in module.vertices)
+            and len(above) == len(below)
+            and all({k for _, k in upper(d)} == ups
+                    for d, ups in above.items()))
 
 
 def _table(cert, op):

@@ -494,11 +494,13 @@ def test_benchmark_tracer_still_fits_the_library(tmp_path):
     assert proc.stdout == plain.stdout
     summary = json.loads(trace.read_text())
     counters, calls = summary["counters"], summary["calls"]
+    # one subrep candidate per least point started: the sum of d over the
+    # maxima of the seven corpus maps
     assert {name: counters.get(name) for name in (
         "bms.subobject_candidates", "bms.subobjects_kept",
         "reps.subrep_candidates", "reps.subreps_kept")} == {
         "bms.subobject_candidates": None, "bms.subobjects_kept": None,
-        "reps.subrep_candidates": 61, "reps.subreps_kept": None}
+        "reps.subrep_candidates": 22, "reps.subreps_kept": None}
     assert calls["lattice.certify_graded_distributive_lattice"] == 7
 
 
@@ -522,8 +524,9 @@ def test_no_verb_grows_the_plus_subobjects_again(capsys, maps, monkeypatch):
 
 def test_no_verb_grows_the_subrepresentations_for_the_isomorphism(
         capsys, maps, monkeypatch):
-    """verify-iso decides the subrepresentation isomorphism by one scan of
-    the component lattice it holds, and subreps, in either format, prints
+    """verify-iso decides the subrepresentation isomorphism from the least
+    points of the subrepresentations and the join-irreducibles of the
+    component lattice it holds, and subreps, in either format, prints
     that lattice through the verdict: each certifies one lattice, the
     component lattice, and grows no second one."""
     from medialq import lattice

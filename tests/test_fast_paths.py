@@ -59,7 +59,11 @@ from conftest import (compatible_functions,
                       is_prefix_family, join_table, lower_covers,
                       move_graph_by_lookup, moves_by_name,
                       paths_vanish_by_rounds, subobjects_by_name,
-                      subrep_isomorphism_oracle, verify_order_isomorphism)
+                      subrep_isomorphism_oracle,
+                      unit_step_isomorphism_oracle, verify_order_isomorphism)
+
+SUBREP_CHECKS = (reps.verify_subrep_isomorphism, unit_step_isomorphism_oracle,
+                 subrep_isomorphism_oracle)
 
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
                     database=None,
@@ -810,8 +814,9 @@ def test_grown_subobjects_and_subreps_match_the_box_scans(pmap, scale):
 def test_subreps_refuse_a_module_that_is_not_nilpotent():
     """x -> y -> x acting by 1, with zero loops as the Jordan cycles: the
     subrepresentations are 0 and everything, two unit steps apart.  So 0
-    alone has no unit step within them and would pass the scan, were the
-    module not refused."""
+    alone has no unit step within them and would pass the unit-step scan
+    and the grown oracle, were the module not refused; the library refuses
+    it as they do."""
     one, zero = Matrix.identity(1), Matrix.zeros(1, 1)
     module = reps.QuiverRep(
         ("x", "y"),
@@ -823,7 +828,7 @@ def test_subreps_refuse_a_module_that_is_not_nilpotent():
     Point = namedtuple("Point", "d")
     zero = grown_lattice(Point((("x", 0), ("y", 0))), lambda x: (),
                          key=lambda x: x.d)
-    for check in (reps.verify_subrep_isomorphism, subrep_isomorphism_oracle):
+    for check in SUBREP_CHECKS:
         with pytest.raises(reps.CandidateSpaceTooLarge, match="not nilpotent"):
             check(zero, module, {"v0": 1})
 
@@ -851,20 +856,24 @@ def _verdict(check, *args):
         return type(exc)
 
 
+def _verdicts(*args):
+    """The verdict, or refusal, of the library and of both oracles."""
+    return [_verdict(check, *args) for check in SUBREP_CHECKS]
+
+
 def test_subrep_isomorphism_verdicts_match_the_closure_oracle():
     """Single 0/1 flips of the entries of the maximal state module of the
-    (s1s2)^3 shadow: every verdict is the grown oracle's, refusals included,
-    one that is not refused is the closure oracle's under s -> s.d, and
-    some flip breaks the isomorphism."""
+    (s1s2)^3 shadow: every verdict is the unit-step and the grown oracles',
+    refusals included, one that is not refused is the closure oracle's
+    under s -> s.d, and some flip breaks the isomorphism."""
     pmap = build_planar_map(*corpus.braid_closure_shadow([1, 2] * 3, 3))
     omega = kauffman_weight(diagram_of(pmap))
     lattice, module = _top_module(pmap, omega)
     rename = {s: s.d for s in lattice.elements}
     verdicts = []
     for m in [module] + _single_flips(module):
-        verdict = _verdict(reps.verify_subrep_isomorphism, lattice, m, omega)
-        assert verdict == _verdict(subrep_isomorphism_oracle, lattice, m,
-                                   omega)
+        verdict, *oracles = _verdicts(lattice, m, omega)
+        assert oracles == [verdict, verdict]
         if verdict is reps.CandidateSpaceTooLarge:
             continue
         oracle = verify_order_isomorphism(
@@ -877,24 +886,60 @@ def test_subrep_isomorphism_verdicts_match_the_closure_oracle():
 @SETTINGS
 @given(shadows(max_per_position=2), hs.data())
 def test_subrep_isomorphism_matches_the_grown_oracle(pmap, data):
-    """The one-pass scan against the grown-lattice comparison it replaced,
-    on the maximal state module of a component lattice and on some of its
-    single-entry flips, at the Kauffman weight; at twice that weight both
-    refuse the module of a component maximum."""
+    """The least-point check against the unit-step scan and the
+    grown-lattice comparison, on the maximal state module of a component
+    lattice and on some of its single-entry flips, at the Kauffman weight;
+    at twice that weight all three refuse the module of a component
+    maximum."""
     kauffman = kauffman_weight(diagram_of(pmap))
     lattice, module = _top_module(pmap, kauffman)
     flips = _single_flips(module)
     picked = data.draw(hs.lists(hs.sampled_from(range(len(flips))),
                                 max_size=6, unique=True)) if flips else []
     for m in [module] + [flips[i] for i in picked]:
-        assert _verdict(reps.verify_subrep_isomorphism, lattice, m,
-                        kauffman) == _verdict(subrep_isomorphism_oracle,
-                                              lattice, m, kauffman)
+        verdict, *oracles = _verdicts(lattice, m, kauffman)
+        assert oracles == [verdict, verdict]
     double = {c: 2 * v for c, v in kauffman.items()}
     lattice, module = _top_module(pmap, double)
-    for check in (reps.verify_subrep_isomorphism, subrep_isomorphism_oracle):
+    for check in SUBREP_CHECKS:
         with pytest.raises(reps.NotCharacteristicWeight):
             check(lattice, module, double)
+
+
+def assert_proper_sub_families_rejected(pmap, omega):
+    """For up to four non-maximal states xi of each of the first three
+    components, the plus-subobjects of xi against the state module of the
+    component's maximum: a pointwise-closed lattice with minimum 0, but a
+    proper sub-family of the subrepresentations, so the library and both
+    oracles say False.  Returns how many were checked."""
+    dec = st.Decoration.of(pmap, omega)
+    graph = dec.move_graph
+    checked = 0
+    for comp in graph.undirected_components()[:3]:
+        lattice = dec.component_lattice(graph.nodes[comp[0]])
+        module = reps.state_module(pmap, lattice.maximum)
+        for xi in _spread(lattice.elements[:-1], 4):
+            below = bms.plus_subobjects(pmap, omega, xi)
+            assert below.minimum.d == tuple((e, 0) for e in module.vertices)
+            assert len(below) < len(lattice)
+            assert _verdicts(below, module, omega) == [False] * 3
+            checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("name", ["figure_eight", "torus_2_6"])
+def test_subrep_isomorphism_rejects_a_proper_sub_family(name):
+    """The module is the maximum's and the lattice is closed under max and
+    min and rooted at 0, so only its missing elements can tell."""
+    pmap, marked = corpus.generate(name)
+    omega = kauffman_weight(LinkDiagram(pmap, marked))
+    assert assert_proper_sub_families_rejected(pmap, omega) >= 4
+
+
+@SETTINGS
+@given(shadows(max_per_position=2))
+def test_subrep_isomorphism_rejects_proper_sub_families_of_shadows(pmap):
+    assert_proper_sub_families_rejected(pmap, kauffman_weight(diagram_of(pmap)))
 
 
 def assert_shown_by_d(lattice, grown):

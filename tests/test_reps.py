@@ -19,7 +19,8 @@ from medialq.reps import plus_minus_matrix as pm
 from medialq.states import NotACycle
 
 from conftest import (TRIANGLE_PAIR, TRIANGLE_ROT, direct_sum,
-                      enumerate_subreps, subrep_isomorphism_oracle, total_dim)
+                      enumerate_subreps, subrep_isomorphism_oracle, total_dim,
+                      unit_step_isomorphism_oracle)
 
 TRIANGLE_WEIGHT = {"v0": 1, "v1": 1, "v2": 2, "f0": 2, "f1": 2}
 
@@ -385,11 +386,12 @@ def test_subrep_lattice_figure_eight(figure_eight_setup):
 
 def test_subrep_refusals():
     # a supported vertex with no certified Jordan cycle is refused rather
-    # than scanned optimistically, by the library and the oracle alike
+    # than scanned optimistically, by the library and the oracles alike
     bare = reps.QuiverRep(("x",), {}, {"x": 1}, {})
     Point = namedtuple("Point", "d")
     zero = grown_lattice(Point((("x", 0),)), lambda x: (), key=lambda x: x.d)
-    for check in (reps.verify_subrep_isomorphism, subrep_isomorphism_oracle):
+    for check in (reps.verify_subrep_isomorphism,
+                  unit_step_isomorphism_oracle, subrep_isomorphism_oracle):
         with pytest.raises(reps.CandidateSpaceTooLarge):
             check(zero, bare, {"v0": 1})
 
@@ -399,6 +401,7 @@ def test_subrep_isomorphism_certificates(trefoil_setup, figure_eight_setup):
         pmap, omega, quiver, lattice = setup
         module = reps.state_module(pmap, top_state(lattice))
         assert reps.verify_subrep_isomorphism(lattice, module, omega)
+        assert unit_step_isomorphism_oracle(lattice, module, omega)
         assert subrep_isomorphism_oracle(lattice, module, omega)
         subreps = enumerate_subreps(module, omega)
         assert len(lattice) == len(subreps) == expected
@@ -413,21 +416,27 @@ def test_subrep_isomorphism_certificates(trefoil_setup, figure_eight_setup):
 
 
 def test_subrep_isomorphism_needs_the_zero_minimum(figure_eight_setup):
-    """The maximal state alone: no covers, and no unit step up from its d,
-    the whole module; only the minimum's d, which is not 0, tells."""
+    """The maximal state alone: its minimum's d, the whole module, is not
+    0, which the first test rejects.  (It has no join-irreducibles either,
+    against the module's least points; for the unit-step oracle, only the
+    minimum tells, as no unit step rises from the whole module.)"""
     pmap, omega, quiver, lattice = figure_eight_setup
     top = top_state(lattice)
     module = reps.state_module(pmap, top)
     alone = grown_lattice(top, lambda x: (), key=lambda s: s.d)
     assert len(alone) == 1 and alone.minimum is top
     assert not reps.verify_subrep_isomorphism(alone, module, omega)
+    assert not unit_step_isomorphism_oracle(alone, module, omega)
     assert not subrep_isomorphism_oracle(alone, module, omega)
 
 
 def test_subrep_isomorphism_needs_distinct_vectors(trefoil_setup):
     """A square over the 3-chain of subrepresentations of the maximal
-    trefoil module, its two middle elements both given the middle vector:
-    minimum and unit steps match, so only the repeated d tells."""
+    trefoil module, its two middle elements both given the middle vector.
+    The minimum's d is 0, so the least points tell: the square's two
+    join-irreducibles share the middle vector c1, while the chain's least
+    points are c1 and its top c2.  For the unit-step oracle, whose minimum
+    and unit steps match, only the repeated d tells."""
     pmap, omega, quiver, lattice = trefoil_setup
     module = reps.state_module(pmap, top_state(lattice))
     chain = enumerate_subreps(module, omega).elements
@@ -444,6 +453,7 @@ def test_subrep_isomorphism_needs_distinct_vectors(trefoil_setup):
                            key=lambda x: (x.d, x.tag))
     assert len(square) == 4 and len(square.covers) == 4
     assert not reps.verify_subrep_isomorphism(square, module, omega)
+    assert not unit_step_isomorphism_oracle(square, module, omega)
     assert not subrep_isomorphism_oracle(square, module, omega)
 
 
