@@ -8,8 +8,8 @@ on edges lying on invisible cycles — that rigidity pins d down uniquely.
 
 With nilpotency degree zero, the states reachable from (g, g, 0) form a
 finite graded distributive lattice under the pointwise order on d, with
-pointwise max/min as join/meet.  This module builds those lattices, finds
-component minima by greedy anti-moves and enumerates subobject lattices.
+pointwise max/min as join/meet.  This module grows those lattices along the
+move graph from the minima read off it and enumerates subobject lattices.
 """
 
 from __future__ import annotations
@@ -87,10 +87,6 @@ class BMSState(Record):
     def __repr__(self):
         ds = ",".join(f"{e}:{v}" for e, v in self.d)
         return f"BMSState(d={{{ds}}})"
-
-
-# Anti-moves component_minimum makes before it gives up on termination.
-DESCENT_FUEL = 10 ** 6
 
 
 def _check_compatible(dec: Decoration, g, name):
@@ -177,21 +173,13 @@ def _moved(xi: BMSState, step) -> BMSState:
         xi.f_minus, d[:n] + ((e, d[n][1] + 1),) + d[n + 1:])
 
 
-def _moves(quiver: MedialQuiver, xi: BMSState):
-    """(e, bms_mov_e of xi along e) for every edge e along which xi moves,
-    read off the step table."""
-    v = xi.f_plus.vector
-    for step in quiver.steps:
-        if v[step[2]] and v[step[3]]:
-            yield step[0], _moved(xi, step)
-
-
 def bms_plus_lattice(pmap: PlanarMap, omega, g: AngularFunction) -> FiniteLattice:
     """All states reachable from (g, g, 0), certified as a lattice.
 
-    The order is the pointwise order on d; the grading is total dimension.
-    After certification a check on the certificate's masks confirms that
-    join and meet are pointwise max and min of dimension vectors.
+    A state moves along e exactly when its f_plus does, raising d by one at
+    e: covers are moves of ``Decoration.move_graph``.  The order is the
+    pointwise order on d; the grading is total dimension.  A check on the
+    masks confirms that join and meet are pointwise max and min of d.
 
     Raises:
         NotNilpotencyZero: the closure would be infinite.
@@ -200,9 +188,13 @@ def bms_plus_lattice(pmap: PlanarMap, omega, g: AngularFunction) -> FiniteLattic
 
     dec = Decoration.of(pmap, omega)
     dec.require_nilpotency_zero("lattice construction needs nilpotency degree 0")
-    quiver = dec.quiver
-    lattice = grown_lattice(make_bms(pmap, omega, g, g, {}),
-                            lambda xi: _moves(quiver, xi), key=lambda xi: xi.d)
+
+    def upper(xi):
+        for _, t, e in dec.move_graph.out_edges(dec.index(xi.f_plus)):
+            yield e, BMSState(dec.states[t], g, _raised(xi.d, e, 1))
+
+    lattice = grown_lattice(make_bms(pmap, omega, g, g, {}), upper,
+                            key=lambda xi: xi.d)
     _check_pointwise_closure(lattice)
     return lattice
 
@@ -242,37 +234,18 @@ def _reconstruct_plus(below, step):
 
 
 def component_minimum(pmap: PlanarMap, omega, h: AngularFunction):
-    """Greedy anti-moves from h until stuck: (terminal f_minus, accumulated d).
-
-    The terminal function is the minimum of h's move-graph component and the
-    accumulated dimension vector makes (h, f_minus, d) a valid state; the
-    result does not depend on the greedy order (tested, not assumed), so
-    each anti-move takes the first anti-movable edge of the step table.
+    """(g0, d): the minimum g0 of h's move-graph component, read off the
+    move graph, and the d that makes (h, g0, d) a valid state.
 
     Raises:
-        NotNilpotencyZero: descent is not guaranteed to terminate otherwise.
-        AssertionError: the descent needs more than DESCENT_FUEL anti-moves.
+        NotNilpotencyZero: the component need not have a minimum otherwise.
+        AssertionError: a move-graph component has no minimum or two.
     """
     dec = Decoration.of(pmap, omega)
     dec.require_nilpotency_zero("greedy descent needs nilpotency degree 0")
-    quiver = dec.quiver
     _check_compatible(dec, h, "h")
-    v, d = h.vector, [0] * len(quiver.vertices)
-    fuel = DESCENT_FUEL
-    while True:  # anti-moves by the step table: positive at both incoming
-        step = next((s for s in quiver.steps if v[s[4]] and v[s[5]]), None)
-        if step is None:
-            break
-        if fuel == 0:  # the nilpotency gate should make this unreachable
-            raise AssertionError("greedy descent did not terminate")
-        fuel -= 1
-        _, n, i, j, k, l = step
-        v = moved_vector(v, k, l, i, j)
-        d[n] += 1
-    current = AngularFunction.from_vector(h.frame, v)
-    d = dict(zip(quiver.vertices, d))
-    make_bms(pmap, omega, h, current, d)  # validity assertion
-    return current, d
+    g0 = dec.states[dec.minima[dec.index(h)]]
+    return g0, solve_dimension(pmap, omega, h, g0)
 
 
 def plus_subobjects(pmap: PlanarMap, omega, xi: BMSState) -> FiniteLattice:

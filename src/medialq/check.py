@@ -37,8 +37,8 @@ def _attempt(fn):
 def projects_onto(states, functions) -> bool:
     """Does xi -> f_plus map the BMS states one-to-one onto the functions?
     In O(n): no f_plus vector repeats, and together they are the functions'.
-    The step table gives the rest of the move-graph isomorphism: a state
-    moves along e exactly when its f_plus does, to the moved f_plus."""
+    The rest of the move-graph isomorphism holds by construction: a component
+    lattice is grown along the move graph, f_plus a node, covers its moves."""
     image = [xi.f_plus.vector for xi in states]
     seen = set(image)
     return len(seen) == len(image) and seen == {g.vector for g in functions}

@@ -251,9 +251,9 @@ def clock_lattice(diagram: LinkDiagram):
     prime diagram.
 
     Certifies that the graph of invisible cycles is connected, grows the
-    state lattice from the greedily-found minimum, checks it reaches every
-    state, and re-labels everything in Kauffman-state coordinates; chi_inv
-    is a bijection on the states, so the certificate carries over.
+    state lattice along the move graph from its minimum, checks it reaches
+    every state, and re-labels everything in Kauffman-state coordinates;
+    chi_inv is a bijection on the states, so the certificate carries over.
 
     Raises:
         NotPrime: with the separating edge pair as witness.

@@ -11,9 +11,10 @@ of compatible functions is the main object of study.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from functools import cached_property
 from itertools import accumulate, compress, count, repeat
-from operator import getitem
+from operator import attrgetter, getitem
 
 from .planar import (MedialQuiver, PlanarMap, cell_key, connected_components,
                      read_document)
@@ -182,8 +183,8 @@ class Decoration:
     kept: the medial quiver (shared with the map), the first compatible
     function, the decomposition of the angle order, all compatible functions
     in order, the nilpotency degree, the invisible arrows and edges, the
-    move graph and the component lattices.  Get one through
-    ``Decoration.of``, which memoizes on the map.
+    move graph, its component minima and the component lattices.  Get one
+    through ``Decoration.of``, which memoizes on the map.
     """
 
     def __init__(self, pmap: PlanarMap, omega):
@@ -365,9 +366,30 @@ class Decoration:
         edges.sort()
         return StateGraph(nodes, edges)
 
+    @cached_property
+    def minima(self) -> list:
+        """minima[n] indexes the minimum of state n's move-graph component,
+        the one node of the component that no move enters (AssertionError
+        if there is none or more than one)."""
+        graph = self.move_graph
+        entered = {t for _, t, _ in graph.edges}
+        minima = [0] * len(graph.nodes)
+        for comp in graph.undirected_components():
+            sources = [n for n in comp if n not in entered]
+            if len(sources) != 1:
+                raise AssertionError(f"the move-graph component of state "
+                                     f"{comp[0]} has {len(sources)} minima")
+            for n in comp:
+                minima[n] = sources[0]
+        return minima
+
+    def index(self, g: AngularFunction) -> int:
+        """The position of g, a compatible function, in ``states``."""
+        return bisect_left(self.states, g.vector, key=attrgetter("vector"))
+
     def component_lattice(self, g: AngularFunction):
         """The certified lattice of the move-graph component of g, grown
-        from that component's minimum; kept per g."""
+        along the move graph from that component's minimum; kept per g."""
         from .bms import bms_plus_lattice, component_minimum  # bms imports us
 
         if g not in self._lattices:
@@ -505,6 +527,11 @@ class StateGraph:
     def __init__(self, nodes, edges):
         self.nodes = tuple(nodes)
         self.edges = tuple(edges)  # (source index, target index, edge label)
+
+    def out_edges(self, n):
+        """The edges leaving node n, one slice of the sorted edges."""
+        edges = self.edges
+        return edges[bisect_left(edges, (n,)):bisect_left(edges, (n + 1,))]
 
     def undirected_components(self):
         return connected_components(

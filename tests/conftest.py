@@ -450,8 +450,9 @@ def forgetful_projection(pmap, omega, states) -> ProjectionReport:
 
 
 def component_minimum_by_name(pmap, h, choose):
-    """The greedy descent of ``component_minimum``, by ``is_anti_e_movable``
-    and ``anti_mov_e``: (terminal function, accumulated d)."""
+    """Greedy anti-moves from h until stuck, each along the edge `choose`
+    picks, by ``is_anti_e_movable`` and ``anti_mov_e``: (terminal function,
+    accumulated d), an oracle of ``component_minimum``."""
     quiver = pmap.quiver
     current, d = h, {e: 0 for e in quiver.vertices}
     while True:
@@ -462,6 +463,54 @@ def component_minimum_by_name(pmap, h, choose):
         e = choose(options)
         current = anti_mov_e(quiver, current, e)
         d[e] += 1
+
+
+# ----------------------------------------------------------------------
+# component lattices by the step table, the growth the move graph replaced
+# ----------------------------------------------------------------------
+
+def moves_by_steps(quiver, xi):
+    """(e, bms_mov_e of xi along e) for every edge e along which xi moves,
+    read off the step table."""
+    v = xi.f_plus.vector
+    for step in quiver.steps:
+        if v[step[2]] and v[step[3]]:
+            yield step[0], bms._moved(xi, step)
+
+
+def lattice_by_steps(pmap, omega, g):
+    """``bms_plus_lattice`` grown state by state through the step table:
+    all states reachable from (g, g, 0), certified as a lattice."""
+    dec = Decoration.of(pmap, omega)
+    dec.require_nilpotency_zero("lattice construction needs nilpotency degree 0")
+    quiver = dec.quiver
+    lattice = grown_lattice(bms.make_bms(pmap, omega, g, g, {}),
+                            lambda xi: moves_by_steps(quiver, xi),
+                            key=lambda xi: xi.d)
+    bms._check_pointwise_closure(lattice)
+    return lattice
+
+
+def minimum_by_steps(pmap, omega, h):
+    """Greedy anti-moves from h until stuck, each along the first
+    anti-movable edge of the step table: (terminal f_minus, accumulated d).
+    Only at nilpotency degree 0, where the descent terminates."""
+    dec = Decoration.of(pmap, omega)
+    dec.require_nilpotency_zero("greedy descent needs nilpotency degree 0")
+    quiver = dec.quiver
+    bms._check_compatible(dec, h, "h")
+    v, d = h.vector, [0] * len(quiver.vertices)
+    while True:  # anti-moves by the step table: positive at both incoming
+        step = next((s for s in quiver.steps if v[s[4]] and v[s[5]]), None)
+        if step is None:
+            break
+        _, n, i, j, k, l = step
+        v = moved_vector(v, k, l, i, j)
+        d[n] += 1
+    current = AngularFunction.from_vector(h.frame, v)
+    d = dict(zip(quiver.vertices, d))
+    bms.make_bms(pmap, omega, h, current, d)  # validity assertion
+    return current, d
 
 
 def paths_vanish_by_rounds(m):

@@ -655,14 +655,19 @@ def test_candidate_space_refusal_exits_2(capsys, maps, monkeypatch):
         assert err == "medialq: module is not nilpotent\n"  # no map name
 
 
-def test_endless_descent_exits_1_without_traceback(capsys, maps,
-                                                   monkeypatch):
-    from medialq import bms
+def test_component_with_two_minima_exits_1_without_traceback(
+        capsys, maps, monkeypatch):
+    """A move-graph component with two nodes that no move enters has no
+    minimum: an internal disagreement, reported in one line."""
+    from medialq import states as st
 
-    monkeypatch.setattr(bms, "DESCENT_FUEL", 0)  # the figure eight needs 1
-    code, out, err = run(capsys, "component", maps["figure_eight"])
-    assert (code, out) == (1, "")
-    assert err == "medialq: greedy descent did not terminate\n"
+    monkeypatch.setattr(st.Decoration, "move_graph", property(  # 1 -> 0 <- 2
+        lambda dec: st.StateGraph(dec.states, [(1, 0, "e0"), (2, 0, "e0")])))
+    for verb in ("component", "bms-lattice"):
+        code, out, err = run(capsys, verb, maps["figure_eight"])
+        assert (code, out) == (1, "")
+        assert err == ("medialq: the move-graph component of state 0 has "
+                       "2 minima\n")
 
 
 def test_cli_import_leaves_networkx_out():

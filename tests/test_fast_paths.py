@@ -20,10 +20,12 @@ functions stored as value vectors are checked against sorted (angle,
 value) pairs, the states and moves split at the narrowest frontier against
 the one-pass search and whole-vector lookups they replaced (also on maps
 with permuted dart names), the move graph built by index arithmetic
-against the one built move by move, Jacobian residuals from derivatives
-cached on the potential against a per-arrow recomputation, and the
-closed-form residuals of state modules against the dense check, at the
-canonical potential and at perturbed ones.
+against the one built move by move, component lattices grown along the
+move graph against the step-table growth and greedy descents they
+replaced, Jacobian residuals from derivatives cached on the potential
+against a per-arrow recomputation, and the closed-form residuals of state
+modules against the dense check, at the canonical potential and at
+perturbed ones.
 """
 
 import re
@@ -56,9 +58,10 @@ from conftest import (compatible_functions,
                       compatible_functions_by_backtracking,
                       component_minimum_by_name, edge_endpoints,
                       enumerate_subreps, gamma_inv_components_bruteforce,
-                      is_prefix_family, join_table, lower_covers,
-                      move_graph_by_lookup, moves_by_name,
-                      paths_vanish_by_rounds, subobjects_by_name,
+                      is_prefix_family, join_table, lattice_by_steps,
+                      lower_covers, minimum_by_steps, move_graph_by_lookup,
+                      moves_by_name, paths_vanish_by_rounds,
+                      subobjects_by_name,
                       subrep_isomorphism_oracle,
                       unit_step_isomorphism_oracle, verify_order_isomorphism)
 
@@ -1434,7 +1437,8 @@ def test_state_jacobian_reports_the_dense_residuals():
 
 
 # ----------------------------------------------------------------------
-# state lattices: steps by the quiver's step table against moves by name
+# state lattices: moves along the move graph against moves by name and
+# the step table
 # ----------------------------------------------------------------------
 
 def trefoil_with_twos():
@@ -1456,8 +1460,9 @@ def last_option(options):
 
 def assert_steps_match_names(pmap, omega):
     """On every component (at most three): the covers of each element, the
-    subobject lattices of a spread of elements, and the greedy descent from
-    a spread of states, by the step table and by edge name."""
+    subobject lattices of a spread of elements, and the component minimum
+    of a spread of states, against moves and greedy descents by edge
+    name."""
     dec = st.Decoration.of(pmap, omega)
     q, graph = dec.quiver, dec.move_graph
     for comp in graph.undirected_components()[:3]:
@@ -1466,13 +1471,52 @@ def assert_steps_match_names(pmap, omega):
             for choose in (first_option, last_option):
                 assert got == component_minimum_by_name(pmap, g, choose)
         lattice = dec.component_lattice(graph.nodes[comp[-1]])
+        up = {xi: {} for xi in lattice.elements}
+        for (x, y), e in lattice.labels.items():
+            up[x][e] = y
         for xi in lattice.elements:
-            assert list(bms._moves(q, xi)) == moves_by_name(q, xi)
+            assert up[xi] == dict(moves_by_name(q, xi))
         for xi in _spread(lattice.elements, 4):
             got = bms.plus_subobjects(pmap, omega, xi)
             want = subobjects_by_name(pmap, omega, xi)
             assert (got.elements, got.covers, got.labels) == (
                 want.elements, want.covers, want.labels)
+
+
+@SETTINGS
+@given(hs.data())
+def test_component_lattices_grow_along_the_move_graph(data):
+    """Each component lattice, grown along the move graph from the minimum
+    read off it, is the lattice grown state by state through the step table
+    from the greedy descent's minimum: the same elements in the same order,
+    covers, labels, grades and masks.  The minimum is where the greedy
+    descents by step table and by edge name (first and last option) end.
+    Shadows and sums, also with permuted dart names, at Kauffman weights,
+    doubled ones and summed weights."""
+    pmap = data.draw(shadows(max_per_position=2))
+    if data.draw(hs.booleans()):
+        pmap = data.draw(renamed(pmap))
+    kauffman = kauffman_weight(diagram_of(pmap))
+    omega = data.draw(hs.one_of(
+        hs.just(kauffman),
+        hs.just({c: 2 * v for c, v in kauffman.items()}),
+        summed_weights(pmap)))
+    dec = st.Decoration.of(pmap, omega)
+    assume(len(dec.states) <= 1000 and dec.nilpotency == 0)
+    graph = dec.move_graph
+    for comp in _spread(graph.undirected_components(), 3):
+        g = graph.nodes[comp[-1]]
+        g0, d = bms.component_minimum(pmap, omega, g)
+        assert (g0, d) == minimum_by_steps(pmap, omega, g)
+        for choose in (first_option, last_option):
+            assert (g0, d) == component_minimum_by_name(pmap, g, choose)
+        got, want = dec.component_lattice(g), lattice_by_steps(pmap, omega, g0)
+        assert got.minimum.f_plus == g0
+        assert got.elements == want.elements
+        assert got.covers == want.covers
+        assert got.labels == want.labels
+        assert got.grade == want.grade
+        assert got.certificate.masks == want.certificate.masks
 
 
 def test_step_table_rows_are_the_angles_of_each_edge():
