@@ -180,6 +180,11 @@ def bms_plus_lattice(pmap: PlanarMap, omega, g: AngularFunction) -> FiniteLattic
     e: covers are moves of ``Decoration.move_graph``.  The order is the
     pointwise order on d; the grading is total dimension.  A check on the
     masks confirms that join and meet are pointwise max and min of d.
+    The first move into a node builds its state; later moves yield that
+    object.  Its d is the d along every path from the root: each cover adds
+    one join-irreducible (certification) and carries its label
+    (``_check_pointwise_closure``), so a path to x bears the labels of x's
+    join-irreducibles.
 
     Raises:
         NotNilpotencyZero: the closure would be infinite.
@@ -188,10 +193,13 @@ def bms_plus_lattice(pmap: PlanarMap, omega, g: AngularFunction) -> FiniteLattic
 
     dec = Decoration.of(pmap, omega)
     dec.require_nilpotency_zero("lattice construction needs nilpotency degree 0")
+    out_edges, states, made = dec.move_graph.out_edges, dec.states, {}
 
     def upper(xi):
-        for _, t, e in dec.move_graph.out_edges(dec.index(xi.f_plus)):
-            yield e, BMSState(dec.states[t], g, _raised(xi.d, e, 1))
+        for _, t, e in out_edges(dec.index(xi.f_plus)):
+            if t not in made:
+                made[t] = BMSState(states[t], g, _raised(xi.d, e, 1))
+            yield e, made[t]
 
     lattice = grown_lattice(make_bms(pmap, omega, g, g, {}), upper,
                             key=lambda xi: xi.d)

@@ -57,7 +57,7 @@ def check_diagram(diagram) -> Verdicts:
     invisible = _attempt(lambda: st.gamma_inv_components(pmap, omega))
 
     graph = dec.move_graph
-    comps = graph.undirected_components()
+    comps = graph.components
     lattices = [dec.component_lattice(graph.nodes[comp[0]]) for comp in comps]
     projection_ok = projects_onto(
         [x for lattice in lattices for x in lattice.elements], graph.nodes)

@@ -244,12 +244,11 @@ def cmd_move_graph(args):
             f'  n{i} [label="{_fun_text(g)}"];'
             for i, g in enumerate(graph.nodes)), (
             f'  n{s} -> n{t} [label="{e}"];' for s, t, e in graph.edges), ["}"])
-    comps = graph.undirected_components()
     lines.append(f"states: {len(graph.nodes)} moves: {len(graph.edges)}")
     return 0, chain(lines, (
         f"  {i}: {_fun_text(g)}" for i, g in enumerate(graph.nodes)), (
         f"  {s} -> {t} by {e}" for s, t, e in graph.edges),
-        [f"components: {len(comps)}"])
+        [f"components: {len(graph.components)}"])
 
 
 def cmd_invisible(args):
@@ -299,7 +298,7 @@ def cmd_component(args):
 
     dec, lines = _decoration(args)
     graph = dec.move_graph
-    comps = graph.undirected_components()
+    comps = graph.components
     lines.append(f"states: {len(graph.nodes)} components: {len(comps)}")
     for i, comp in enumerate(comps):
         g0, d = component_minimum(dec.pmap, dec.omega, graph.nodes[comp[0]])

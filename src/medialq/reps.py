@@ -40,9 +40,8 @@ class NotCharacteristicWeight(ValueError):
 
 
 class CandidateSpaceTooLarge(ValueError):
-    """Subrepresentation search refused: a premise that makes its prefix
-    families complete (a Jordan block at every supported vertex, a nilpotent
-    module) could not be certified."""
+    """Subrepresentation search refused: its premise, a Jordan block at every
+    supported vertex, which makes its prefix families complete, failed."""
 
 
 class QuiverRep:
@@ -52,12 +51,10 @@ class QuiverRep:
     assigns each arrow a dims(target) x dims(source) matrix.  `cycles` is
     an optional tuple of composable arrow cycles distinguished by the
     underlying map (vertex and face cycles); the subrepresentation search
-    uses them to certify its completeness premise.  A module is not changed
-    after it is built (``with_entry`` copies), so ``is_nilpotent`` keeps its
-    verdict on it.
+    uses them to certify its completeness premise.
     """
 
-    __slots__ = ("vertices", "arrows", "dims", "mats", "cycles", "_nilpotent")
+    __slots__ = ("vertices", "arrows", "dims", "mats", "cycles")
 
     def __init__(self, vertices, arrows, dims, mats, cycles=()):
         self.vertices = tuple(sorted(vertices))
@@ -65,7 +62,6 @@ class QuiverRep:
         self.dims = {e: int(dims.get(e, 0)) for e in self.vertices}
         self.mats = dict(mats)
         self.cycles = tuple(tuple(c) for c in cycles)
-        self._nilpotent = None
         if any(v < 0 for v in self.dims.values()):
             raise ValueError("negative dimension")
         if sorted(self.mats) != sorted(self.arrows):
@@ -397,13 +393,6 @@ def state_jacobian(pmap: PlanarMap, xi: BMSState,
 
 
 def is_nilpotent(m: QuiverRep) -> bool:
-    """True iff all long paths act by zero; decided once per module."""
-    if m._nilpotent is None:
-        m._nilpotent = _paths_vanish(m)
-    return m._nilpotent
-
-
-def _paths_vanish(m: QuiverRep) -> bool:
     """Do all long paths act by zero?
 
     Tracks, per vertex, the span of images of all length-k paths; the spans
@@ -547,9 +536,8 @@ def simple_quotients(m: QuiverRep) -> frozenset:
 
 def _require_subrep_premises(m: QuiverRep, omega):
     """Raise unless the prefix families of m are provably all of its
-    subrepresentations, reached from 0 by unit steps: at each supported
-    vertex some distinguished cycle must act as the exact nilpotent Jordan
-    block, and m must be nilpotent (see ``verify_subrep_isomorphism``)."""
+    subrepresentations: some distinguished cycle acts as the exact nilpotent
+    Jordan block at each supported vertex (``verify_subrep_isomorphism``)."""
     if not is_characteristic(omega):
         raise NotCharacteristicWeight(
             "subrepresentation enumeration needs weight values in {0, 1}")
@@ -561,10 +549,6 @@ def _require_subrep_premises(m: QuiverRep, omega):
             raise CandidateSpaceTooLarge(
                 f"no distinguished cycle acts as the Jordan block at {e}; "
                 "prefix enumeration would not be provably complete")
-    if not is_nilpotent(m):
-        raise CandidateSpaceTooLarge(
-            "module is not nilpotent; growth by unit steps from 0 would not "
-            "be provably complete")
 
 
 def _prefix_closed(m, k, arrow):
@@ -612,8 +596,9 @@ def verify_subrep_isomorphism(below: FiniteLattice, module: QuiverRep,
     prefix family, named by its prefix lengths k, the tuple of (vertex,
     k_e) pairs in vertex order: the format of ``BMSState.d``.  As sums and
     intersections of subrepresentations are ones, S is closed under
-    pointwise max and min.  module is nilpotent, so S is reached from 0 by
-    unit steps, which is how the oracles in the tests grow it.
+    pointwise max and min.  No more is needed: the lemma below uses only
+    that closure, so the module need not be nilpotent (the oracles in the
+    tests, which grow S from 0 by unit steps, need that and check it).
 
     Contract: x -> x.d is one to one and carries below's join and meet to
     pointwise max and min; ``bms_plus_lattice`` certifies so for every

@@ -183,8 +183,8 @@ class Decoration:
     kept: the medial quiver (shared with the map), the first compatible
     function, the decomposition of the angle order, all compatible functions
     in order, the nilpotency degree, the invisible arrows and edges, the
-    move graph, its component minima and the component lattices.  Get one
-    through ``Decoration.of``, which memoizes on the map.
+    move graph with its components, their minima, and one lattice per
+    component.  Get one through ``Decoration.of``, which memoizes on the map.
     """
 
     def __init__(self, pmap: PlanarMap, omega):
@@ -374,7 +374,7 @@ class Decoration:
         graph = self.move_graph
         entered = {t for _, t, _ in graph.edges}
         minima = [0] * len(graph.nodes)
-        for comp in graph.undirected_components():
+        for comp in graph.components:
             sources = [n for n in comp if n not in entered]
             if len(sources) != 1:
                 raise AssertionError(f"the move-graph component of state "
@@ -384,18 +384,22 @@ class Decoration:
         return minima
 
     def index(self, g: AngularFunction) -> int:
-        """The position of g, a compatible function, in ``states``."""
-        return bisect_left(self.states, g.vector, key=attrgetter("vector"))
+        """The position of g in ``states``; ValueError if g is no state."""
+        n = bisect_left(self.states, g.vector, key=attrgetter("vector"))
+        if self.states[n:n + 1] != (g,):
+            raise ValueError("not a compatible function of the decoration")
+        return n
 
     def component_lattice(self, g: AngularFunction):
         """The certified lattice of the move-graph component of g, grown
-        along the move graph from that component's minimum; kept per g."""
+        along the move graph from that component's minimum; one object per
+        component, kept under its minimum."""
         from .bms import bms_plus_lattice, component_minimum  # bms imports us
 
-        if g not in self._lattices:
-            g0, _ = component_minimum(self.pmap, self.omega, g)
-            self._lattices[g] = bms_plus_lattice(self.pmap, self.omega, g0)
-        return self._lattices[g]
+        g0, _ = component_minimum(self.pmap, self.omega, g)
+        if g0 not in self._lattices:
+            self._lattices[g0] = bms_plus_lattice(self.pmap, self.omega, g0)
+        return self._lattices[g0]
 
 
 def _leaves(e, n):
@@ -533,7 +537,9 @@ class StateGraph:
         edges = self.edges
         return edges[bisect_left(edges, (n,)):bisect_left(edges, (n + 1,))]
 
-    def undirected_components(self):
+    @cached_property
+    def components(self) -> list:
+        """Node indices per component, moves taken both ways; swept once."""
         return connected_components(
             range(len(self.nodes)), ((s, t) for s, t, _ in self.edges))
 

@@ -7,7 +7,8 @@ from medialq.lattice import grown_lattice
 from medialq.linalg import Matrix, hstack_all
 from medialq.planar import (PlanarMap, Record, build_planar_map,
                             connected_components, dump_map_text)
-from medialq.reps import QuiverRep, _prefix_closed, _require_subrep_premises
+from medialq.reps import (CandidateSpaceTooLarge, QuiverRep, _prefix_closed,
+                          _require_subrep_premises, is_nilpotent)
 from medialq.states import (AngleFrame, AngularFunction, Decoration,
                             StateGraph, anti_mov_e, is_anti_e_movable,
                             is_e_movable, moved_vector)
@@ -232,15 +233,26 @@ def is_prefix_family(m, k):
                for j in range(k[s]) for i in range(k[t], m.dims[t]))
 
 
+def require_unit_step_premises(m, omega):
+    """Raise as ``reps.verify_subrep_isomorphism`` does, and also unless m
+    is nilpotent: only then does every subrepresentation U != 0 drop by a
+    unit step within S, so that growth by unit steps from 0 reaches S."""
+    _require_subrep_premises(m, omega)
+    if not is_nilpotent(m):
+        raise CandidateSpaceTooLarge(
+            "module is not nilpotent; growth by unit steps from 0 would not "
+            "be provably complete")
+
+
 def enumerate_subreps(m, omega):
     """Oracle that grows the subrepresentations S of m: the prefix families
     reached from 0 by unit steps, as a certified lattice ordered pointwise,
     each element its (vertex, k_e) pairs in vertex order.  It refuses as
-    ``reps.verify_subrep_isomorphism`` does, under whose premises these
-    are all of S.  Every candidate is checked against every arrow, so the
+    ``require_unit_step_premises`` does, under whose premises these are
+    all of S.  Every candidate is checked against every arrow, so the
     oracle does not rest on ``unit_step_isomorphism_oracle``'s argument
     that only the arrows out of the raised vertex can break."""
-    _require_subrep_premises(m, omega)
+    require_unit_step_premises(m, omega)
 
     def upper(family):
         base = dict(family)
@@ -288,8 +300,8 @@ def _unit_steps(m):
 def unit_step_isomorphism_oracle(below, module, omega) -> bool:
     """Oracle of ``reps.verify_subrep_isomorphism``, the unit-step scan its
     least-point check replaced: is x -> x.d an order isomorphism from below
-    onto the subrepresentations S of module?  It refuses as the library
-    does.
+    onto the subrepresentations S of module?  It refuses as
+    ``require_unit_step_premises`` does.
 
     Lemma: it is, exactly when the minimum of below has d = 0, no two
     elements share a d, and the unit steps within S from each x.d
@@ -303,7 +315,7 @@ def unit_step_isomorphism_oracle(below, module, omega) -> bool:
     both ways.  (=>) is immediate.  The second test is needed: a square
     whose middle pair shares a d passes the others over a 3-chain of S.
     """
-    _require_subrep_premises(module, omega)
+    require_unit_step_premises(module, omega)
     upper = _unit_steps(module)
     above = {x.d: set() for x in below.elements}  # d -> the d of its covers
     for x, y in below.covers:
@@ -440,7 +452,7 @@ def forgetful_projection(pmap, omega, states) -> ProjectionReport:
         degrees_match = degrees_match and len(bms_out) == len(graph_out)
 
     image_idx = {index[g] for g in image}
-    touched = [c for c in graph.undirected_components() if image_idx & set(c)]
+    touched = [c for c in graph.components if image_idx & set(c)]
     full = [c for c in touched if set(c) <= image_idx]
     return ProjectionReport(
         total_states=len(states), image_size=len(image),

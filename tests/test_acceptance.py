@@ -37,7 +37,7 @@ def _component_lattices(pmap, omega, quiver):
     """One certified lattice per move-graph component."""
     graph = st.Decoration.of(pmap, omega).move_graph
     out = []
-    for comp in graph.undirected_components():
+    for comp in graph.components:
         g0, _ = bms.component_minimum(pmap, omega, graph.nodes[comp[0]])
         lattice = bms.bms_plus_lattice(pmap, omega, g0)
         assert len(lattice) == len(comp)
@@ -55,7 +55,7 @@ def test_criterion_1_hopf_two_isolated_states(corpus_maps):
     assert len(functions) == 2
     graph = st.Decoration.of(pmap, HOPF_ISOLATED).move_graph
     assert graph.edges == ()
-    assert graph.undirected_components() == [[0], [1]]
+    assert graph.components == [[0], [1]]
     assert st.gamma_inv_connected(pmap, HOPF_ISOLATED) == (False, 2)
     print("PASS 1: hopf decoration gives 2 isolated states; "
           "invisible-cycle graph has 2 components")
@@ -85,7 +85,7 @@ def test_criterion_3_clock_lattices_with_full_tables(corpus_maps):
         # count fixed beforehand by the dual-checked enumeration
         assert len(enumerate_kauffman_states(diagram)) == expected
         graph = st.Decoration.of(pmap, kauffman_weight(diagram)).move_graph
-        assert len(graph.undirected_components()) == 1  # connected
+        assert len(graph.components) == 1  # connected
         lattice = clock_lattice(diagram)
         assert len(lattice) == expected
         cert = lattice.certificate

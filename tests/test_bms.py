@@ -10,10 +10,10 @@ import random
 
 import pytest
 
-from medialq import bms
+from medialq import bms, corpus
 from medialq import states as st
 from medialq.lattice import CertificationFailed
-from medialq.planar import medial_quiver
+from medialq.planar import build_planar_map, medial_quiver
 from medialq.states import NotMovable, NotNilpotencyZero
 
 from conftest import (component_minimum_by_name, forgetful_projection,
@@ -278,6 +278,23 @@ def test_forgetful_projection_covers_component(trefoil_setup):
     assert full.image_size == full.graph_size
 
 
+def test_component_lattice_builds_one_state_per_element(monkeypatch):
+    """The 45 states of the (s1 s2)^4 lattice are built once each, the root
+    by ``make_bms`` and every other by the first move into it; the later
+    moves into a state reuse it."""
+    pmap = build_planar_map(*corpus.braid_closure_shadow([1, 2] * 4, 3))
+    marked = next(e for e in sorted(pmap.edges)
+                  if len(set(pmap.edge_faces(e))) == 2)
+    dec = st.Decoration.of(pmap, kauffman_like_weight(pmap, marked))
+    built = []
+    init = bms.BMSState.__init__
+    monkeypatch.setattr(bms.BMSState, "__init__",
+                        lambda xi, *args: built.append(xi) or init(xi, *args))
+    lattice = dec.component_lattice(dec.first)
+    assert len(built) == len(lattice) == 45 < len(lattice.covers)
+    assert set(built) == set(lattice.elements)
+
+
 def test_component_reconstruction_across_corpus(corpus_maps):
     """Each move-graph component is reproduced exactly by the lattice grown
     from its greedily-found minimum."""
@@ -288,7 +305,7 @@ def test_component_reconstruction_across_corpus(corpus_maps):
         directed = {}
         for s, t, lab in graph.edges:
             directed.setdefault(s, set()).add((t, lab))
-        for comp in graph.undirected_components():
+        for comp in graph.components:
             h = graph.nodes[comp[0]]
             f_min, _ = bms.component_minimum(pmap, omega, h)
             lat = bms.bms_plus_lattice(pmap, omega, f_min)

@@ -53,7 +53,7 @@ def lattice_and_graph(request):
     omega = kauffman_weight(LinkDiagram(pmap, marked))
     dec = Decoration.of(pmap, omega)
     graph = dec.move_graph
-    (comp,) = graph.undirected_components()
+    (comp,) = graph.components
     return pmap, omega, dec.component_lattice(graph.nodes[comp[0]]), graph
 
 

@@ -670,6 +670,72 @@ def test_component_with_two_minima_exits_1_without_traceback(
                        "2 minima\n")
 
 
+def test_component_and_check_all_sweep_each_move_graph_once(
+        capsys, maps, monkeypatch):
+    """``component`` reads the components and their minima off one sweep
+    of the move graph, and ``check-all`` makes one per corpus diagram."""
+    from medialq import states as st
+
+    swept = []
+    sweep = st.connected_components
+
+    def counted(nodes, links):
+        if isinstance(nodes, range):  # move-graph nodes, by index
+            swept.append(nodes)
+        return sweep(nodes, links)
+
+    monkeypatch.setattr(st, "connected_components", counted)
+    assert run(capsys, "component", maps["figure_eight"])[0] == 0
+    assert len(swept) == 1
+    swept.clear()
+    assert run(capsys, "check-all")[0] == 0
+    assert len(swept) == len(corpus.names()) == 7
+
+
+def first_moves(graph, root):
+    """The move that first reaches each node when a lattice is grown from
+    root, breadth first with each node's moves in order: node -> move."""
+    first, frontier = {root: None}, [root]
+    for n in frontier:
+        for move in graph.out_edges(n):
+            if move[1] not in first:
+                first[move[1]] = move
+                frontier.append(move[1])
+    return first
+
+
+def test_swapped_label_on_a_later_move_exits_1(capsys, maps, monkeypatch):
+    """A move into a node already reached, relabelled with the edge of the
+    first move into it, leaves every state as it was; the pointwise
+    closure check sees the cover carry the wrong label."""
+    from medialq import states as st
+
+    real = st.Decoration.move_graph.func
+    swapped = []
+
+    def graph(dec):
+        whole = real(dec)
+        entered = {t for _, t, _ in whole.edges}
+        root = next(n for n in whole.components[0] if n not in entered)
+        first = first_moves(whole, root)
+        later = next(m for m in whole.edges
+                     if first.get(m[1]) not in (None, m))
+        label = first[later[1]][2]
+        swapped.append((later, label))
+        return st.StateGraph(whole.nodes, [
+            (s, t, label) if (s, t, e) == later else (s, t, e)
+            for s, t, e in whole.edges])
+
+    monkeypatch.setattr(st.Decoration, "move_graph", property(graph))
+    code, out, err = run(capsys, "bms-lattice", maps["figure_eight"])
+    assert (code, out) == (1, "")
+    (later, label), *_ = swapped
+    assert label != later[2]
+    assert err in (f"medialq: covers by {e} and {f} add the same "
+                   "join-irreducible\n"
+                   for e, f in ((label, later[2]), (later[2], label)))
+
+
 def test_cli_import_leaves_networkx_out():
     proc = subprocess.run(
         [sys.executable, "-c",
@@ -747,8 +813,8 @@ def test_check_all_builds_no_module_per_lattice_element(
         tmp_path, capsys, monkeypatch):
     """The Jacobian relations of the 121 states of (s1 s2)^5 are decided
     without their modules: check-all builds the maximal state's module, no
-    more, and decides its nilpotency once for the battery and the
-    subrepresentation check together."""
+    more, and decides its nilpotency once, for the battery: the
+    subrepresentation check does not need it."""
     from medialq import reps
 
     pmap = build_planar_map(*corpus.braid_closure_shadow([1, 2] * 5, 3))
@@ -760,8 +826,8 @@ def test_check_all_builds_no_module_per_lattice_element(
     monkeypatch.setattr(reps, "state_module",
                         lambda *args: built.append(args) or real(*args))
     decided = []
-    vanish = reps._paths_vanish
-    monkeypatch.setattr(reps, "_paths_vanish",
+    vanish = reps.is_nilpotent
+    monkeypatch.setattr(reps, "is_nilpotent",
                         lambda m: decided.append(m) or vanish(m))
     code, out, _ = run(capsys, "check-all", tmp_path)
     assert code == 0

@@ -622,7 +622,7 @@ def pointwise_closure_oracle(quiver, states):
 def test_mask_closure_check_agrees_with_pointwise_oracle(pmap):
     dec = st.Decoration.of(pmap, kauffman_weight(diagram_of(pmap)))
     graph = dec.move_graph
-    for comp in graph.undirected_components()[:3]:
+    for comp in graph.components[:3]:
         lattice = dec.component_lattice(graph.nodes[comp[0]])  # mask check
         assume(len(lattice) <= 150)
         assert pointwise_closure_oracle(dec.quiver, lattice.elements)
@@ -795,7 +795,7 @@ def test_grown_subobjects_and_subreps_match_the_box_scans(pmap, scale):
     omega = {c: scale * v for c, v in kauffman.items()}
     dec = st.Decoration.of(pmap, omega)
     graph = dec.move_graph
-    for comp in graph.undirected_components()[:3]:
+    for comp in graph.components[:3]:
         lattice = dec.component_lattice(graph.nodes[comp[0]])
         below = bms.plus_subobjects(pmap, omega, lattice.maximum)
         assert (below.elements, below.covers, below.labels) == (
@@ -814,12 +814,13 @@ def test_grown_subobjects_and_subreps_match_the_box_scans(pmap, scale):
                                   subreps_box(module), key=lambda k: k)
 
 
-def test_subreps_refuse_a_module_that_is_not_nilpotent():
+def test_subreps_decide_a_module_that_is_not_nilpotent():
     """x -> y -> x acting by 1, with zero loops as the Jordan cycles: the
     subrepresentations are 0 and everything, two unit steps apart.  So 0
     alone has no unit step within them and would pass the unit-step scan
-    and the grown oracle, were the module not refused; the library refuses
-    it as they do."""
+    and the grown oracle, were the module not refused; they refuse it.  The
+    least points need no nilpotency: they are {(x 1, y 1)}, and the
+    one-element lattice has no join-irreducible, so the library says no."""
     one, zero = Matrix.identity(1), Matrix.zeros(1, 1)
     module = reps.QuiverRep(
         ("x", "y"),
@@ -828,12 +829,14 @@ def test_subreps_refuse_a_module_that_is_not_nilpotent():
         cycles=(("lx",), ("ly",)))
     assert not reps.is_nilpotent(module)
     assert [sum(v for _, v in k) for k in subreps_box(module)] == [0, 2]
+    assert set(reps._least_points(module)) == {(("x", 1), ("y", 1))}
     Point = namedtuple("Point", "d")
     zero = grown_lattice(Point((("x", 0), ("y", 0))), lambda x: (),
                          key=lambda x: x.d)
-    for check in SUBREP_CHECKS:
+    assert reps.verify_subrep_isomorphism(zero, module, {"v0": 1}) is False
+    for oracle in (unit_step_isomorphism_oracle, subrep_isomorphism_oracle):
         with pytest.raises(reps.CandidateSpaceTooLarge, match="not nilpotent"):
-            check(zero, module, {"v0": 1})
+            oracle(zero, module, {"v0": 1})
 
 
 def _top_module(pmap, omega):
@@ -864,20 +867,35 @@ def _verdicts(*args):
     return [_verdict(check, *args) for check in SUBREP_CHECKS]
 
 
+def agreed_verdict(lattice, module, omega):
+    """The library's verdict or refusal, once checked against the oracles.
+    They refuse as it does; a module that is not nilpotent they refuse
+    alone, and there the verdict is the box scan's: d shows lattice as the
+    prefix families closed under every arrow, all of them."""
+    verdict, *oracles = _verdicts(lattice, module, omega)
+    if verdict is reps.CandidateSpaceTooLarge or reps.is_nilpotent(module):
+        assert oracles == [verdict, verdict]
+    else:
+        assert oracles == [reps.CandidateSpaceTooLarge] * 2
+        assert verdict == ({x.d for x in lattice.elements}
+                           == set(subreps_box(module)))
+    return verdict
+
+
 def test_subrep_isomorphism_verdicts_match_the_closure_oracle():
     """Single 0/1 flips of the entries of the maximal state module of the
     (s1s2)^3 shadow: every verdict is the unit-step and the grown oracles',
-    refusals included, one that is not refused is the closure oracle's
-    under s -> s.d, and some flip breaks the isomorphism."""
+    refusals included (``agreed_verdict``), one of a nilpotent module that
+    is not refused is the closure oracle's under s -> s.d, and some flip
+    breaks the isomorphism."""
     pmap = build_planar_map(*corpus.braid_closure_shadow([1, 2] * 3, 3))
     omega = kauffman_weight(diagram_of(pmap))
     lattice, module = _top_module(pmap, omega)
     rename = {s: s.d for s in lattice.elements}
     verdicts = []
     for m in [module] + _single_flips(module):
-        verdict, *oracles = _verdicts(lattice, m, omega)
-        assert oracles == [verdict, verdict]
-        if verdict is reps.CandidateSpaceTooLarge:
+        verdict = agreed_verdict(lattice, m, omega)
+        if verdict is reps.CandidateSpaceTooLarge or not reps.is_nilpotent(m):
             continue
         oracle = verify_order_isomorphism(
             lattice, enumerate_subreps(m, omega), rename)
@@ -900,8 +918,7 @@ def test_subrep_isomorphism_matches_the_grown_oracle(pmap, data):
     picked = data.draw(hs.lists(hs.sampled_from(range(len(flips))),
                                 max_size=6, unique=True)) if flips else []
     for m in [module] + [flips[i] for i in picked]:
-        verdict, *oracles = _verdicts(lattice, m, kauffman)
-        assert oracles == [verdict, verdict]
+        agreed_verdict(lattice, m, kauffman)
     double = {c: 2 * v for c, v in kauffman.items()}
     lattice, module = _top_module(pmap, double)
     for check in SUBREP_CHECKS:
@@ -918,7 +935,7 @@ def assert_proper_sub_families_rejected(pmap, omega):
     dec = st.Decoration.of(pmap, omega)
     graph = dec.move_graph
     checked = 0
-    for comp in graph.undirected_components()[:3]:
+    for comp in graph.components[:3]:
         lattice = dec.component_lattice(graph.nodes[comp[0]])
         module = reps.state_module(pmap, lattice.maximum)
         for xi in _spread(lattice.elements[:-1], 4):
@@ -979,7 +996,7 @@ def test_subreps_shows_the_component_lattice_by_d(pmap, data):
         if len(dec.states) > 3000 or dec.nilpotency:
             continue
         graph = dec.move_graph
-        for comp in graph.undirected_components()[:3]:
+        for comp in graph.components[:3]:
             lattice = dec.component_lattice(graph.nodes[comp[0]])
             module = reps.state_module(pmap, lattice.maximum)
             verdict = _verdict(reps.verify_subrep_isomorphism, lattice,
@@ -1316,7 +1333,7 @@ def test_cached_jacobian_matches_per_arrow_recomputation(data):
     dec = st.Decoration.of(pmap, omega)
     s = reps.canonical_potential(pmap, omega)
     graph = dec.move_graph
-    largest = max(graph.undirected_components(), key=len)
+    largest = max(graph.components, key=len)
     lattice = dec.component_lattice(graph.nodes[largest[0]])
     assume(len(lattice) <= 200)
     for xi in lattice.elements:
@@ -1391,7 +1408,7 @@ def component_states(pmap, omega):
     """The elements of every component lattice, as check-all visits them."""
     dec = st.Decoration.of(pmap, omega)
     graph = dec.move_graph
-    return [xi for comp in graph.undirected_components()
+    return [xi for comp in graph.components
             for xi in dec.component_lattice(graph.nodes[comp[0]]).elements]
 
 
@@ -1465,7 +1482,7 @@ def assert_steps_match_names(pmap, omega):
     name."""
     dec = st.Decoration.of(pmap, omega)
     q, graph = dec.quiver, dec.move_graph
-    for comp in graph.undirected_components()[:3]:
+    for comp in graph.components[:3]:
         for g in _spread([graph.nodes[i] for i in comp], 4):
             got = bms.component_minimum(pmap, omega, g)
             for choose in (first_option, last_option):
@@ -1504,7 +1521,7 @@ def test_component_lattices_grow_along_the_move_graph(data):
     dec = st.Decoration.of(pmap, omega)
     assume(len(dec.states) <= 1000 and dec.nilpotency == 0)
     graph = dec.move_graph
-    for comp in _spread(graph.undirected_components(), 3):
+    for comp in _spread(graph.components, 3):
         g = graph.nodes[comp[-1]]
         g0, d = bms.component_minimum(pmap, omega, g)
         assert (g0, d) == minimum_by_steps(pmap, omega, g)
@@ -1536,7 +1553,7 @@ def test_steps_read_positive_values_not_ones():
     pmap, omega = trefoil_with_twos()
     dec = st.Decoration.of(pmap, omega)
     graph = dec.move_graph
-    assert (len(dec.states), len(graph.undirected_components()),
+    assert (len(dec.states), len(graph.components),
             dec.nilpotency) == (10, 3, 0)
     q = dec.quiver
     assert any(g[a] == 2 for g in dec.states for e in q.vertices
@@ -1570,15 +1587,15 @@ def test_worklist_nilpotency_matches_full_rounds(data):
     assume(len(states) <= 150)
     for xi in _spread(states, 4):
         m = reps.state_module(pmap, xi)
-        assert reps._paths_vanish(m) and paths_vanish_by_rounds(m)
+        assert reps.is_nilpotent(m) and paths_vanish_by_rounds(m)
         for changed in _spread(list(single_entry_changes(m)), 12):
-            assert reps._paths_vanish(changed) == (
+            assert reps.is_nilpotent(changed) == (
                 paths_vanish_by_rounds(changed))
 
 
 def test_some_single_entry_changes_are_not_nilpotent():
     pmap = build_planar_map(*corpus.braid_closure_shadow([1, 2] * 3, 3))
-    verdicts = [reps._paths_vanish(changed)
+    verdicts = [reps.is_nilpotent(changed)
                 for xi in component_states(pmap, kauffman_weight(
                     diagram_of(pmap)))
                 for changed in single_entry_changes(
@@ -1591,4 +1608,4 @@ def test_nilpotency_where_no_arrow_enters():
     after the first round, the span at y after the second."""
     module = reps.QuiverRep(("x", "y"), {"a": ("x", "y")}, {"x": 1, "y": 1},
                             {"a": Matrix.identity(1)})
-    assert reps._paths_vanish(module) and paths_vanish_by_rounds(module)
+    assert reps.is_nilpotent(module) and paths_vanish_by_rounds(module)

@@ -41,7 +41,7 @@ def test_digon_mutual_moves(digon):
     assert st.anti_mov_e(q, h, "e0") == g
     graph = st.Decoration.of(digon, DIGON_WEIGHT).move_graph
     assert graph.edges == ((0, 1, "e1"), (1, 0, "e0"))
-    assert graph.undirected_components() == [[0, 1]]
+    assert graph.components == [[0, 1]]
 
 
 def test_triangle_states(triangle):
@@ -105,7 +105,7 @@ def test_hopf_frozen_component_structure(corpus_maps):
     assert len(L) == 2
     graph = st.Decoration.of(pmap, HOPF_WEIGHT).move_graph
     assert graph.edges == ()
-    assert graph.undirected_components() == [[0], [1]]
+    assert graph.components == [[0], [1]]
     assert st.nilpotency_degree(pmap, HOPF_WEIGHT) == 0
     inv = st.Decoration.of(pmap, HOPF_WEIGHT).invisible_arrows
     assert sorted(inv) == ["c1nw", "c1se", "c2nw", "c2se"]
@@ -286,3 +286,28 @@ def test_component_lattice_is_kept():
     lattice = dec.component_lattice(dec.first)
     assert len(lattice) == len(dec.states) == 5
     assert dec.component_lattice(dec.first) is lattice
+
+
+def test_functions_of_one_component_share_its_lattice():
+    from medialq.kauffman import LinkDiagram, kauffman_weight
+
+    pmap, marked = corpus.load("figure_eight")
+    dec = st.Decoration.of(pmap, kauffman_weight(LinkDiagram(pmap, marked)))
+    assert dec.move_graph.components == [[0, 1, 2, 3, 4]]
+    lattice = dec.component_lattice(dec.states[-1])
+    assert all(dec.component_lattice(g) is lattice for g in dec.states)
+
+
+def test_index_refuses_a_function_that_is_not_a_state():
+    """On the trefoil the all-zero function would sort first and the
+    all-nine one last; neither is a state."""
+    from medialq.kauffman import LinkDiagram, kauffman_weight
+
+    pmap, marked = corpus.load("trefoil")
+    dec = st.Decoration.of(pmap, kauffman_weight(LinkDiagram(pmap, marked)))
+    assert [dec.index(g) for g in dec.states] == list(range(len(dec.states)))
+    frame = dec.first.frame
+    for value in (0, 9):
+        g = st.AngularFunction.from_vector(frame, (value,) * len(frame.names))
+        with pytest.raises(ValueError, match="not a compatible function"):
+            dec.index(g)
