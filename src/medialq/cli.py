@@ -484,9 +484,6 @@ def _check_report(v):
 
 
 def cmd_check_all(args):
-    from importlib import resources
-
-    from . import corpus
     from .check import check_diagram
     from .kauffman import LinkDiagram
     from .reps import CandidateSpaceTooLarge
@@ -502,6 +499,10 @@ def cmd_check_all(args):
             raise InputError(f"no .map files in {folder}")
         sources = [(str(p), _read_bytes(p)) for p in files]
     else:
+        from importlib import resources
+
+        from . import corpus
+
         folder = resources.files("medialq").joinpath("corpus")
         sources = [(f"builtin:{name}",
                     folder.joinpath(f"{name}.map").read_bytes())

@@ -6,12 +6,13 @@ small) and it needs honest zero-dimensional shapes: a map out of a
 0-dimensional space is an empty matrix with a definite number of rows, and
 composing through it must keep shapes straight.  Floating point and shape-
 less conventions both fail here, so this module keeps explicit (rows, cols)
-alongside a tuple-of-tuples of Fractions.
+alongside a tuple-of-tuples of ints, and Fractions where a division leaves
+the integers.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from itertools import chain
 
 
 class ShapeMismatch(ValueError):
@@ -19,6 +20,9 @@ class ShapeMismatch(ValueError):
 
 
 def _frac(x):
+    if type(x) is int:
+        return x
+    from fractions import Fraction
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
@@ -35,7 +39,9 @@ class Matrix:
     def __init__(self, rows, cols, data):
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
-        data = tuple(tuple(_frac(x) for x in row) for row in data)
+        data = tuple(map(tuple, data))
+        if not {int}.issuperset(map(type, chain.from_iterable(data))):
+            data = tuple(tuple(map(_frac, row)) for row in data)
         if len(data) != rows or any(len(row) != cols for row in data):
             raise ShapeMismatch(
                 f"data does not fill a {rows}x{cols} matrix")
@@ -45,14 +51,12 @@ class Matrix:
 
     @classmethod
     def zeros(cls, rows, cols):
-        zero = Fraction(0)
-        return cls(rows, cols, tuple((zero,) * cols for _ in range(rows)))
+        return cls(rows, cols, tuple((0,) * cols for _ in range(rows)))
 
     @classmethod
     def identity(cls, n):
         return cls(n, n, tuple(
-            tuple(Fraction(1 if i == j else 0) for j in range(n))
-            for i in range(n)))
+            tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.rows == other.rows
@@ -90,9 +94,8 @@ class Matrix:
             cols = tuple(zip(*other.data))
         else:
             cols = tuple(() for _ in range(other.cols))
-        zero = Fraction(0)
         return Matrix(self.rows, other.cols, tuple(
-            tuple(sum((a * b for a, b in zip(row, col)), zero)
+            tuple(sum(a * b for a, b in zip(row, col))
                   for col in cols)
             for row in self.data))
 
@@ -100,18 +103,12 @@ class Matrix:
         return Matrix(self.cols, self.rows, tuple(zip(*self.data))
                       if self.data else tuple(() for _ in range(self.cols)))
 
-    def hstack(self, other):
-        if self.rows != other.rows:
-            raise ShapeMismatch("hstack needs equal row counts")
-        return Matrix(self.rows, self.cols + other.cols, tuple(
-            ra + rb for ra, rb in zip(self.data, other.data)))
-
     def with_entry(self, i, j, value):
         """A copy with entry (i, j) replaced — the mutation-testing hook."""
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError((i, j))
         rows = [list(row) for row in self.data]
-        rows[i][j] = _frac(value)
+        rows[i][j] = value
         return Matrix(self.rows, self.cols, rows)
 
     @property
@@ -119,7 +116,8 @@ class Matrix:
         return all(x == 0 for row in self.data for x in row)
 
     def rref(self):
-        """Reduced row echelon form and the tuple of pivot columns."""
+        """Reduced row echelon form and the tuple of pivot columns; a pivot
+        row is divided through only by a pivot other than 1 and -1."""
         m = [list(row) for row in self.data]
         pivots = []
         r = 0
@@ -129,8 +127,12 @@ class Matrix:
             if pivot is None:
                 continue
             m[r], m[pivot] = m[pivot], m[r]
-            inv = 1 / m[r][c]
-            m[r] = [x * inv for x in m[r]]
+            if m[r][c] == -1:
+                m[r] = [-x for x in m[r]]
+            elif m[r][c] != 1:
+                from fractions import Fraction
+                inv = 1 / Fraction(m[r][c])
+                m[r] = [x * inv for x in m[r]]
             for i in range(self.rows):
                 if i != r and m[i][c] != 0:
                     f = m[i][c]
@@ -145,7 +147,8 @@ class Matrix:
         return len(self.rref()[1])
 
     def nullspace(self):
-        """A deterministic basis of the kernel, as lists of Fractions.
+        """A deterministic basis of the kernel, as lists of ints, and
+        Fractions where a division leaves the integers.
 
         One basis vector per free column, in increasing column order, with
         the free variable set to 1.
@@ -156,8 +159,8 @@ class Matrix:
         for free in range(self.cols):
             if free in pivot_set:
                 continue
-            vec = [Fraction(0)] * self.cols
-            vec[free] = Fraction(1)
+            vec = [0] * self.cols
+            vec[free] = 1
             for r, p in enumerate(pivots):
                 vec[p] = -reduced.data[r][free]
             basis.append(vec)
@@ -172,7 +175,9 @@ class Matrix:
 
 def hstack_all(mats, rows):
     """Concatenate matrices side by side; `rows` disambiguates the empty case."""
-    out = Matrix.zeros(rows, 0)
-    for m in mats:
-        out = out.hstack(m)
-    return out
+    mats = list(mats)
+    if any(m.rows != rows for m in mats):
+        raise ShapeMismatch("hstack needs equal row counts")
+    return Matrix(rows, sum(m.cols for m in mats), tuple(
+        tuple(chain.from_iterable(m.data[i] for m in mats))
+        for i in range(rows)))

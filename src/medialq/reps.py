@@ -18,7 +18,6 @@ provides them.
 from __future__ import annotations
 
 from functools import cached_property
-from fractions import Fraction
 from math import inf, lcm
 from typing import TYPE_CHECKING
 
@@ -116,9 +115,9 @@ def plus_minus_matrix(c, k, rows, cols) -> Matrix:
     if rows - c != r:
         raise ShapeMismatch(
             f"(+)^{c}(-)^{k} cannot have shape {rows}x{cols}")
-    out = [[Fraction(0)] * cols for _ in range(rows)]
+    out = [[0] * cols for _ in range(rows)]
     for i in range(r):
-        out[i][k + i] = Fraction(1)
+        out[i][k + i] = 1
     return Matrix(rows, cols, out)
 
 
@@ -194,6 +193,7 @@ class Potential:
         program = self._shifts.get(quiver)
         if program is not None:
             return program
+        from fractions import Fraction
         frame = AngleFrame.of(quiver.arrow_ids)
         scale = lcm(*(Fraction(c).denominator for c, _ in self.terms))
         terms = []
@@ -213,6 +213,7 @@ def make_potential(quiver: MedialQuiver, terms) -> Potential:
     Raises:
         NotACycle.
     """
+    from fractions import Fraction
     out = []
     for coeff, path in terms:
         path = tuple(path)
@@ -229,6 +230,7 @@ def canonical_potential(pmap: PlanarMap, omega) -> Potential:
         EmptySupport: the weight is identically zero.
         ValueError: the weight is invalid (see ``Decoration.of``).
     """
+    from fractions import Fraction
     quiver = Decoration.of(pmap, omega).quiver
     cells = sorted(pmap.vertices) + sorted(pmap.faces)
     supported = [x for x in cells if omega[x] > 0]
@@ -451,7 +453,7 @@ def endomorphism_ring(m: QuiverRep) -> EndRing:
         mat = m.mats[arrow]
         for i in range(m.dims[t]):
             for j in range(m.dims[s]):
-                row = [Fraction(0)] * nvars
+                row = [0] * nvars
                 for k in range(m.dims[t]):
                     row[var(t, i, k)] += mat.data[k][j]
                 for l in range(m.dims[s]):
@@ -471,11 +473,10 @@ def endomorphism_ring(m: QuiverRep) -> EndRing:
     dim = len(basis)
 
     def pairing(fi, fj):
-        total = Fraction(0)
+        total = 0
         for e in verts:
             prod = fi[e] @ fj[e]
-            total += sum((prod.data[r][r] for r in range(m.dims[e])),
-                         Fraction(0))
+            total += sum(prod.data[r][r] for r in range(m.dims[e]))
         return total
 
     gram = Matrix(dim, dim,

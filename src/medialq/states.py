@@ -394,12 +394,14 @@ class Decoration:
         """The certified lattice of the move-graph component of g, grown
         along the move graph from that component's minimum; one object per
         component, kept under its minimum."""
-        from .bms import bms_plus_lattice, component_minimum  # bms imports us
+        from .bms import bms_plus_lattice  # bms imports us
 
-        g0, _ = component_minimum(self.pmap, self.omega, g)
-        if g0 not in self._lattices:
-            self._lattices[g0] = bms_plus_lattice(self.pmap, self.omega, g0)
-        return self._lattices[g0]
+        self.require_nilpotency_zero("greedy descent needs nilpotency degree 0")
+        n = self.minima[self.index(g)]
+        if n not in self._lattices:
+            self._lattices[n] = bms_plus_lattice(
+                self.pmap, self.omega, self.states[n])
+        return self._lattices[n]
 
 
 def _leaves(e, n):

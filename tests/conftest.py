@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -382,8 +383,8 @@ def direct_sum(a, b):
     mats = {}
     for arr in a.arrows:
         ma, mb = a.mats[arr], b.mats[arr]
-        top = ma.hstack(Matrix.zeros(ma.rows, mb.cols))
-        bottom = Matrix.zeros(mb.rows, ma.cols).hstack(mb)
+        top = hstack_all([ma, Matrix.zeros(ma.rows, mb.cols)], ma.rows)
+        bottom = hstack_all([Matrix.zeros(mb.rows, ma.cols), mb], mb.rows)
         mats[arr] = Matrix(top.rows + bottom.rows, top.cols,
                            top.data + bottom.data)
     cycles = a.cycles if a.cycles == b.cycles else ()
@@ -539,3 +540,84 @@ def paths_vanish_by_rounds(m):
         if new_total == total:
             return total == 0
         spans, total = new, new_total
+
+
+def rref_by_fractions(self):
+    """The reduced row echelon form and pivot columns of a Matrix as
+    ``Matrix.rref`` computed them with a Fraction in every entry, each pivot
+    row divided through by its pivot: the oracle of the integer
+    elimination, which picks the same pivots."""
+    m = [[Fraction(x) for x in row] for row in self.data]
+    pivots = []
+    r = 0
+    for c in range(self.cols):
+        pivot = next((i for i in range(r, self.rows) if m[i][c] != 0),
+                     None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(self.rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == self.rows:
+            break
+    return Matrix(self.rows, self.cols, m), tuple(pivots)
+
+
+def nullspace_by_fractions(a):
+    """The kernel basis of ``Matrix.nullspace``, read off the oracle
+    elimination: one vector per free column, that variable set to 1."""
+    reduced, pivots = rref_by_fractions(a)
+    basis = []
+    for free in sorted(set(range(a.cols)) - set(pivots)):
+        vec = [Fraction(0)] * a.cols
+        vec[free] = Fraction(1)
+        for r, p in enumerate(pivots):
+            vec[p] = -reduced.data[r][free]
+        basis.append(vec)
+    return basis
+
+
+def column_basis_by_fractions(a):
+    """The column-space basis of ``Matrix.column_basis``: the nonzero rows of
+    the oracle elimination of the transpose, as columns."""
+    reduced, pivots = rref_by_fractions(a.transpose())
+    return Matrix(len(pivots), a.rows, reduced.data[:len(pivots)]).transpose()
+
+
+def endomorphism_ring_by_fractions(m):
+    """(basis, gram rank) of the End ring of a QuiverRep, solved in
+    Fractions on the oracle elimination: the kernel of the system
+    F_target . M_arrow = M_arrow . F_source, one variable per entry of each
+    F_e in vertex order, row by row, and the rank of the trace form on it."""
+    offset, nvars = {}, 0
+    for e in m.vertices:
+        offset[e] = nvars
+        nvars += m.dims[e] ** 2
+    rows = []
+    for arrow in sorted(m.arrows):
+        s, t = m.arrows[arrow]
+        mat = m.mats[arrow]
+        for i, j in product(range(m.dims[t]), range(m.dims[s])):
+            row = [Fraction(0)] * nvars
+            for k in range(m.dims[t]):
+                row[offset[t] + i * m.dims[t] + k] += mat.data[k][j]
+            for l in range(m.dims[s]):
+                row[offset[s] + l * m.dims[s] + j] -= mat.data[i][l]
+            if any(row):
+                rows.append(row)
+    basis = []
+    for vec in nullspace_by_fractions(Matrix(len(rows), nvars, rows)):
+        basis.append({e: Matrix(m.dims[e], m.dims[e], [
+            vec[offset[e] + i * m.dims[e]:offset[e] + (i + 1) * m.dims[e]]
+            for i in range(m.dims[e])]) for e in m.vertices})
+    gram = Matrix(len(basis), len(basis), [
+        [sum((sum(((fi[e] @ fj[e]).data[r][r] for r in range(m.dims[e])),
+                  Fraction(0)) for e in m.vertices), Fraction(0))
+         for fj in basis] for fi in basis])
+    return basis, len(rref_by_fractions(gram)[1])

@@ -746,13 +746,15 @@ def test_cli_import_leaves_networkx_out():
 
 # Modules a verb must not load: dataclasses and PyYAML (a test-only
 # dependency) everywhere; the check-all pipeline in every other verb; the
-# representation layer (and the exact rationals behind it) in the verbs
+# exact rationals (fractions, and the decimal it loads) in the verbs whose
+# matrices never leave the integers; the representation layer in the verbs
 # that build no module; for the verbs that build no lattice also the
 # lattice and BMS layers; and before a verb runs (--help, a usage error) any
 # library layer, or the OpenSSL behind hashlib.
 NEVER = ("dataclasses", "yaml")
 PIPELINE = NEVER + ("medialq.check",)
-REPS = PIPELINE + ("medialq.reps", "medialq.linalg", "fractions")
+INTEGER = PIPELINE + ("fractions", "decimal")
+REPS = INTEGER + ("medialq.reps", "medialq.linalg")
 LATTICES = REPS + ("medialq.lattice", "medialq.bms")
 START = LATTICES + ("medialq.planar", "medialq.states", "medialq.kauffman",
                     "hashlib")
@@ -768,8 +770,9 @@ BUDGETS = [
     ("component", "figure_eight", REPS + ("medialq.lattice",)),
     ("bms-lattice", "trefoil", REPS),
     ("clock", "trefoil", REPS),
-    ("verify-iso", "figure_eight", PIPELINE),
-    ("subreps", "figure_eight", PIPELINE),
+    ("module", "figure_eight", INTEGER),
+    ("verify-iso", "figure_eight", INTEGER),
+    ("subreps", "figure_eight", INTEGER),
     ("jacobian-check", "figure_eight", PIPELINE),
     ("check-all", None, NEVER),  # the built-in corpus
 ]
@@ -798,6 +801,15 @@ def test_verb_loads_only_what_it_runs(maps, verb, name, unloaded):
     assert out and code in (0, 1)  # the verb ran and reported
     assert "medialq.cli" in loaded
     assert loaded.isdisjoint(unloaded), sorted(loaded & set(unloaded))
+
+
+def test_check_all_on_a_folder_loads_no_builtin_corpus(maps):
+    """The built-in corpus is read only when no folder is given."""
+    out, code, loaded = run_fresh("check-all", maps["trefoil"].parent)
+    assert code == 0
+    assert out.endswith(f"diagrams checked: {len(maps)} failures: 0\n")
+    assert "medialq.check" in loaded
+    assert "medialq.corpus" not in loaded
 
 
 def test_usage_error_loads_no_library_layer():

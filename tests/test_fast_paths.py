@@ -25,7 +25,9 @@ move graph against the step-table growth and greedy descents they
 replaced, Jacobian residuals from derivatives cached on the potential
 against a per-arrow recomputation, and the closed-form residuals of state
 modules against the dense check, at the canonical potential and at
-perturbed ones.
+perturbed ones.  Integer matrices, eliminated with a Fraction only where a
+pivot divides, are checked against the all-Fraction elimination they
+replaced, and so are the End rings of maximal state modules.
 """
 
 import re
@@ -33,14 +35,14 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 from importlib import resources
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import prod
 from pathlib import Path
 
 import networkx as nx
 import pytest
 import yaml
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as hs
 
 from medialq import bms, cli, corpus, reps
@@ -54,14 +56,15 @@ from medialq.lattice import (FiniteLattice, FinitePoset,
 from medialq.linalg import Matrix
 from medialq.planar import build_planar_map, dump_map_text, read_document
 
-from conftest import (compatible_functions,
+from conftest import (column_basis_by_fractions, compatible_functions,
                       compatible_functions_by_backtracking,
                       component_minimum_by_name, edge_endpoints,
-                      enumerate_subreps, gamma_inv_components_bruteforce,
-                      is_prefix_family, join_table, lattice_by_steps,
-                      lower_covers, minimum_by_steps, move_graph_by_lookup,
-                      moves_by_name, paths_vanish_by_rounds,
-                      subobjects_by_name,
+                      endomorphism_ring_by_fractions, enumerate_subreps,
+                      gamma_inv_components_bruteforce, is_prefix_family,
+                      join_table, lattice_by_steps, lower_covers,
+                      minimum_by_steps, move_graph_by_lookup, moves_by_name,
+                      nullspace_by_fractions, paths_vanish_by_rounds,
+                      rref_by_fractions, subobjects_by_name,
                       subrep_isomorphism_oracle,
                       unit_step_isomorphism_oracle, verify_order_isomorphism)
 
@@ -1609,3 +1612,77 @@ def test_nilpotency_where_no_arrow_enters():
     module = reps.QuiverRep(("x", "y"), {"a": ("x", "y")}, {"x": 1, "y": 1},
                             {"a": Matrix.identity(1)})
     assert reps.is_nilpotent(module) and paths_vanish_by_rounds(module)
+
+
+@hs.composite
+def integer_matrices(draw, max_side=6):
+    """A matrix of ints in -3..3, with zero rows or columns allowed."""
+    rows, cols = draw(hs.integers(0, max_side)), draw(hs.integers(0, max_side))
+    row = hs.lists(hs.integers(-3, 3), min_size=cols, max_size=cols)
+    return Matrix(rows, cols, draw(hs.lists(row, min_size=rows,
+                                            max_size=rows)))
+
+
+@settings(SETTINGS, max_examples=200)
+@given(integer_matrices())
+@example(Matrix(0, 3, ()))
+@example(Matrix(3, 0, ((),) * 3))
+@example(Matrix(2, 3, ((2, 1, 0), (1, 3, -3))))
+@example(Matrix(2, 3, ((0, -1, 2), (-1, 1, 3))))
+def test_integer_elimination_matches_the_fraction_oracle(a):
+    """Same pivots, same values; entries stay ints or Fractions."""
+    reduced, pivots = a.rref()
+    assert (reduced, pivots) == rref_by_fractions(a)
+    assert a.rank() == len(pivots)
+    assert a.nullspace() == nullspace_by_fractions(a)
+    assert a.column_basis() == column_basis_by_fractions(a)
+    assert {type(x) for row in reduced.data for x in row} <= {int, Fraction}
+
+
+def test_unit_pivots_keep_the_integers():
+    """A pivot of -1 negates its row and one of 1 leaves it; no Fraction is
+    made until a pivot divides, as 2 does in the second matrix."""
+    a = Matrix(2, 3, ((-1, 2, 0), (1, -1, 3)))
+    reduced, pivots = a.rref()
+    assert (reduced, pivots) == (Matrix(2, 3, ((1, 0, 6), (0, 1, 3))), (0, 1))
+    assert a.nullspace() == [[-6, -3, 1]]
+    entries = [*chain(*reduced.data), *chain(*a.nullspace()),
+               *chain(*a.column_basis().data)]
+    assert all(type(x) is int for x in entries)
+    halved, _ = Matrix(1, 2, ((2, 1),)).rref()
+    assert halved.data == ((1, Fraction(1, 2)),)
+    assert type(halved.data[0][0]) is Fraction
+
+
+def test_floats_become_exact_fractions():
+    a = Matrix(1, 2, ((0.5, True),))
+    assert a.data == ((Fraction(1, 2), 1),)
+    assert {type(x) for x in a.data[0]} == {Fraction}
+
+
+def assert_end_ring_matches_the_oracle(m):
+    ring = reps.endomorphism_ring(m)
+    basis, gram_rank = endomorphism_ring_by_fractions(m)
+    assert ring.dimension == len(basis) and ring.gram_rank == gram_rank
+    assert list(ring.basis) == basis
+    return ring
+
+
+@SETTINGS
+@given(shadows(max_per_position=2))
+def test_end_rings_of_state_modules_match_the_fraction_oracle(pmap):
+    """On the maximal state module of the first component lattice, at the
+    Kauffman weight and at twice it."""
+    kauffman = kauffman_weight(diagram_of(pmap))
+    for omega in (kauffman, {c: 2 * v for c, v in kauffman.items()}):
+        assert_end_ring_matches_the_oracle(_top_module(pmap, omega)[1])
+
+
+def test_end_ring_systems_of_the_corpus_need_no_division(corpus_maps):
+    """On every shipped map the End-ring system of the maximal state module
+    is eliminated by unit pivots, so its basis is made of ints."""
+    for pmap, marked in corpus_maps.values():
+        omega = kauffman_weight(LinkDiagram(pmap, marked))
+        ring = assert_end_ring_matches_the_oracle(_top_module(pmap, omega)[1])
+        assert all(type(x) is int for endo in ring.basis
+                   for mat in endo.values() for x in chain(*mat.data))
