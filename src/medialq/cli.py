@@ -230,10 +230,9 @@ def _medial_lines(args, pmap, quiver):
 
 def cmd_states(args):
     dec, lines = _decoration(args)
-    functions = dec.states
-    lines.append(f"compatible angular functions: {len(functions)}")
-    return 0, chain(lines, (f"  {i}: {_fun_text(g)}"
-                            for i, g in enumerate(functions)))
+    lines.append(f"compatible angular functions: {len(dec.states)}")
+    return 0, chain(lines, (f"  {i}: {text}"
+                            for i, text in enumerate(dec.state_texts())))
 
 
 def cmd_move_graph(args):
@@ -241,12 +240,12 @@ def cmd_move_graph(args):
     graph = dec.move_graph
     if args.format == "dot":
         return 0, chain(lines, ["digraph moves {"], (
-            f'  n{i} [label="{_fun_text(g)}"];'
-            for i, g in enumerate(graph.nodes)), (
+            f'  n{i} [label="{text}"];'
+            for i, text in enumerate(dec.state_texts())), (
             f'  n{s} -> n{t} [label="{e}"];' for s, t, e in graph.edges), ["}"])
-    lines.append(f"states: {len(graph.nodes)} moves: {len(graph.edges)}")
+    lines.append(f"states: {len(dec.states)} moves: {len(graph.edges)}")
     return 0, chain(lines, (
-        f"  {i}: {_fun_text(g)}" for i, g in enumerate(graph.nodes)), (
+        f"  {i}: {text}" for i, text in enumerate(dec.state_texts())), (
         f"  {s} -> {t} by {e}" for s, t, e in graph.edges),
         [f"components: {len(graph.components)}"])
 

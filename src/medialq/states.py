@@ -11,10 +11,11 @@ of compatible functions is the main object of study.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from functools import cached_property
 from itertools import accumulate, compress, count, repeat
-from operator import attrgetter, getitem
+from operator import getitem
 
 from .planar import (MedialQuiver, PlanarMap, cell_key, connected_components,
                      read_document)
@@ -176,15 +177,60 @@ class AngularFunction:
         return f"AngularFunction({inner})"
 
 
+class StateSequence(Sequence):
+    """The states of a decoration in canonical order, kept as the pieces of
+    its ``decomposition``: prefix p's block holds p + s for each completion
+    s of p's budget.  A function is made only when one is read."""
+
+    def __init__(self, frame: AngleFrame, decomposition):
+        self.frame = frame
+        self.m, self.prefixes, self.suffixes = decomposition
+        self.starts = [0, *accumulate(len(self.suffixes[b])
+                                      for _, b in self.prefixes)]
+        # prefix -> (its block's first index, its budget), and budget ->
+        # {completion: its rank among the budget's completions}
+        self.blocks = {p: (n, b) for (p, b), n in zip(self.prefixes,
+                                                      self.starts)}
+        self.ranks = {b: dict(zip(ss, count()))
+                      for b, ss in self.suffixes.items()}
+
+    def __len__(self):
+        return self.starts[-1]
+
+    def __getitem__(self, n):
+        if isinstance(n, slice):
+            return tuple(map(self.__getitem__, range(len(self))[n]))
+        n = range(len(self))[n]  # negative indices and IndexError
+        q = bisect_right(self.starts, n) - 1
+        p, b = self.prefixes[q]
+        return AngularFunction.from_vector(
+            self.frame, p + self.suffixes[b][n - self.starts[q]])
+
+    def __iter__(self):
+        return (AngularFunction.from_vector(self.frame, p + s)
+                for p, b in self.prefixes for s in self.suffixes[b])
+
+    def index(self, g) -> int:
+        """The position of g, by one lookup of its prefix and one of its
+        suffix; ValueError if g is no state (on another frame, say)."""
+        if isinstance(g, AngularFunction) and g.frame is self.frame:
+            n, b = self.blocks.get(g.vector[:self.m], (0, None))
+            r = self.ranks.get(b, {}).get(g.vector[self.m:])
+            if r is not None:
+                return n + r
+        raise ValueError("not a compatible function of the decoration")
+
+
 class Decoration:
     """One planar map with one weight, the decorated graph (G, omega).
 
     Validated once; every invariant of the pair is computed on first use and
     kept: the medial quiver (shared with the map), the first compatible
     function, the decomposition of the angle order, all compatible functions
-    in order, the nilpotency degree, the invisible arrows and edges, the
-    move graph with its components, their minima, and one lattice per
-    component.  Get one through ``Decoration.of``, which memoizes on the map.
+    in order (a sequence read off its pieces), the nilpotency degree, the
+    invisible arrows and edges, the move graph with its components, their
+    minima, and one lattice per component.  Get one through
+    ``Decoration.of``, which memoizes on the map.
     """
 
     def __init__(self, pmap: PlanarMap, omega):
@@ -280,8 +326,21 @@ class Decoration:
         return m, prefixes, {b: ss for b, ss in suffixes.items() if ss}
 
     @cached_property
-    def states(self) -> tuple:
-        return tuple(enumerate_compatible(self.pmap, self.omega))
+    def states(self) -> StateSequence:
+        return StateSequence(AngleFrame.of(self.quiver.arrow_ids),
+                             self.decomposition)
+
+    def state_texts(self):
+        """Each state's angle:value text for its nonzero values, or "0", in
+        order: each prefix and each suffix formatted once, over its angles."""
+        m, prefixes, suffixes = self.decomposition
+        names = self.quiver.arrow_ids
+        head, tail = AngleFrame.of(names[:m]), AngleFrame.of(names[m:])
+        texts = {b: [tail.text(s) for s in ss] for b, ss in suffixes.items()}
+        for p, b in prefixes:
+            h = head.text(p)
+            yield from (f"{h},{t}" if h and t else h or t or "0"
+                        for t in texts[b])
 
     @cached_property
     def nilpotency(self) -> int:
@@ -317,52 +376,41 @@ class Decoration:
         """Every move between states, by index arithmetic through the
         quiver's step table on the pieces of the ``decomposition``.
 
-        Lemma: a move keeps every cell's total.  So a move with its four
-        angles after the cut m keeps the prefix and so the suffix list: it
-        is found once per list and shifted by each prefix's first index.
-        One with its angles before m keeps each cell's prefix total, so the
-        frontier budgets and the suffix's rank.  Only moves straddling the
-        cut are looked up state by state.
+        Each state is p + s, s a completion of p's budget b.  A move shifts
+        p by its angles before the cut and s by those after, so its target
+        is a state iff the shifted p' is a prefix and s' a completion of
+        its budget b'.  So p' is looked up once per prefix, and the ranks
+        of the shifted s once per move, b and b'.  No state is built.
 
         Raises:
             AssertionError: a move leaves the state set.
         """
         m, prefixes, suffixes = self.decomposition
         nodes = self.states
-        rows = [(e, *ends) for e, _, *ends in self.quiver.steps]
-        inside = [(e, *(x - m for x in ends)) for e, *ends in rows
-                  if min(ends) >= m]
-        before = [row for row in rows if max(row[1:]) < m]
-        across = [row for row in rows if min(row[1:]) < m <= max(row[1:])]
-        rank = {b: dict(zip(ss, count())) for b, ss in suffixes.items()}
-        moves = {b: [(r, rank[b].get(moved_vector(s, i, j, k, l)), e)
-                     for r, s in enumerate(ss)
-                     for e, i, j, k, l in inside if s[i] and s[j]]
-                 for b, ss in suffixes.items()}
-        starts = [0, *accumulate(len(suffixes[b]) for _, b in prefixes)]
-        index = {p: (n, rank[b]) for (p, b), n in zip(prefixes, starts)}
-        edges = []
-        for (p, b), n, end in zip(prefixes, starts, starts[1:]):
-            for r, t, e in moves[b]:
-                if t is None:
-                    raise _leaves(e, n + r)
-                edges.append((n + r, n + t, e))
-            for e, i, j, k, l in before:
-                if p[i] and p[j]:
-                    c, _ = index.get(moved_vector(p, i, j, k, l), (None, 0))
-                    if c is None:
-                        raise _leaves(e, n)
-                    edges += zip(range(n, end), count(c), repeat(e))
-            for e, i, j, k, l in across:
-                for r in range(n, end):
-                    v = nodes[r].vector
-                    if v[i] and v[j]:
-                        w = moved_vector(v, i, j, k, l)
-                        c, ranks = index.get(w[:m], (0, {}))
-                        t = ranks.get(w[m:])
+        rows = {}  # a move's changes before the cut -> [(label, those after)]
+        for e, _, *ends in self.quiver.steps:
+            changes = list(zip(ends, UNIT))
+            head = tuple((x, d) for x, d in changes if x < m)
+            rows.setdefault(head, []).append(
+                (e, [(x - m, d) for x, d in changes if x >= m]))
+        lifts, edges = {}, []
+        for (p, b), n in zip(prefixes, nodes.starts):
+            for head, tails in rows.items():
+                w = _shifted(p, head)
+                if w is None:
+                    continue
+                c, b2 = nodes.blocks.get(w, (0, None))
+                if (head, b, b2) not in lifts:
+                    to = nodes.ranks.get(b2, {})
+                    lift = [(r, to.get(s), e) for e, tail in tails
+                            for r, s in enumerate(map(_shifted, suffixes[b],
+                                                      repeat(tail)))
+                            if s is not None]
+                    for r, t, e in lift:  # no block before this one uses it
                         if t is None:
-                            raise _leaves(e, r)
-                        edges.append((r, c + t, e))
+                            raise _leaves(e, n + r)
+                    lifts[head, b, b2] = sorted(lift)  # runs for edges.sort
+                edges += [(n + r, c + t, e) for r, t, e in lifts[head, b, b2]]
         edges.sort()
         return StateGraph(nodes, edges)
 
@@ -385,10 +433,7 @@ class Decoration:
 
     def index(self, g: AngularFunction) -> int:
         """The position of g in ``states``; ValueError if g is no state."""
-        n = bisect_left(self.states, g.vector, key=attrgetter("vector"))
-        if self.states[n:n + 1] != (g,):
-            raise ValueError("not a compatible function of the decoration")
-        return n
+        return self.states.index(g)
 
     def component_lattice(self, g: AngularFunction):
         """The certified lattice of the move-graph component of g, grown
@@ -458,10 +503,7 @@ def enumerate_compatible(pmap: PlanarMap, omega):
     Raises:
         MissingValue, ValueError: see ``Decoration.of``.
     """
-    _, prefixes, suffixes = Decoration.of(pmap, omega).decomposition
-    frame = AngleFrame.of(pmap.quiver.arrow_ids)
-    return [AngularFunction.from_vector(frame, p + s)
-            for p, b in prefixes for s in suffixes[b]]
+    return list(Decoration.of(pmap, omega).states)
 
 
 # ----------------------------------------------------------------------
@@ -494,15 +536,25 @@ def is_anti_e_movable(quiver: MedialQuiver, g: AngularFunction, e) -> bool:
     return all(g[a] > 0 for a in quiver.incoming[e])
 
 
+UNIT = (-1, -1, 1, 1)  # a move's change at the positions (i, j, k, l)
+
+
 def moved_vector(v: tuple, i, j, k, l) -> tuple:
     """v with a unit moved from positions i and j to positions k and l: a
     move along an edge whose step-table row is (e, n, i, j, k, l), or with
-    (k, l, i, j) the anti-move."""
+    (k, l, i, j) the anti-move; None if v lacks a unit to move."""
+    return _shifted(v, list(zip((i, j, k, l), UNIT)))
+
+
+def _shifted(v, changes):
+    """v plus d at each position x of the (x, d) pairs in the sequence
+    `changes`, or None if that takes a unit v does not have."""
+    for x, d in changes:
+        if v[x] + d < 0:
+            return None
     w = list(v)
-    w[i] -= 1
-    w[j] -= 1
-    w[k] += 1
-    w[l] += 1
+    for x, d in changes:
+        w[x] += d
     return tuple(w)
 
 
@@ -531,7 +583,7 @@ class StateGraph:
     """Directed move graph: nodes are states, edges are labeled by map edges."""
 
     def __init__(self, nodes, edges):
-        self.nodes = tuple(nodes)
+        self.nodes = nodes  # a sequence of states, kept as it is passed
         self.edges = tuple(edges)  # (source index, target index, edge label)
 
     def out_edges(self, n):
@@ -541,9 +593,28 @@ class StateGraph:
 
     @cached_property
     def components(self) -> list:
-        """Node indices per component, moves taken both ways; swept once."""
-        return connected_components(
-            range(len(self.nodes)), ((s, t) for s, t, _ in self.edges))
+        """Node indices per component, moves taken both ways, each sorted,
+        in the order of their first node; swept once, by union-find with
+        path halving (Tarjan 1975).  A larger root is linked under a
+        smaller, so no node's parent exceeds it, and one ascending pass
+        finds every root."""
+        parent = list(range(len(self.nodes)))
+        for s, t, _ in self.edges:
+            s, t = parent[s], parent[t]  # one step up often meets
+            if s != t:
+                while parent[s] != s:
+                    parent[s] = s = parent[parent[s]]
+                while parent[t] != t:
+                    parent[t] = t = parent[parent[t]]
+                if s < t:
+                    parent[t] = s
+                else:
+                    parent[s] = t
+        comps = {}
+        for x in range(len(parent)):
+            parent[x] = r = parent[parent[x]]
+            comps.setdefault(r, []).append(x)
+        return list(comps.values())
 
 
 # ----------------------------------------------------------------------

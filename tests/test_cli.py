@@ -674,17 +674,20 @@ def test_component_and_check_all_sweep_each_move_graph_once(
         capsys, maps, monkeypatch):
     """``component`` reads the components and their minima off one sweep
     of the move graph, and ``check-all`` makes one per corpus diagram."""
+    from functools import cached_property
+
     from medialq import states as st
 
     swept = []
-    sweep = st.connected_components
+    sweep = st.StateGraph.components.func
 
-    def counted(nodes, links):
-        if isinstance(nodes, range):  # move-graph nodes, by index
-            swept.append(nodes)
-        return sweep(nodes, links)
+    def counted(graph):
+        swept.append(graph)
+        return sweep(graph)
 
-    monkeypatch.setattr(st, "connected_components", counted)
+    counted = cached_property(counted)
+    counted.__set_name__(st.StateGraph, "components")
+    monkeypatch.setattr(st.StateGraph, "components", counted)
     assert run(capsys, "component", maps["figure_eight"])[0] == 0
     assert len(swept) == 1
     swept.clear()

@@ -22,12 +22,16 @@ the one-pass search and whole-vector lookups they replaced (also on maps
 with permuted dart names), the move graph built by index arithmetic
 against the one built move by move, component lattices grown along the
 move graph against the step-table growth and greedy descents they
-replaced, Jacobian residuals from derivatives cached on the potential
-against a per-arrow recomputation, and the closed-form residuals of state
-modules against the dense check, at the canonical potential and at
-perturbed ones.  Integer matrices, eliminated with a Fraction only where a
-pivot divides, are checked against the all-Fraction elimination they
-replaced, and so are the End rings of maximal state modules.
+replaced, the state sequence read off the decomposition's pieces against
+the brute-force states as a tuple (indices, slices, ``index``), its texts
+against ``AngleFrame.text`` per function, the move graph's union-find
+components against the breadth-first sweep, Jacobian residuals from
+derivatives cached on the potential against a per-arrow recomputation,
+and the closed-form residuals of state modules against the dense check,
+at the canonical potential and at perturbed ones.  Integer matrices,
+eliminated with a Fraction only where a pivot divides, are checked against
+the all-Fraction elimination they replaced, and so are the End rings of
+maximal state modules.
 """
 
 import re
@@ -42,7 +46,7 @@ from pathlib import Path
 import networkx as nx
 import pytest
 import yaml
-from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import HealthCheck, Phase, assume, example, given, settings
 from hypothesis import strategies as hs
 
 from medialq import bms, cli, corpus, reps
@@ -54,7 +58,8 @@ from medialq.lattice import (FiniteLattice, FinitePoset,
                              certify_graded_distributive_lattice,
                              grown_lattice)
 from medialq.linalg import Matrix
-from medialq.planar import build_planar_map, dump_map_text, read_document
+from medialq.planar import (build_planar_map, connected_components,
+                            dump_map_text, read_document)
 
 from conftest import (column_basis_by_fractions, compatible_functions,
                       compatible_functions_by_backtracking,
@@ -1219,6 +1224,91 @@ def test_split_states_and_moves_match_the_one_pass_oracles(data):
     assert dec.first == dec.states[0]
     assert dec.move_graph.edges == move_graph_by_lookup(
         dec.quiver, expected).edges
+
+
+@hs.composite
+def pieced_weights(draw, pmap):
+    """The weight of a random angular function with a 2 on each side of the
+    decomposition's cut and values up to 2 (up to 1 beyond 24 angles, where
+    2s make millions of states), or of one that is zero before the cut,
+    after it, or everywhere: so some state's prefix or suffix text is
+    empty, or the one state's text is "0"."""
+    names = pmap.quiver.arrow_ids
+    m = st.Decoration(pmap, dict.fromkeys(pmap.cells, 0)).decomposition[0]
+    top = 2 if len(names) <= 24 else 1
+    g = {a: draw(hs.integers(0, top)) for a in names}
+    g[draw(hs.sampled_from(names[:m]))] = 2
+    g[draw(hs.sampled_from(names[m:]))] = 2
+    zero = draw(hs.sampled_from(
+        (names[:0], names[:0], names[:0], names[:m], names[m:], names)))
+    g.update(dict.fromkeys(zero, 0))
+    q = pmap.quiver
+    omega = {v: sum(g[a] for a in q.vertex_cycles[v]) for v in pmap.vertices}
+    omega.update({f: sum(g[a] for a in q.face_cycles[f]) for f in pmap.faces})
+    return omega
+
+
+# No explain phase: on a failure it redraws parts of the example at random,
+# and a redrawn map under a redrawn weight can have millions of states.
+@settings(SETTINGS, phases=[Phase.explicit, Phase.reuse, Phase.generate,
+                            Phase.shrink])
+@given(hs.data())
+def test_state_sequence_texts_and_moves_match_the_oracles(data):
+    """``states`` read off the pieces behaves as the tuple of the brute-force
+    states (the backtracking search above 10 angles or 50,000 candidates);
+    their texts, move graph and components match the per-function oracles."""
+    pmap = data.draw(hs.one_of(hs.integers(2, 5).map(cycle_map),
+                               shadows(max_per_position=2)))
+    if data.draw(hs.booleans()):
+        pmap = data.draw(renamed(pmap))
+    omega = data.draw(pieced_weights(pmap))
+    dec = st.Decoration.of(pmap, omega)
+    states = dec.states
+    assume(len(states) <= 2000)
+    top = max(omega.values())
+    if len(pmap.darts) <= 10 and (top + 1) ** len(pmap.darts) <= 50_000:
+        expected = tuple(compatible_functions(pmap, omega))
+    else:
+        expected = tuple(compatible_functions_by_backtracking(
+            dec.quiver, omega))
+    n = len(expected)
+    assert len(states) == n and tuple(states) == expected
+    assert [states[i] for i in range(-n, n)] == list(expected * 2)
+    ends = hs.one_of(hs.none(), hs.integers(-n - 2, n + 2))
+    for _ in range(3):
+        cut = slice(data.draw(ends), data.draw(ends),
+                    data.draw(hs.sampled_from((None, 1, 2, -1, -3))))
+        assert states[cut] == expected[cut]
+    for i in (-n - 1, n):
+        with pytest.raises(IndexError):
+            states[i]
+    assert [states.index(g) for g in expected] == list(range(n))
+    assert [dec.index(g) for g in _spread(expected, 5)] == [
+        expected.index(g) for g in _spread(expected, 5)]
+    g = expected[0]
+    others = (st.AngularFunction.from_vector(
+                  g.frame, (g.vector[0] + 1,) + g.vector[1:]),
+              st.AngularFunction({f"z{a}": v for a, v in g.items()}), g.vector)
+    for other in others:
+        with pytest.raises(ValueError, match="not a compatible function"):
+            states.index(other)
+    assert list(dec.state_texts()) == [
+        g.frame.text(g.vector) or "0" for g in expected]
+    graph = dec.move_graph
+    assert graph.edges == move_graph_by_lookup(dec.quiver, expected).edges
+    assert graph.components == connected_components(
+        range(n), [(s, t) for s, t, _ in graph.edges])
+
+
+@SETTINGS
+@given(hs.integers(1, 30).flatmap(lambda size: hs.tuples(
+    hs.just(size),
+    hs.lists(hs.tuples(hs.integers(0, size - 1), hs.integers(0, size - 1)),
+             max_size=2 * size))))
+def test_union_find_components_match_the_breadth_first_sweep(graph):
+    size, links = graph
+    graph = st.StateGraph(range(size), [(s, t, "e0") for s, t in links])
+    assert graph.components == connected_components(range(size), links)
 
 
 def without_prefix(decomposition, q):

@@ -311,3 +311,24 @@ def test_index_refuses_a_function_that_is_not_a_state():
         g = st.AngularFunction.from_vector(frame, (value,) * len(frame.names))
         with pytest.raises(ValueError, match="not a compatible function"):
             dec.index(g)
+
+
+def test_a_decoration_made_directly_reads_its_own_pieces(monkeypatch):
+    """``states``, their texts and the move graph come from the decoration's
+    own decomposition, never from the one ``Decoration.of`` memoizes."""
+    from medialq.kauffman import LinkDiagram, kauffman_weight
+
+    pmap, marked = corpus.load("torus_2_6")
+    omega = kauffman_weight(LinkDiagram(pmap, marked))
+    memo = st.Decoration.of(pmap, omega)
+    expected = (list(memo.states), list(memo.state_texts()),
+                memo.move_graph.edges)
+
+    def refuse(cls, *args):
+        raise AssertionError("Decoration.of called")
+
+    monkeypatch.setattr(st.Decoration, "of", classmethod(refuse))
+    dec = st.Decoration(pmap, omega)
+    assert (list(dec.states), list(dec.state_texts()),
+            dec.move_graph.edges) == expected
+    assert len(expected[0]) > 1
