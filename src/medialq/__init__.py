@@ -8,9 +8,9 @@ The pipeline, bottom to top:
 * ``states``   -- weights, the ``Decoration`` of a map by a weight (each
   invariant of the pair computed once), compatible angular functions,
   counterclockwise moves, invisible cycles, nilpotency degree.
-* ``bms``      -- BMS states (f_plus, f_minus, d), their move graph and the
-  graded distributive lattices they form.
-* ``lattice``  -- generic finite poset / lattice certification utilities.
+* ``bms``      -- BMS states (f_plus, f_minus, d) and the graded
+  distributive lattices they form, walked and certified on the move graph.
+* ``lattice``  -- the certified poset and lattice types that walk returns.
 * ``kauffman`` -- link diagrams, Kauffman states, clock lattices.
 * ``linalg``   -- exact rational matrices (rank, kernel, column space).
 * ``reps``     -- potentials, cyclic derivatives, state modules over the

@@ -8,13 +8,16 @@ on edges lying on invisible cycles — that rigidity pins d down uniquely.
 
 With nilpotency degree zero, the states reachable from (g, g, 0) form a
 finite graded distributive lattice under the pointwise order on d, with
-pointwise max/min as join/meet.  This module grows those lattices along the
-move graph from the minima read off it and enumerates subobject lattices.
+pointwise max/min as join/meet.  This module walks those lattices on the
+move graph from the minima read off it, subobject lattices included, and
+certifies each on the walk.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import repeat
+from operator import and_
 from typing import TYPE_CHECKING
 
 from .planar import MedialQuiver, PlanarMap, Record
@@ -29,7 +32,7 @@ from .states import (
     moved_vector,
 )
 
-if TYPE_CHECKING:  # only the two lattice growers load the lattice layer
+if TYPE_CHECKING:  # only the lattice walk loads the lattice layer
     from .lattice import FiniteLattice
 
 
@@ -162,6 +165,7 @@ def bms_anti_mov_e(quiver: MedialQuiver, xi: BMSState, e) -> BMSState:
                     _raised(xi.d, e, -1))
 
 
+# Kept for the tests' oracles while perfbench/tracer.py hooks one (ROADMAP 1).
 def _moved(xi: BMSState, step) -> BMSState:
     """``bms_mov_e`` of xi along the edge of a step-table row, unchecked:
     f_plus must be positive at the row's two outgoing positions."""
@@ -173,72 +177,132 @@ def _moved(xi: BMSState, step) -> BMSState:
         xi.f_minus, d[:n] + ((e, d[n][1] + 1),) + d[n + 1:])
 
 
+def _reconstruct_plus(below, step):
+    """`below` with d' raised by one at the edge of a step-table row: its
+    ``bms_mov_e``, or None where f_plus would turn negative."""
+    v = below.f_plus.vector
+    return _moved(below, step) if v[step[2]] and v[step[3]] else None
+
+
 def bms_plus_lattice(pmap: PlanarMap, omega, g: AngularFunction) -> FiniteLattice:
     """All states reachable from (g, g, 0), certified as a lattice.
 
     A state moves along e exactly when its f_plus does, raising d by one at
-    e: covers are moves of ``Decoration.move_graph``.  The order is the
-    pointwise order on d; the grading is total dimension.  A check on the
-    masks confirms that join and meet are pointwise max and min of d.
-    The first move into a node builds its state; later moves yield that
-    object.  Its d is the d along every path from the root: each cover adds
-    one join-irreducible (certification) and carries its label
-    (``_check_pointwise_closure``), so a path to x bears the labels of x's
-    join-irreducibles.
+    e, so the lattice is g's part of ``Decoration.move_graph`` with d
+    attached.  ``_move_lattice`` walks it breadth first from g's node and
+    gives every node its d and the bitmask of d's (edge, level) pairs: a
+    move along e from d(e) = j adds the bit (e, j + 1), numbered when the
+    walk first sees it.  Call the mask of the first node that gains bit k
+    the down-set of k.  Four checks, each naming the states, and the edge,
+    where it fails:
+
+    1. every move into a node gives it the same mask;
+    2. the masks are distinct;
+    3. every move adding k starts from a mask holding k's down-set
+       without k, so every mask holding k holds k's down-set: in O(moves);
+    4. at each node, the next-level bits (e, d(e) + 1) whose down-set
+       without the bit lies in its mask, at most one per edge, are as many
+       as its moves: in O(n·|E|).
+
+    Then the bits, ordered by their down-sets, form a poset P, every mask
+    is a down-set of P, and from each mask the moves add exactly the bits
+    that keep it one.  As the root's mask is empty, the masks are all of
+    J(P), each once, and the moves are its covers (Birkhoff, "Rings of
+    sets", 1937; Propp, "Lattice structure for orientations of graphs",
+    2002).  So the lattice is graded by total d, and as a mask holds the
+    levels 1..d(e) of each edge e, join and meet are pointwise max and min
+    of d.
 
     Raises:
         NotNilpotencyZero: the closure would be infinite.
+        CertificationFailed: a check fails.
     """
-    from .lattice import grown_lattice
-
     dec = Decoration.of(pmap, omega)
     dec.require_nilpotency_zero("lattice construction needs nilpotency degree 0")
-    out_edges, states, made = dec.move_graph.out_edges, dec.states, {}
-
-    def upper(xi):
-        for _, t, e in out_edges(dec.index(xi.f_plus)):
-            if t not in made:
-                made[t] = BMSState(states[t], g, _raised(xi.d, e, 1))
-            yield e, made[t]
-
-    lattice = grown_lattice(make_bms(pmap, omega, g, g, {}), upper,
-                            key=lambda xi: xi.d)
-    _check_pointwise_closure(lattice)
-    return lattice
+    return _move_lattice(dec, make_bms(pmap, omega, g, g, {}))
 
 
-def _check_pointwise_closure(lattice: FiniteLattice):
-    """Check that join and meet are pointwise max and min of d.
-
-    Covers are moves, each raising d by one at its label.  A join-irreducible
-    takes the label of its lower cover; every cover adding it must carry that
-    label, and the irreducibles of each edge must form a chain.  Then
-    d(x)(e) - d(minimum)(e) counts the irreducibles of e below x, a prefix of
-    that chain, so unions and intersections of masks are pointwise max and
-    min of d.  Both conditions are also necessary.
+def _move_lattice(dec: Decoration, root: BMSState, cap=None) -> FiniteLattice:
+    """The states reached from root, whose d is 0, by the moves of the move
+    graph that keep d <= cap (a state's d; every move when cap is None),
+    certified by the four checks of ``bms_plus_lattice``.  Elements are
+    ordered by (grade, d) and covers by the positions of their ends; bit k
+    of a mask stands for the join-irreducible whose mask is k's down-set.
     """
-    cert, index = lattice.certificate, lattice.poset._index
-    edge_of, chains = {}, {}
-    for (a, b), e in lattice.labels.items():
-        bit = cert.masks[index[b]] ^ cert.masks[index[a]]
-        if edge_of.setdefault(bit, e) != e:
-            raise AssertionError(f"covers by {edge_of[bit]} and {e} add the "
-                                 "same join-irreducible")
-    for k, j in enumerate(cert.join_irreducibles):
-        chains.setdefault(edge_of[1 << k], []).append(cert.masks[index[j]])
-    for e, masks in chains.items():
-        masks.sort(key=int.bit_count)
-        if any(lo & ~hi for lo, hi in zip(masks, masks[1:])):
-            raise AssertionError(
-                f"join-irreducibles moved along {e} do not form a chain")
+    from .lattice import (Certificate, CertificationFailed, FiniteLattice,
+                          FinitePoset)
 
+    out_edges = dec.move_graph.out_edges
+    place = {e: p for p, e in enumerate(dec.quiver.vertices)}
+    nodes, ds, masks = [dec.index(root.f_plus)], [root.d], [0]
+    walked = {nodes[0]: 0}  # move-graph node -> its place in the walk
+    bits, down = {}, {}  # pair (e, j) of a d -> bit (e, j + 1), down-set - bit
+    moves, firsts = [], []  # (place, place, edge) by source; each one's first
+    for s, node in enumerate(nodes):  # breadth first: the list grows
+        d, m = ds[s], masks[s]
+        firsts.append(len(moves))
+        for _, n, e in out_edges(node):
+            p = place[e]
+            pair = d[p]
+            if cap is not None and pair[1] >= cap[p][1]:
+                continue
+            b = bits.get(pair)
+            if b is None:
+                b = bits[pair] = 1 << len(bits)
+                down[pair] = m
+            elif down[pair] & ~m:  # check 3
+                raise CertificationFailed(
+                    f"move along {e} from state {node} adds level "
+                    f"{pair[1] + 1} of {e} without its down-set")
+            t = walked.setdefault(n, len(nodes))
+            if t == len(nodes):
+                nodes.append(n)
+                ds.append(d[:p] + ((e, pair[1] + 1),) + d[p + 1:])
+                masks.append(m | b)
+            elif masks[t] != m | b:  # check 1
+                raise CertificationFailed(
+                    f"move along {e} from state {node} gives state {n} "
+                    "a second dimension vector")
+            moves.append((s, t, e))
+    firsts.append(len(moves))
+    for s, (d, m) in enumerate(zip(ds, masks)):  # check 4
+        # a bit no move added reads -1, which no mask holds
+        admits = list(map(and_, map(down.get, d, repeat(-1)), repeat(~m)))
+        if admits.count(0) != firsts[s + 1] - firsts[s]:
+            moved = [e for _, _, e in moves[firsts[s]:firsts[s + 1]]]
+            twice = [e for e in moved if moved.count(e) > 1]
+            missed = [e for (e, _), a in zip(d, admits)
+                      if not a and e not in moved]
+            raise CertificationFailed(
+                f"state {nodes[s]} moves along {twice[0]} twice" if twice
+                else f"state {nodes[s]} does not move along {missed[0]}, "
+                "which its d admits")
 
-def _reconstruct_plus(below, step):
-    """`below` with d' raised by one at the edge of a step-table row: its
-    ``bms_mov_e``, or None where f_plus would turn negative (see
-    ``plus_subobjects``)."""
-    v = below.f_plus.vector
-    return _moved(below, step) if v[step[2]] and v[step[3]] else None
+    grades = [m.bit_count() for m in masks]
+    order = sorted(range(len(nodes)), key=lambda i: (grades[i], ds[i]))
+    index_of_mask = {masks[i]: q for q, i in enumerate(order)}
+    if len(index_of_mask) != len(order):  # check 2
+        first = {}
+        a, b = next((first[m], i) for i, m in enumerate(masks)
+                    if first.setdefault(m, i) != i)
+        raise CertificationFailed(f"states {nodes[a]} and {nodes[b]} have "
+                                  "the same dimension vector")
+    states, f_minus = dec.states, root.f_minus
+    elements = [BMSState(states[nodes[i]], f_minus, ds[i]) if i else root
+                for i in order]  # the root, of grade 0, comes first
+    moves = sorted((index_of_mask[masks[s]], index_of_mask[masks[t]], e)
+                   for s, t, e in moves)
+    labels = {(elements[s], elements[t]): e for s, t, e in moves}
+    poset = FinitePoset(elements, labels)
+    return FiniteLattice(poset, Certificate(
+        minimum=elements[0], maximum=elements[-1], size=len(elements),
+        grade_range=(0, grades[order[-1]]),
+        grade={x: grades[i] for x, i in zip(elements, order)},
+        elements=poset.elements,
+        join_irreducibles=tuple(elements[index_of_mask[down[pair] | b]]
+                                for pair, b in bits.items()),
+        masks=tuple(masks[i] for i in order), index_of_mask=index_of_mask),
+        labels)
 
 
 def component_minimum(pmap: PlanarMap, omega, h: AngularFunction):
@@ -259,42 +323,30 @@ def component_minimum(pmap: PlanarMap, omega, h: AngularFunction):
 def plus_subobjects(pmap: PlanarMap, omega, xi: BMSState) -> FiniteLattice:
     """The lattice of states below xi: same f_minus, d' pointwise below d.
 
-    xi is validated once, on entry, and with it the root (f_minus, f_minus,
-    0).  Every other element is reached from the root by steps raising d' by
-    one at an edge e where d' is below d, and each step is a move: raising
-    d' at e changes f_plus = f_minus + d'(t) - d'(s) only on the four arrows
-    at e, lowering it by one on the two leaving e and raising it by one on
-    the two entering e.  So the candidate is a state exactly when f_plus is
-    e-movable, and it is then ``bms_mov_e`` of the state below it.  The
-    growth reaches every state below xi: for d' != 0 let S be the edges
-    where d' is largest.  If no edge of S were anti-movable, f_minus would
-    vanish on a directed cycle inside S; that cycle would be invisible, and
-    d, hence d', is zero on invisible edges.  So d' minus one at some edge
-    of S is again a state.  For xi the maximum of ``bms_plus_lattice`` from
-    (g0, g0, 0), this is that lattice, masks and all: both grow by moves from
-    that root, and the cap d' <= d never binds, as each cover raises d by one
-    at its label and every element lies below the certified maximum.
+    xi is validated once, on entry.  The lattice is the walk of
+    ``bms_plus_lattice`` from the root (f_minus, f_minus, 0), taking only
+    the moves that keep d' <= d, certified by the same four checks.  A move
+    raising d' at e changes f_plus = f_minus + d'(t) - d'(s) only on the
+    four arrows at e, so each state below xi one step above another is its
+    move.  The walk reaches every state below xi: for d' != 0 let S be the
+    edges where d' is largest.  If no edge of S were anti-movable, f_minus
+    would vanish on a directed cycle inside S; that cycle would be
+    invisible, and d, hence d', is zero on invisible edges.  So d' minus
+    one at some edge of S is again a state.  For xi the maximum of
+    ``bms_plus_lattice`` from (g0, g0, 0), this is that lattice, masks and
+    all: both walks take the same moves from the same root, and the cap
+    never binds, as every element lies below the certified maximum.
 
     Raises:
         NotNilpotencyZero.
         ValueError: xi is not a valid state (see ``make_bms``).
+        CertificationFailed: a check of the walk fails.
     """
-    from .lattice import grown_lattice
-
     dec = Decoration.of(pmap, omega)
     dec.require_nilpotency_zero("subobject lattice needs nilpotency degree 0")
-    quiver = dec.quiver
     xi = make_bms(pmap, omega, xi.f_plus, xi.f_minus, dict(xi.d))
-
-    def upper(below):
-        for step, (_, cap), (_, v) in zip(quiver.steps, xi.d, below.d):
-            if v < cap:
-                moved = _reconstruct_plus(below, step)
-                if moved is not None:
-                    yield step[0], moved
-
     root = BMSState(xi.f_minus, xi.f_minus, tuple((e, 0) for e, _ in xi.d))
-    return grown_lattice(root, upper, key=lambda s: s.d)
+    return _move_lattice(dec, root, cap=xi.d)
 
 
 def solve_dimension(pmap: PlanarMap, omega, f_plus, f_minus):

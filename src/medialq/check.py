@@ -36,12 +36,16 @@ def _attempt(fn):
 
 def projects_onto(states, functions) -> bool:
     """Does xi -> f_plus map the BMS states one-to-one onto the functions?
-    In O(n): no f_plus vector repeats, and together they are the functions'.
-    The rest of the move-graph isomorphism holds by construction: a component
-    lattice is grown along the move graph, f_plus a node, covers its moves."""
-    image = [xi.f_plus.vector for xi in states]
-    seen = set(image)
-    return len(seen) == len(image) and seen == {g.vector for g in functions}
+    In O(n) lookups: each f_plus has a place in ``functions`` (a sequence
+    with ``index``), and the places are distinct and as many as the
+    functions.  The rest of the move-graph isomorphism holds by
+    construction: a component lattice is walked on the move graph, f_plus
+    a node, covers its moves."""
+    try:
+        places = [functions.index(xi.f_plus) for xi in states]
+    except ValueError:
+        return False
+    return len(set(places)) == len(places) == len(functions)
 
 
 def check_diagram(diagram) -> Verdicts:

@@ -138,11 +138,6 @@ def _family_text(k):
     return f"k={_dims_text(k)}"
 
 
-def _markers_text(state):
-    """A Kauffman state by its marker angles."""
-    return "markers=" + ",".join(state.angles)
-
-
 def _lattice_lines(lat, element_text):
     """Elements (shown by element_text), covers with move labels, grades,
     and full join/meet tables, one line at a time."""
@@ -319,15 +314,20 @@ def cmd_subobjects(args):
 
 
 def cmd_clock(args):
-    from .kauffman import clock_lattice
+    from .kauffman import chi_inv, clock_lattice
 
     diagram, lines = _diagram(args)
     lattice = clock_lattice(diagram)
+
+    def markers(x):  # the marker angles of x's Kauffman state
+        return ",".join(chi_inv(diagram, x.f_plus).angles)
+
     if args.format == "dot":
-        return _hasse(lines, lattice, lambda x: ",".join(x.angles))
+        return _hasse(lines, lattice, markers)
     lines.append(f"clock lattice of {args.map} "
                  f"(marked edge {diagram.marked_edge})")
-    return 0, chain(lines, _lattice_lines(lattice, _markers_text))
+    return 0, chain(lines, _lattice_lines(
+        lattice, lambda x: "markers=" + markers(x)))
 
 
 def cmd_prime_check(args):

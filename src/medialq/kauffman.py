@@ -10,7 +10,8 @@ Indicator functions identify Kauffman states with the weight-compatible
 angular functions, moves included: moving along an edge rotates the two
 markers sitting at its endpoints one step counterclockwise.  For prime
 diagrams the move graph is a graded distributive lattice (the clock
-lattice), built and certified here.  Primality, that no pair of edges
+lattice), the component lattice of the Kauffman weight, checked here to
+hold every state.  Primality, that no pair of edges
 disconnects the map, is read off the faces beside each edge by planar
 duality (``find_separating_pair``).
 """
@@ -248,12 +249,13 @@ def is_prime_diagram(diagram: LinkDiagram) -> bool:
 
 def clock_lattice(diagram: LinkDiagram):
     """The certified ``lattice.FiniteLattice`` of all Kauffman states of a
-    prime diagram.
+    prime diagram: the component lattice of the Kauffman weight, once it
+    is checked to hold every state.
 
-    Certifies that the graph of invisible cycles is connected, grows the
-    state lattice along the move graph from its minimum, checks it reaches
-    every state, and re-labels everything in Kauffman-state coordinates;
-    chi_inv is a bijection on the states, so the certificate carries over.
+    Its elements are BMS states; the Kauffman state of an element x is
+    ``chi_inv(diagram, x.f_plus)``, a bijection on the compatible
+    functions, and moves rotate the markers (``kauffman_move``).  Certifies
+    first that the graph of invisible cycles is connected.
 
     Raises:
         NotPrime: with the separating edge pair as witness.
@@ -271,9 +273,8 @@ def clock_lattice(diagram: LinkDiagram):
         raise CertificationFailed(
             f"graph of invisible cycles has {ncomp} components on a prime diagram")
     dec = Decoration.of(pmap, w)
-    functions = dec.states
-    inner = dec.component_lattice(functions[0])
-    if len(inner) != len(functions):
+    lattice = dec.component_lattice(dec.states[0])
+    if len(lattice) != len(dec.states):
         raise CertificationFailed(
-            f"lattice reaches {len(inner)} of {len(functions)} states")
-    return inner.relabel(lambda xi: chi_inv(diagram, xi.f_plus))
+            f"lattice reaches {len(lattice)} of {len(dec.states)} states")
+    return lattice

@@ -602,8 +602,9 @@ def verify_subrep_isomorphism(below: FiniteLattice, module: QuiverRep,
     tests, which grow S from 0 by unit steps, need that and check it).
 
     Contract: x -> x.d is one to one and carries below's join and meet to
-    pointwise max and min; ``bms_plus_lattice`` certifies so for every
-    lattice it returns (``_check_pointwise_closure``), so for every caller.
+    pointwise max and min; the walk behind ``bms_plus_lattice`` and
+    ``plus_subobjects`` certifies so for every lattice it returns, so for
+    every caller.
 
     Lemma: it is, exactly when the minimum of below has d = 0 and the d of
     its join-irreducibles are the least points of S (``_least_points``).

@@ -1,10 +1,11 @@
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
 import pytest
 
-from medialq import bms, corpus
-from medialq.lattice import grown_lattice
+from medialq import bms, corpus, lattice
+from medialq.lattice import Certificate, CertificationFailed, FiniteLattice
 from medialq.linalg import Matrix, hstack_all
 from medialq.planar import (PlanarMap, Record, build_planar_map,
                             connected_components, dump_map_text)
@@ -200,6 +201,256 @@ def is_strongly_connected(quiver):
         return len(seen) == len(quiver.vertices)
 
     return sweep(succ) and sweep(pred)
+
+
+# ----------------------------------------------------------------------
+# the grown-poset certifier: the generic oracle of the move-graph walk
+# ----------------------------------------------------------------------
+
+class FinitePoset(lattice.FinitePoset):
+    """The library's poset with its transitive closures, from which it
+    answers order, minimal and maximal elements, joins and meets."""
+
+    @cached_property
+    def _down(self):
+        """Bit k of _down[i] (_up[i]) says k <= i (k >= i); on first use."""
+        return self._reach(self._topo, self._below)
+
+    @cached_property
+    def _up(self):
+        return self._reach(reversed(self._topo), self._above)
+
+    def _reach(self, order, steps):
+        masks = [1 << i for i in range(len(self.elements))]
+        for i in order:
+            for j in steps[i]:
+                masks[i] |= masks[j]
+        return masks
+
+    def leq(self, x, y) -> bool:
+        return bool(self._down[self._index[y]] >> self._index[x] & 1)
+
+    def minimal_elements(self):
+        return [x for x in self.elements if not self._below[self._index[x]]]
+
+    def maximal_elements(self):
+        return [x for x in self.elements if not self._above[self._index[x]]]
+
+    def _bound(self, i, j, masks, order):
+        """Index of the extreme element of masks[i] & masks[j], scanning in
+        the given topological order, or None if no single extreme exists."""
+        common = masks[i] & masks[j]
+        if not common:
+            return None
+        for k in order:
+            if common >> k & 1:
+                return k if masks[k] & common == common else None
+        return None  # pragma: no cover
+
+    def join_index(self, i, j):
+        return self._bound(i, j, self._up, self._topo)
+
+    def meet_index(self, i, j):
+        return self._bound(i, j, self._down, reversed(self._topo))
+
+    def join(self, x, y):
+        k = self.join_index(self._index[x], self._index[y])
+        return None if k is None else self.elements[k]
+
+    def meet(self, x, y):
+        k = self.meet_index(self._index[x], self._index[y])
+        return None if k is None else self.elements[k]
+
+
+class Counterexample(Record):
+    """The law a poset breaks, the elements that break it, and a message."""
+
+    __slots__ = ("law", "witness", "message")
+
+    ok = False
+
+
+def _derived_grade(poset):
+    """Longest chain length from a minimal element, per element."""
+    g = [0] * len(poset.elements)
+    for i in poset._topo:
+        g[i] = max((g[j] + 1 for j in poset._below[i]), default=0)
+    return dict(zip(poset.elements, g))
+
+
+def certify_graded_distributive_lattice(poset, grade=None):
+    """Certificate that the poset is a graded distributive lattice, or a
+    Counterexample naming the violated law and the elements involved.
+
+    Checks unique minimum and maximum, unit grade steps (``grade`` must give
+    every element), and then Birkhoff's representation (see ``_birkhoff``).
+    Unit steps leave nothing strictly between a cover's ends; a false cover,
+    if any, is reported ahead of a failed check.  When Birkhoff's check
+    fails, a pairwise search names a pair without join or meet, or a
+    join-irreducible j below x join y but below neither x nor y: j, x and y
+    violate the distributive identity.
+
+    Raises:
+        AssertionError: Birkhoff's check and the pairwise search disagree.
+    """
+    n = len(poset.elements)
+    if n == 0:
+        return Counterexample("nonempty", (), "empty poset")
+
+    mins = poset.minimal_elements()
+    maxs = poset.maximal_elements()
+    if len(mins) != 1:
+        failed = Counterexample("minimum", tuple(mins), "no unique minimum")
+    elif len(maxs) != 1:
+        failed = Counterexample("maximum", tuple(maxs), "no unique maximum")
+    else:
+        if grade is None:
+            grade = _derived_grade(poset)
+        failed = next((Counterexample(
+            "graded", (a, b),
+            f"cover {a!r} -> {b!r} changes grade by {grade[b] - grade[a]}")
+            for a, b in poset.covers if grade[b] - grade[a] != 1), None)
+    if failed is not None:  # name a false cover first, from the closures
+        index, down, up = poset._index, poset._down, poset._up
+        return next((Counterexample(
+            "cover", (a, b), f"{a!r} -> {b!r} is not a cover relation")
+            for a, b in poset.covers
+            if down[index[b]] & up[index[a]] != 1 << index[a] | 1 << index[b]),
+            failed)
+
+    found = _birkhoff(poset)
+    if found is None:
+        bad = _pairwise_counterexample(poset)
+        if bad is None:
+            raise AssertionError("Birkhoff's check and the pairwise search "
+                                 "disagree")
+        return bad
+    irreducibles, masks, index_of = found
+    return Certificate(
+        minimum=mins[0], maximum=maxs[0], size=n,
+        grade_range=(min(grade[x] for x in poset.elements),
+                     max(grade[x] for x in poset.elements)),
+        grade=dict(grade), elements=poset.elements,
+        join_irreducibles=tuple(poset.elements[j] for j in irreducibles),
+        masks=tuple(masks), index_of_mask=index_of)
+
+
+def _birkhoff(poset):
+    """(irreducible indices, masks, mask -> index) if x -> J ∩ ↓x is an
+    isomorphism onto the down-sets of J, else None.
+
+    (a) Distinct masks and (b) one new bit per cover send covers one-to-one
+    to covers of down-sets.  (c) Adding to a mask m any j outside m whose
+    strict down-set lies in m gives a mask, so from the minimum's empty mask
+    the image reaches every down-set.  (d) There are as many such additions
+    as covers, so the covers map onto those of the down-set lattice.
+
+    (c) and (d) do not imply (a): an 8-element graded poset fails (a) alone
+    (``test_equal_masks_alone_caught``).  No graded poset with a unique
+    minimum and maximum and at most 10 elements fails (b) alone, which
+    stays as a cheap guard.
+    """
+    below = poset._below
+    irreducibles = [i for i in poset._topo if len(below[i]) == 1]
+    bit = {i: 1 << k for k, i in enumerate(irreducibles)}
+    masks = [bit.get(i, 0) for i in range(len(poset.elements))]
+    for i in poset._topo:
+        for k in below[i]:
+            masks[i] |= masks[k]
+    index_of = {m: i for i, m in enumerate(masks)}
+    if len(index_of) != len(masks):  # (a)
+        return None
+    for a, b in poset.covers:  # (b); mask(a) is inside mask(b)
+        step = masks[poset._index[b]] ^ masks[poset._index[a]]
+        if step & (step - 1):
+            return None
+    strict = [(bit[j], masks[j] ^ bit[j]) for j in irreducibles]
+    extensions = 0
+    for m in masks:
+        for b, s in strict:
+            if not m & b and not s & ~m:
+                if m | b not in index_of:  # (c)
+                    return None
+                extensions += 1
+    if extensions != len(set(poset.covers)):  # (d)
+        return None
+    return irreducibles, masks, index_of
+
+
+def _pairwise_counterexample(poset):
+    """The first pair, in element order, without a join or a meet, or with a
+    join-irreducible below its join but below neither factor; else None."""
+    n = len(poset.elements)
+    irr = sum(1 << i for i in range(n) if len(poset._below[i]) == 1)
+    for i in range(n):
+        for j in range(i + 1, n):
+            x, y = poset.elements[i], poset.elements[j]
+            jk = poset.join_index(i, j)
+            if jk is None:
+                return Counterexample(
+                    "join", (x, y), "pair has no least upper bound")
+            if poset.meet_index(i, j) is None:
+                return Counterexample(
+                    "meet", (x, y), "pair has no greatest lower bound")
+            stray = poset._down[jk] & irr & ~(poset._down[i] | poset._down[j])
+            if stray:
+                return Counterexample(
+                    "distributive",
+                    (poset.elements[stray.bit_length() - 1], x, y),
+                    "join-irreducible below the join but below neither factor")
+    return None
+
+
+def require_certificate(result):
+    """Pass a Certificate through; raise CertificationFailed on a
+    Counterexample."""
+    if not result.ok:
+        raise CertificationFailed(
+            f"{result.law}: {result.message} {result.witness!r}")
+    return result
+
+
+def grown_lattice(root, upper, key) -> FiniteLattice:
+    """The certified lattice of everything reached from root by cover steps.
+
+    upper(x) yields (label, y) for each y covering x.  The grade is the
+    number of steps from root; elements are ordered by (grade, key) and
+    covers by the positions of their lower, then upper, ends in that order.
+
+    Raises:
+        CertificationFailed: the elements reached are not a graded
+            distributive lattice.
+    """
+    grade, labels, first = {root: 0}, {}, {root: root}
+    frontier = [root]
+    for x in frontier:  # breadth first: the list grows while it is read
+        for label, y in upper(x):
+            y = first.setdefault(y, y)  # one object per element, not per cover
+            labels[(x, y)] = label
+            if y not in grade:
+                grade[y] = grade[x] + 1
+                frontier.append(y)
+    elements = sorted(grade, key=lambda x: (grade[x], key(x)))
+    position = {x: p for p, x in enumerate(elements)}
+    covers = sorted(labels, key=lambda c: (position[c[0]], position[c[1]]))
+    poset = FinitePoset(elements, covers)
+    outcome = certify_graded_distributive_lattice(poset, grade=grade)
+    return FiniteLattice(poset, require_certificate(outcome), labels)
+
+
+def relabel(lat, rename) -> FiniteLattice:
+    """The same lattice with each element x renamed rename(x), which must
+    be injective; the certificate and the cover labels carry over."""
+    new, cert = {x: rename(x) for x in lat.elements}, lat.certificate
+    poset = FinitePoset(new.values(), [(new[a], new[b]) for a, b in lat.covers])
+    cert = cert._replace(
+        minimum=new[cert.minimum], maximum=new[cert.maximum],
+        grade={new[x]: g for x, g in cert.grade.items()},
+        elements=poset.elements,
+        join_irreducibles=tuple(new[j] for j in cert.join_irreducibles))
+    labels = None if lat.labels is None else {
+        (new[a], new[b]): e for (a, b), e in lat.labels.items()}
+    return FiniteLattice(poset, cert, labels)
 
 
 def lower_covers(poset, x):
@@ -491,17 +742,63 @@ def moves_by_steps(quiver, xi):
             yield step[0], bms._moved(xi, step)
 
 
+def check_pointwise_closure(lat):
+    """Check that join and meet are pointwise max and min of d.
+
+    Covers are moves, each raising d by one at its label.  A join-irreducible
+    takes the label of its lower cover; every cover adding it must carry that
+    label, and the irreducibles of each edge must form a chain.  Then
+    d(x)(e) - d(minimum)(e) counts the irreducibles of e below x, a prefix of
+    that chain, so unions and intersections of masks are pointwise max and
+    min of d.  Both conditions are also necessary.
+    """
+    cert, index = lat.certificate, lat.poset._index
+    edge_of, chains = {}, {}
+    for (a, b), e in lat.labels.items():
+        bit = cert.masks[index[b]] ^ cert.masks[index[a]]
+        if edge_of.setdefault(bit, e) != e:
+            raise AssertionError(f"covers by {edge_of[bit]} and {e} add the "
+                                 "same join-irreducible")
+    for k, j in enumerate(cert.join_irreducibles):
+        chains.setdefault(edge_of[1 << k], []).append(cert.masks[index[j]])
+    for e, masks in chains.items():
+        masks.sort(key=int.bit_count)
+        if any(lo & ~hi for lo, hi in zip(masks, masks[1:])):
+            raise AssertionError(
+                f"join-irreducibles moved along {e} do not form a chain")
+
+
 def lattice_by_steps(pmap, omega, g):
     """``bms_plus_lattice`` grown state by state through the step table:
-    all states reachable from (g, g, 0), certified as a lattice."""
+    all states reachable from (g, g, 0), certified as a lattice by the
+    grown-poset certifier and ``check_pointwise_closure``."""
     dec = Decoration.of(pmap, omega)
     dec.require_nilpotency_zero("lattice construction needs nilpotency degree 0")
     quiver = dec.quiver
-    lattice = grown_lattice(bms.make_bms(pmap, omega, g, g, {}),
-                            lambda xi: moves_by_steps(quiver, xi),
-                            key=lambda xi: xi.d)
-    bms._check_pointwise_closure(lattice)
-    return lattice
+    lat = grown_lattice(bms.make_bms(pmap, omega, g, g, {}),
+                        lambda xi: moves_by_steps(quiver, xi),
+                        key=lambda xi: xi.d)
+    check_pointwise_closure(lat)
+    return lat
+
+
+def subobjects_by_steps(pmap, omega, xi):
+    """``plus_subobjects`` grown from (f_minus, f_minus, 0) through the step
+    table: each step raises d' by one at an edge e where d' is below d, and
+    is kept where f_plus stays non-negative (``bms._reconstruct_plus``)."""
+    dec = Decoration.of(pmap, omega)
+    dec.require_nilpotency_zero("subobject lattice needs nilpotency degree 0")
+    xi = bms.make_bms(pmap, omega, xi.f_plus, xi.f_minus, dict(xi.d))
+
+    def upper(below):
+        for step, (_, cap), (_, v) in zip(dec.quiver.steps, xi.d, below.d):
+            if v < cap:
+                moved = bms._reconstruct_plus(below, step)
+                if moved is not None:
+                    yield step[0], moved
+
+    root = bms.BMSState(xi.f_minus, xi.f_minus, tuple((e, 0) for e, _ in xi.d))
+    return grown_lattice(root, upper, key=lambda s: s.d)
 
 
 def minimum_by_steps(pmap, omega, h):

@@ -7,6 +7,8 @@ before the lattice machinery existed.
 """
 
 import random
+from collections import Counter
+from time import perf_counter
 
 import pytest
 
@@ -368,3 +370,26 @@ def test_solve_dimension_without_invisible_edges():
     d = bms.solve_dimension(digon, omega, lo, hi)
     assert sorted(d.values()) == [0, 1]
     assert bms.solve_dimension(digon, omega, lo, lo) == {"e0": 0, "e1": 0}
+
+
+def test_a_dropped_move_is_rejected_fast_on_a_large_lattice():
+    """The (s1s2)^9 shadow, 5776 states in one component, with one move
+    into a node that two moves enter dropped: the walk names the source
+    and the edge in well under a second, as its checks cost O(moves) and
+    O(n·|E|), against no pair of elements."""
+    pmap = build_planar_map(*corpus.braid_closure_shadow([1, 2] * 9, 3))
+    marked = next(e for e in sorted(pmap.edges)
+                  if len(set(pmap.edge_faces(e))) == 2)
+    dec = st.Decoration.of(pmap, kauffman_like_weight(pmap, marked))
+    whole = dec.move_graph
+    entered = Counter(t for _, t, _ in whole.edges)
+    s, t, e = next(m for m in whole.edges if entered[m[1]] > 1)
+    dec.move_graph = st.StateGraph(
+        whole.nodes, [m for m in whole.edges if m != (s, t, e)])
+    assert (len(dec.states), dec.nilpotency, len(set(dec.minima))) == (
+        5776, 0, 1)
+    start = perf_counter()
+    with pytest.raises(CertificationFailed,
+                       match=f"^state {s} does not move along {e},"):
+        dec.component_lattice(dec.states[0])
+    assert perf_counter() - start < 1

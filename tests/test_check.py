@@ -4,9 +4,9 @@ vectors."""
 
 import pytest
 
-from medialq import check, corpus
+from medialq import bms, check, corpus
 from medialq.kauffman import LinkDiagram, kauffman_weight
-from medialq.states import Decoration
+from medialq.states import AngularFunction, Decoration
 
 from conftest import forgetful_projection
 
@@ -78,3 +78,14 @@ def test_projection_refuses_a_dropped_or_repeated_state(lattice_and_graph):
         for mutant in (dropped, states + [states[k]],
                        dropped + [states[k - 1]]):
             assert not check.projects_onto(mutant, graph.nodes)
+
+
+def test_projection_refuses_a_function_on_another_frame(lattice_and_graph):
+    """An f_plus with the vector of a state but over other angle names is
+    no state of the decoration: it has no place among the functions."""
+    _, _, lattice, graph = lattice_and_graph
+    xi, *rest = lattice.elements
+    renamed = AngularFunction({f"x{a}": v for a, v in xi.f_plus.items()})
+    assert renamed.vector == xi.f_plus.vector
+    stranger = bms.BMSState(renamed, xi.f_minus, xi.d)
+    assert not check.projects_onto(rest + [stranger], graph.nodes)

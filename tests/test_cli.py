@@ -501,7 +501,7 @@ def test_benchmark_tracer_still_fits_the_library(tmp_path):
         "reps.subrep_candidates", "reps.subreps_kept")} == {
         "bms.subobject_candidates": None, "bms.subobjects_kept": None,
         "reps.subrep_candidates": 22, "reps.subreps_kept": None}
-    assert calls["lattice.certify_graded_distributive_lattice"] == 7
+    assert calls["bms.bms_plus_lattice"] == 7
 
 
 def test_no_verb_grows_the_plus_subobjects_again(capsys, maps, monkeypatch):
@@ -527,23 +527,22 @@ def test_no_verb_grows_the_subrepresentations_for_the_isomorphism(
     """verify-iso decides the subrepresentation isomorphism from the least
     points of the subrepresentations and the join-irreducibles of the
     component lattice it holds, and subreps, in either format, prints
-    that lattice through the verdict: each certifies one lattice, the
+    that lattice through the verdict: each walks one lattice, the
     component lattice, and grows no second one."""
-    from medialq import lattice
+    from medialq import bms
 
     runs = [(verb, maps[name], *fmt) for name in sorted(maps)
             for verb, fmt in (("verify-iso", ()), ("subreps", ()),
                               ("subreps", ("--format", "dot")))]
     plain = [run(capsys, *argv) for argv in runs]
-    certify = lattice.certify_graded_distributive_lattice
+    walk = bms._move_lattice
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return certify(*args, **kwargs)
+        return walk(*args, **kwargs)
 
-    monkeypatch.setattr(lattice, "certify_graded_distributive_lattice",
-                        counted)
+    monkeypatch.setattr(bms, "_move_lattice", counted)
     for argv, report in zip(runs, plain):
         calls.clear()
         assert run(capsys, *argv) == report
@@ -709,8 +708,8 @@ def first_moves(graph, root):
 
 def test_swapped_label_on_a_later_move_exits_1(capsys, maps, monkeypatch):
     """A move into a node already reached, relabelled with the edge of the
-    first move into it, leaves every state as it was; the pointwise
-    closure check sees the cover carry the wrong label."""
+    first move into it, leaves every state as it was; the walk sees that
+    move give its node a second dimension vector, and names both."""
     from medialq import states as st
 
     real = st.Decoration.move_graph.func
@@ -734,9 +733,123 @@ def test_swapped_label_on_a_later_move_exits_1(capsys, maps, monkeypatch):
     assert (code, out) == (1, "")
     (later, label), *_ = swapped
     assert label != later[2]
-    assert err in (f"medialq: covers by {e} and {f} add the same "
-                   "join-irreducible\n"
-                   for e, f in ((label, later[2]), (later[2], label)))
+    assert err == (f"medialq: move along {label} from state {later[0]} "
+                   f"gives state {later[1]} a second dimension vector\n")
+
+
+def _root(graph):
+    """The node of the first component that no move enters."""
+    entered = {t for _, t, _ in graph.edges}
+    return next(n for n in graph.components[0] if n not in entered)
+
+
+def _dropped(graph):
+    """Drop the first move into a node that two moves enter: its source
+    then lacks a move that its d admits."""
+    entered = [t for _, t, _ in graph.edges]
+    move = next(m for m in graph.edges if entered.count(m[1]) > 1)
+    return ([m for m in graph.edges if m != move],
+            f"state {move[0]} does not move along {move[2]}, which its d "
+            "admits")
+
+
+def _swapped(graph):
+    """Relabel a later move into a node with the label of the first move
+    into it."""
+    first = first_moves(graph, _root(graph))
+    later = next(m for m in graph.edges if first.get(m[1]) not in (None, m))
+    s, t, _ = later
+    label = first[t][2]
+    return ([(s, t, label) if m == later else m for m in graph.edges],
+            f"move along {label} from state {s} gives state {t} a second "
+            "dimension vector")
+
+
+def _extra(graph):
+    """Add a move from the last node reached to the first node reached
+    after the root, both reached by then."""
+    first = first_moves(graph, _root(graph))
+    nodes = list(first)
+    s, t, label = nodes[-1], nodes[1], first[nodes[1]][2]
+    return (sorted(graph.edges + ((s, t, label),)),
+            f"move along {label} from state {s} gives state {t} a second "
+            "dimension vector")
+
+
+@pytest.mark.parametrize("mutate", [_dropped, _swapped, _extra])
+@pytest.mark.parametrize("name", ["figure_eight", "trefoil_sum"])
+def test_move_graph_mutants_exit_1_with_a_message(capsys, maps, monkeypatch,
+                                                  mutate, name):
+    """A move dropped, relabelled or added, on the two corpus lattices that
+    are not chains: the walk names the state and the edge where its checks
+    fail, in one line, and bms-lattice exits 1."""
+    from medialq import states as st
+
+    real = st.Decoration.move_graph.func
+    messages = []
+
+    def graph(dec):
+        whole = real(dec)
+        edges, message = mutate(whole)
+        messages.append(message)
+        return st.StateGraph(whole.nodes, edges)
+
+    monkeypatch.setattr(st.Decoration, "move_graph", property(graph))
+    code, out, err = run(capsys, "bms-lattice", maps[name])
+    assert (code, out) == (1, "")
+    assert err == f"medialq: {messages[0]}\n"
+
+
+@pytest.mark.parametrize("edges, message", [
+    # a square whose two tops are two states: only the masks tell
+    ([(0, 1, "e0"), (0, 2, "e1"), (1, 3, "e1"), (2, 4, "e0")],
+     "states 3 and 4 have the same dimension vector"),
+    # e1 first rises above e0, then from a state without e0
+    ([(0, 1, "e0"), (0, 2, "e2"), (1, 3, "e1"), (2, 4, "e1")],
+     "move along e1 from state 2 adds level 1 of e1 without its down-set"),
+])
+def test_move_graphs_only_one_check_rejects_exit_1(capsys, maps, monkeypatch,
+                                                   edges, message):
+    """Move graphs on the figure-eight's five states that pass every check
+    of the walk but one: the distinct masks, or the down-set of each rise."""
+    from medialq import states as st
+
+    monkeypatch.setattr(st.Decoration, "move_graph", property(
+        lambda dec: st.StateGraph(dec.states, edges)))
+    code, out, err = run(capsys, "bms-lattice", maps["figure_eight"])
+    assert (code, out, err) == (1, "", f"medialq: {message}\n")
+
+
+def test_a_move_joining_two_components_exits_1(capsys, maps, monkeypatch,
+                                               tmp_path):
+    """Under this weight the trefoil's move graph has two components of
+    two states each; a move from the minimum of the second into the first
+    makes one component with two minima."""
+    from medialq import states as st
+
+    weight = tmp_path / "two_components.yaml"
+    weight.write_text(dump_weight_text({
+        "v0": 2, "v1": 1, "v2": 1, "f0": 0, "f1": 1, "f2": 1, "f3": 2,
+        "f4": 0}))
+    real = st.Decoration.move_graph.func
+
+    def graph(dec):
+        whole = real(dec)
+        first, second = whole.components
+        entered = {t for _, t, _ in whole.edges}
+        low = next(n for n in second if n not in entered)
+        return st.StateGraph(whole.nodes, sorted(
+            whole.edges + ((low, first[-1], whole.edges[0][2]),)))
+
+    code, out, _ = run(capsys, "component", maps["trefoil"],
+                       "--weight", weight)
+    assert code == 0 and "\nstates: 4 components: 2\n" in out
+    monkeypatch.setattr(st.Decoration, "move_graph", property(graph))
+    code, out, err = run(capsys, "bms-lattice", maps["trefoil"],
+                         "--weight", weight)
+    assert (code, out) == (1, "")
+    assert err.startswith("medialq: the move-graph component of state ")
+    assert err.endswith(" has 2 minima\n")
 
 
 def test_cli_import_leaves_networkx_out():

@@ -22,7 +22,8 @@ the one-pass search and whole-vector lookups they replaced (also on maps
 with permuted dart names), the move graph built by index arithmetic
 against the one built move by move, component lattices grown along the
 move graph against the step-table growth and greedy descents they
-replaced, the state sequence read off the decomposition's pieces against
+replaced, the component, clock and subobject lattices walked on the move
+graph against the grown-poset certifier, the state sequence read off the decomposition's pieces against
 the brute-force states as a tuple (indices, slices, ``index``), its texts
 against ``AngleFrame.text`` per function, the move graph's union-find
 components against the breadth-first sweep, Jacobian residuals from
@@ -39,7 +40,8 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 from importlib import resources
-from itertools import chain, combinations, product
+from itertools import chain, combinations, product, repeat
+from operator import and_, or_
 from math import prod
 from pathlib import Path
 
@@ -51,25 +53,28 @@ from hypothesis import strategies as hs
 
 from medialq import bms, cli, corpus, reps
 from medialq import states as st
-from medialq.kauffman import (LinkDiagram, clock_lattice,
-                              enumerate_kauffman_states, find_separating_pair,
+from medialq.kauffman import (LinkDiagram, NotApplicable, chi_inv,
+                              clock_lattice, enumerate_kauffman_states,
+                              find_separating_pair, kauffman_move,
                               kauffman_weight)
-from medialq.lattice import (FiniteLattice, FinitePoset,
-                             certify_graded_distributive_lattice,
-                             grown_lattice)
+from medialq.lattice import FiniteLattice
 from medialq.linalg import Matrix
 from medialq.planar import (build_planar_map, connected_components,
                             dump_map_text, read_document)
 
-from conftest import (column_basis_by_fractions, compatible_functions,
+from conftest import (FinitePoset, certify_graded_distributive_lattice,
+                      check_pointwise_closure, column_basis_by_fractions,
+                      compatible_functions,
                       compatible_functions_by_backtracking,
                       component_minimum_by_name, edge_endpoints,
                       endomorphism_ring_by_fractions, enumerate_subreps,
-                      gamma_inv_components_bruteforce, is_prefix_family,
-                      join_table, lattice_by_steps, lower_covers,
-                      minimum_by_steps, move_graph_by_lookup, moves_by_name,
+                      gamma_inv_components_bruteforce, grown_lattice,
+                      is_prefix_family, join_table, lattice_by_steps,
+                      lower_covers, minimum_by_steps,
+                      move_graph_by_lookup, moves_by_name,
                       nullspace_by_fractions, paths_vanish_by_rounds,
-                      rref_by_fractions, subobjects_by_name,
+                      relabel, rref_by_fractions, subobjects_by_name,
+                      subobjects_by_steps,
                       subrep_isomorphism_oracle,
                       unit_step_isomorphism_oracle, verify_order_isomorphism)
 
@@ -652,7 +657,7 @@ def test_mask_closure_check_rejects_bad_labels():
     for labels, message in (("efef", "add the same"), ("eeee", "chain")):
         lattice = FiniteLattice(poset, cert, dict(zip(poset.covers, labels)))
         with pytest.raises(AssertionError, match=message):
-            bms._check_pointwise_closure(lattice)
+            check_pointwise_closure(lattice)
 
 
 # ----------------------------------------------------------------------
@@ -970,6 +975,16 @@ def test_subrep_isomorphism_rejects_proper_sub_families_of_shadows(pmap):
     assert_proper_sub_families_rejected(pmap, kauffman_weight(diagram_of(pmap)))
 
 
+def position_tables(cert):
+    """The join and meet tables that the certificate's masks induce through
+    ``index_of_mask``, as rows of element positions: whatever the numbering
+    of the bits, the same for two lattices on the same elements in the same
+    order exactly when they have the same joins and meets."""
+    index_of, masks = cert.index_of_mask.__getitem__, cert.masks
+    return [[list(map(index_of, map(op, repeat(m), masks))) for m in masks]
+            for op in (or_, and_)]
+
+
 def assert_shown_by_d(lattice, grown):
     """lattice shown by x -> x.d is grown, in everything a report prints:
     elements in order, covers in order, labels, grades and certificate."""
@@ -981,8 +996,9 @@ def assert_shown_by_d(lattice, grown):
     assert (lattice.minimum.d, lattice.maximum.d) == (grown.minimum,
                                                       grown.maximum)
     ours, theirs = lattice.certificate, grown.certificate
-    assert ours.masks == theirs.masks
-    assert ours.index_of_mask == theirs.index_of_mask
+    assert position_tables(ours) == position_tables(theirs)
+    assert {j.d for j in ours.join_irreducibles} == set(
+        theirs.join_irreducibles)
     assert (ours.size, ours.grade_range) == (theirs.size, theirs.grade_range)
 
 
@@ -1626,7 +1642,10 @@ def test_component_lattices_grow_along_the_move_graph(data):
         assert got.covers == want.covers
         assert got.labels == want.labels
         assert got.grade == want.grade
-        assert got.certificate.masks == want.certificate.masks
+        assert (position_tables(got.certificate)
+                == position_tables(want.certificate))
+        assert ({j.d for j in got.certificate.join_irreducibles}
+                == {j.d for j in want.certificate.join_irreducibles})
 
 
 def test_step_table_rows_are_the_angles_of_each_edge():
@@ -1668,6 +1687,72 @@ def test_step_table_matches_moves_by_name(data):
     dec = st.Decoration.of(pmap, omega)
     assume(dec.nilpotency == 0 and len(dec.states) <= 1000)
     assert_steps_match_names(pmap, omega)
+
+
+# ----------------------------------------------------------------------
+# component, clock and subobject lattices: the move-graph walk against the
+# grown-poset certifier
+# ----------------------------------------------------------------------
+
+def assert_grown_lattice_is(lattice, grown):
+    """lattice is the grown oracle's: elements and covers in order, labels,
+    grades, the d of the join-irreducibles, and join and meet tables."""
+    assert lattice.elements == grown.elements
+    assert lattice.covers == grown.covers
+    assert lattice.labels == grown.labels
+    assert lattice.grade == grown.grade
+    assert ({j.d for j in lattice.certificate.join_irreducibles}
+            == {j.d for j in grown.certificate.join_irreducibles})
+    assert (position_tables(lattice.certificate)
+            == position_tables(grown.certificate))
+
+
+def clock_by_markers(diagram, bottom):
+    """The Kauffman states grown from bottom by marker rotations
+    (``kauffman_move``), certified by the grown-poset certifier."""
+    def upper(state):
+        for e in sorted(diagram.pmap.edges):
+            try:
+                yield e, kauffman_move(diagram, state, e)
+            except NotApplicable:
+                pass
+
+    return grown_lattice(bottom, upper, key=lambda s: s.angles)
+
+
+@SETTINGS
+@given(hs.data())
+def test_walked_lattices_match_the_grown_oracle(data):
+    """Each component lattice, and the plus-subobjects of every one of its
+    elements, walked on the move graph and certified on the walk, is the
+    lattice grown through the step table and certified as a poset
+    (``lattice_by_steps``, ``subobjects_by_steps``).  The clock lattice,
+    each element read as its Kauffman state, is the lattice grown by marker
+    rotations.  Shadows and sums, also with permuted dart names, at the
+    Kauffman weight and twice it, up to 500 states."""
+    pmap = data.draw(shadows(max_per_position=2))
+    if data.draw(hs.booleans()):
+        pmap = data.draw(renamed(pmap))
+    diagram = diagram_of(pmap)
+    scale = data.draw(hs.sampled_from((1, 2)))
+    omega = {c: scale * v for c, v in kauffman_weight(diagram).items()}
+    dec = st.Decoration.of(pmap, omega)
+    assume(len(dec.states) <= 500)
+    graph = dec.move_graph
+    for comp in graph.components:
+        lattice = dec.component_lattice(graph.nodes[comp[0]])
+        assert_grown_lattice_is(
+            lattice, lattice_by_steps(pmap, omega, lattice.minimum.f_plus))
+        for xi in lattice.elements:
+            assert_grown_lattice_is(bms.plus_subobjects(pmap, omega, xi),
+                                    subobjects_by_steps(pmap, omega, xi))
+    if scale == 1 and diagram.separating_pair is None:
+        clock = clock_lattice(diagram)
+        grown = clock_by_markers(diagram,
+                                 chi_inv(diagram, clock.minimum.f_plus))
+        shown = relabel(clock, lambda x: chi_inv(diagram, x.f_plus))
+        assert set(shown.elements) == set(grown.elements)
+        assert (shown.labels, shown.grade) == (grown.labels, grown.grade)
 
 
 @SETTINGS

@@ -116,7 +116,7 @@ def test_move_rotates_markers_counterclockwise(diagrams):
 
 def test_move_errors(diagrams):
     diag = diagrams["trefoil"]
-    top = kf.clock_lattice(diag).maximum
+    top = kf.chi_inv(diag, kf.clock_lattice(diag).maximum.f_plus)
     with pytest.raises(kf.NotApplicable, match="marked edge"):
         kf.kauffman_move(diag, top, diag.marked_edge)
     with pytest.raises(kf.NotApplicable, match="unknown"):
@@ -135,12 +135,15 @@ def test_primality(diagrams):
 
 
 def test_clock_lattice_trefoil(diagrams):
-    lat = kf.clock_lattice(diagrams["trefoil"])
+    diag = diagrams["trefoil"]
+    lat = kf.clock_lattice(diag)
     assert len(lat) == 3
     assert lat.certificate.grade_range == (0, 2)
     assert join_table(lat.certificate) is not None
-    assert lat.minimum.angles == ("c1ne", "c2se", "c3se")
-    assert lat.maximum.angles == ("c1nw", "c2ne", "c3nw")
+    assert kf.chi_inv(diag, lat.minimum.f_plus).angles == (
+        "c1ne", "c2se", "c3se")
+    assert kf.chi_inv(diag, lat.maximum.f_plus).angles == (
+        "c1nw", "c2ne", "c3nw")
     assert [lat.labels[c] for c in lat.covers] == ["e5", "e3"]
 
 

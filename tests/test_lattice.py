@@ -7,18 +7,12 @@ pentagon N5 (a lattice but not graded).
 
 import pytest
 
-from medialq.lattice import (
-    CertificationFailed,
-    Certificate,
-    Counterexample,
-    FiniteLattice,
-    FinitePoset,
-    certify_graded_distributive_lattice,
-    require_certificate,
-)
+from medialq.lattice import CertificationFailed, Certificate, FiniteLattice
 
-from conftest import (join_table, lower_covers, meet_table, upper_covers,
-                      verify_order_isomorphism)
+from conftest import (Counterexample, FinitePoset,
+                      certify_graded_distributive_lattice, join_table,
+                      lower_covers, meet_table, require_certificate,
+                      upper_covers, verify_order_isomorphism)
 
 
 def chain(n):
@@ -210,7 +204,7 @@ def test_empty_poset():
 def test_disagreement_with_the_pairwise_search_is_an_assertion(monkeypatch):
     # a valid lattice never reaches the pairwise search; if Birkhoff's check
     # failed on one anyway, the search finds nothing to report
-    import medialq.lattice as lattice_module
+    import conftest as lattice_module
 
     monkeypatch.setattr(lattice_module, "_birkhoff", lambda poset: None)
     with pytest.raises(AssertionError, match="disagree"):

@@ -12,14 +12,15 @@ import medialq.reps as reps
 import medialq.states as st
 from medialq import corpus
 from medialq.kauffman import LinkDiagram, kauffman_weight
-from medialq.lattice import CertificationFailed, grown_lattice
+from medialq.lattice import CertificationFailed
 from medialq.linalg import Matrix, ShapeMismatch
 from medialq.planar import build_planar_map, medial_quiver
 from medialq.reps import plus_minus_matrix as pm
 from medialq.states import NotACycle
 
 from conftest import (TRIANGLE_PAIR, TRIANGLE_ROT, direct_sum,
-                      enumerate_subreps, subrep_isomorphism_oracle, total_dim,
+                      enumerate_subreps, grown_lattice,
+                      subrep_isomorphism_oracle, total_dim,
                       unit_step_isomorphism_oracle)
 
 TRIANGLE_WEIGHT = {"v0": 1, "v1": 1, "v2": 2, "f0": 2, "f1": 2}
